@@ -1,26 +1,8 @@
 """Game-theoretic learning simulations for anti-jamming channel selection."""
 
-from .config import (ALGORITHMS, SCENARIOS, LearningParams, ScenarioConfig,
-                     load_config, load_config_file)
-from .env import (NodeGeometry, RadioParams, RateModel, SlotState, advance_slot,
-                  compute_rates, initial_slot, link_gain, max_single_user_rate)
-from .errors import ConfigError, InstanceTooLargeError, UnsupportedOperationError
-from .games import (GameSpec, StackelbergSolution, best_response_step,
-                    enumerate_pure_nash, is_pure_nash, potential_value,
-                    run_best_response, stackelberg_solve, user_utility)
-from .hypergraph import (InterferenceHypergraph, build_hypergraph, edge_active,
-                         marginal_interference, parse_edge_list, to_edge_list,
-                         total_generalized_interference)
-from .jammers import JammerPattern, jammer_action
-from .learning import (HierarchicalConfig, HierarchicalController, MixedStrategy,
-                       ObservedState, QTable, baseline_action,
-                       collaborative_joint_selection, epsilon_greedy,
-                       hierarchical_step, observe_jamming, q_update, sla_update,
-                       uniform_strategy)
-from .metrics import (AggregateCurve, NeBounds, TrialSeries, aggregate_trials,
-                      detect_convergence, mean_ci, ne_bounds, network_rate,
-                      normalized_capacity)
-from .presets import get_preset, preset_description, preset_names
-from .runner import RunResult, run_scenario, simulate_trial, trial_generator
+from .config import load_config
+from .games import GameSpec, enumerate_pure_nash, stackelberg_solve
+from .metrics import ne_bounds
+from .presets import get_preset
 
 __version__ = "0.1.0"

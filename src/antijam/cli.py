@@ -11,10 +11,9 @@ Exit codes: 0 success, 2 configuration problem, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .config import load_config
+from .config import load_config, load_config_file, read_document
 from .errors import ConfigError
 from .presets import get_preset, preset_description, preset_names
 from .runner import run_scenario
@@ -43,21 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_document(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: {path} is not valid JSON "
-                          f"(line {exc.lineno}, column {exc.colno}: {exc.msg})") from exc
-
-
 def _cmd_run(args) -> int:
-    document = get_preset(args.preset) if args.preset else _load_document(args.config)
-    if not isinstance(document, dict):
-        raise ConfigError("config: document must be a JSON object")
+    document = get_preset(args.preset) if args.preset else read_document(args.config)
     for key in ("seed", "trials", "slots"):
         value = getattr(args, key)
         if value is not None:
@@ -80,7 +66,7 @@ def _cmd_presets(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = load_config(_load_document(args.config))
+    config = load_config_file(args.config)
     print(f"ok: {config.name} ({config.scenario}, {config.num_users} users, "
           f"{config.num_channels} channels, {config.trials} trials x "
           f"{config.slots} slots)")

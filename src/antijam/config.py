@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .env import NodeGeometry, RadioParams
 from .errors import ConfigError
+from .games import MAX_PROFILES
 from .hypergraph import InterferenceHypergraph, build_hypergraph
 from .jammers import KINDS as JAMMER_KINDS
 from .jammers import JammerPattern
@@ -135,10 +136,6 @@ class ScenarioConfig:
     learning: LearningParams
     hypergraph_doc: dict | None
     output_dir: str | None
-
-    @property
-    def num_jammers(self) -> int:
-        return len(self.geometry_doc.get("jammer_positions", []))
 
     def build_geometry(self) -> NodeGeometry:
         return _build_geometry(self.geometry_doc, self.num_users)
@@ -352,6 +349,10 @@ def load_config(document: dict) -> ScenarioConfig:
         if "jammer" in document or "jammers" in document:
             raise ConfigError("config: the stackelberg leader is adaptive; "
                               "jammer patterns are not allowed in this scenario")
+        if num_channels ** num_users > MAX_PROFILES:
+            raise ConfigError(f"config: the leader oracle cannot enumerate "
+                              f"{num_channels}^{num_users} follower profiles "
+                              f"(cap {MAX_PROFILES})")
         jammer_docs = ()
         num_jammers = 1
     else:
@@ -407,7 +408,8 @@ def _default_jammer_doc(scenario: str) -> dict:
     return {"kind": "fixed"}
 
 
-def load_config_file(path) -> ScenarioConfig:
+def read_document(path) -> dict:
+    """Parse a JSON config file; anything but a JSON object is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
@@ -416,4 +418,10 @@ def load_config_file(path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: {path} is not valid JSON "
                           f"(line {exc.lineno}, column {exc.colno}: {exc.msg})") from exc
-    return load_config(document)
+    if not isinstance(document, dict):
+        raise ConfigError("config: document must be a JSON object")
+    return document
+
+
+def load_config_file(path) -> ScenarioConfig:
+    return load_config(read_document(path))

@@ -1,4 +1,4 @@
-"""Time-slotted wireless world: node geometry, link gains, SINR rates, slot advance.
+"""Wireless world: node geometry, link gains, SINR rates.
 
 Distances are meters, powers are mW, rates are bits/s/Hz (Shannon capacity over
 unit bandwidth). Channels are interchangeable in the physics: a channel index
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,41 +70,11 @@ class NodeGeometry:
     def num_jammers(self) -> int:
         return self.jammers.shape[0]
 
-    def user_pairs(self) -> list:
-        """Round-trippable [(tx, rx), ...] coordinate list."""
-        return [
-            [[float(x) for x in self.tx[n]], [float(x) for x in self.rx[n]]]
-            for n in range(self.num_users)
-        ]
-
-    def jammer_list(self) -> list:
-        return [[float(x) for x in pos] for pos in self.jammers]
-
 
 def link_gain(from_position, to_position, params: RadioParams) -> float:
     """Path-loss gain max(d, min_distance)^(-alpha) between two points."""
     d = math.dist(tuple(from_position), tuple(to_position))
     return max(d, params.min_distance) ** (-params.pathloss_exponent)
-
-
-@dataclass(eq=False)
-class SlotState:
-    """World state for one slot: joint channel choice, jamming, activity, rates."""
-
-    slot_index: int
-    choices: np.ndarray
-    jammed_channels: frozenset
-    active_mask: np.ndarray
-    rates: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.choices = np.asarray(self.choices, dtype=np.int64)
-        self.active_mask = np.asarray(self.active_mask, dtype=bool)
-        self.rates = np.asarray(self.rates, dtype=float)
-        self.jammed_channels = frozenset(int(c) for c in self.jammed_channels)
-        n = self.choices.shape[0]
-        if self.active_mask.shape[0] != n or self.rates.shape[0] != n:
-            raise ConfigError("SlotState: choices/active_mask/rates lengths differ")
 
 
 class RateModel:
@@ -163,56 +133,7 @@ class RateModel:
         return np.where(active, np.log2(1.0 + sinr), 0.0)
 
 
-def compute_rates(choices, jammed_channels, active_mask,
-                  geometry: NodeGeometry, params: RadioParams) -> np.ndarray:
-    """One-shot rate evaluation; build a RateModel for repeated calls."""
-    return RateModel(geometry, params).rates(choices, jammed_channels, active_mask)
-
-
 def max_single_user_rate(model: RateModel) -> float:
     """Interference-free rate of the best own link; the r_max normalizer."""
     p = model.params
     return float(np.log2(1.0 + p.tx_power * model.own_gain.max() / p.noise_floor))
-
-
-def advance_slot(current: SlotState, jammer_actions: Iterable, user_actions,
-                 activity_draws, model: RateModel, active_prob: float = 1.0) -> SlotState:
-    """Advance the world one slot.
-
-    jammer_actions is one channel set per jammer (their union is stored);
-    activity_draws are uniform[0,1) draws turned into Bernoulli(active_prob)
-    activity. Deterministic given its inputs.
-    """
-    n = model.num_users
-    choices = np.asarray(user_actions, dtype=np.int64)
-    draws = np.asarray(activity_draws, dtype=float)
-    if choices.shape[0] != n:
-        raise ConfigError("advance_slot: user_actions length must equal num_users")
-    if draws.shape[0] != n:
-        raise ConfigError("advance_slot: activity_draws length must equal num_users")
-    jam_sets = [frozenset(int(c) for c in s) for s in jammer_actions]
-    if len(jam_sets) != model.geometry.num_jammers:
-        raise ConfigError("advance_slot: one action set per jammer required")
-    jammed = frozenset().union(*jam_sets) if jam_sets else frozenset()
-    if jammed and (min(jammed) < 0 or max(jammed) >= model.params.num_channels):
-        raise ConfigError("advance_slot: jammer channel out of range")
-    active = draws < active_prob
-    rates = model.rates(choices, jammed, active)
-    return SlotState(
-        slot_index=current.slot_index + 1,
-        choices=choices,
-        jammed_channels=jammed,
-        active_mask=active,
-        rates=rates,
-    )
-
-
-def initial_slot(num_users: int) -> SlotState:
-    """Slot 0 placeholder before anyone has acted."""
-    return SlotState(
-        slot_index=0,
-        choices=np.zeros(num_users, dtype=np.int64),
-        jammed_channels=frozenset(),
-        active_mask=np.zeros(num_users, dtype=bool),
-        rates=np.zeros(num_users),
-    )

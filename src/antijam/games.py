@@ -1,8 +1,8 @@
 """One-shot channel selection games and their exact small-instance oracles.
 
-Three game kinds share one interface:
+Two game kinds share one interface:
 
-* stackelberg / markov: a user's utility is its own achievable rate.
+* stackelberg: a user's utility is its own achievable rate.
 * hypergraph: a user's utility is minus its marginal contribution to the
   generalized interference count. That choice makes Phi = -I_total an exact
   potential, so best-response dynamics terminates at a pure NE.
@@ -24,7 +24,10 @@ from .errors import ConfigError, InstanceTooLargeError, UnsupportedOperationErro
 from .hypergraph import (InterferenceHypergraph, marginal_interference,
                          total_generalized_interference)
 
-KINDS = ("stackelberg", "markov", "hypergraph")
+KINDS = ("stackelberg", "hypergraph")
+
+# Largest profile count M^N the brute-force oracles enumerate.
+MAX_PROFILES = 10 ** 6
 
 _NO_JAM = frozenset()
 
@@ -142,7 +145,7 @@ def is_pure_nash(game: GameSpec, choices, jammed_channels=_NO_JAM,
 
 
 def enumerate_pure_nash(game: GameSpec, jammed_channels=_NO_JAM, active_mask=None,
-                        max_profiles: int = 10 ** 6) -> list:
+                        max_profiles: int = MAX_PROFILES) -> list:
     """Every pure NE assignment, lexicographically ordered (brute force)."""
     n, m = game.num_users, game.num_channels
     if m ** n > max_profiles:
@@ -227,7 +230,7 @@ class StackelbergSolution:
 
 
 def stackelberg_solve(game: GameSpec, active_mask=None,
-                      max_profiles: int = 10 ** 6) -> StackelbergSolution:
+                      max_profiles: int = MAX_PROFILES) -> StackelbergSolution:
     """Leader commits to one jammed channel anticipating the followers' best NE.
 
     For each leader action the followers are assumed to land on the pure NE

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .env import NodeGeometry
@@ -67,6 +66,8 @@ def build_hypergraph(geometry: NodeGeometry, strong_radius: float, weak_radius: 
     maximal group of >= 3 transmitters mutually within weak_radius becomes a
     weak hyperedge, unless the group is already a complete strong clique.
     """
+    import networkx as nx  # only the geometric source needs it
+
     if not (weak_radius >= strong_radius > 0):
         raise ConfigError("radii: need weak_radius >= strong_radius > 0")
     n = geometry.num_users
@@ -100,30 +101,6 @@ def build_hypergraph(geometry: NodeGeometry, strong_radius: float, weak_radius: 
         weak_hyperedges=tuple(sorted(hyper)),
         activation_threshold=activation_threshold,
     )
-
-
-def edge_active(hypergraph: InterferenceHypergraph, edge, choices, active_mask) -> frozenset:
-    """Channels on which the given edge or hyperedge is firing (empty = inactive)."""
-    edge = tuple(sorted(int(u) for u in edge))
-    choices = np.asarray(choices, dtype=np.int64)
-    active = np.asarray(active_mask, dtype=bool)
-    if len(edge) == 2:
-        if edge not in hypergraph.strong_edges:
-            raise ConfigError(f"edge {edge}: not in hypergraph")
-        u, v = edge
-        if active[u] and active[v] and choices[u] == choices[v]:
-            return frozenset({int(choices[u])})
-        return frozenset()
-    if edge not in hypergraph.weak_hyperedges:
-        raise ConfigError(f"hyperedge {edge}: not in hypergraph")
-    members = [u for u in edge if active[u]]
-    if len(members) < hypergraph.activation_threshold:
-        return frozenset()
-    counts = {}
-    for u in members:
-        c = int(choices[u])
-        counts[c] = counts.get(c, 0) + 1
-    return frozenset(c for c, k in counts.items() if k >= hypergraph.activation_threshold)
 
 
 def total_generalized_interference(hypergraph: InterferenceHypergraph, choices,
@@ -179,38 +156,3 @@ def marginal_interference(hypergraph: InterferenceHypergraph, n: int, choices,
     if jammed_channels and c in jammed_channels:
         delta += 1
     return delta
-
-
-def to_edge_list(hypergraph: InterferenceHypergraph) -> str:
-    """Plain-text form: `S u v` per strong edge, `W u v w ...` per hyperedge."""
-    lines = [f"S {u} {v}" for u, v in hypergraph.strong_edges]
-    lines += ["W " + " ".join(str(u) for u in h) for h in hypergraph.weak_hyperedges]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_edge_list(text: str, num_users: int | None = None,
-                    activation_threshold: int = 3) -> InterferenceHypergraph:
-    """Inverse of to_edge_list; num_users defaults to the largest index + 1."""
-    strong, weak = [], []
-    seen_max = -1
-    for i, raw in enumerate(text.splitlines()):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        tag, members = parts[0], [int(p) for p in parts[1:]]
-        seen_max = max(seen_max, *members) if members else seen_max
-        if tag == "S" and len(members) == 2:
-            strong.append(tuple(members))
-        elif tag == "W" and len(members) >= 3:
-            weak.append(tuple(members))
-        else:
-            raise ConfigError(f"edge list line {i + 1}: expected 'S u v' or 'W u v w ...'")
-    if num_users is None:
-        num_users = seen_max + 1 if seen_max >= 0 else 1
-    return InterferenceHypergraph(
-        num_users=num_users,
-        strong_edges=tuple(strong),
-        weak_hyperedges=tuple(weak),
-        activation_threshold=activation_threshold,
-    )

@@ -44,9 +44,10 @@ def jammer_action(pattern: JammerPattern, t: int, num_channels: int,
                   last_assignment=None, rng: Optional[np.random.Generator] = None) -> frozenset:
     """Channel set jammed at slot t.
 
-    The reactive kind jams the channel most used in the previous slot's
-    assignment (lowest index on ties) and falls back to a random channel when
-    it has not observed anything yet.
+    The reactive kind jams the channel most used in last_assignment, the
+    channels of the users that transmitted in the previous slot (lowest index
+    on ties). It falls back to a random channel when it heard nobody: in the
+    first slot, or after a slot in which every user was silent.
     """
     if t < 0:
         raise ConfigError("jammer_action: t must be >= 0")

@@ -137,6 +137,11 @@ def epsilon_greedy(table: QTable, s: ObservedState, rng: np.random.Generator) ->
     return table.greedy(s)
 
 
+def decay_epsilon(table: QTable, floor: float, decay: float) -> QTable:
+    """One step of the multiplicative exploration schedule, clipped at floor."""
+    return dataclasses.replace(table, epsilon=max(floor, table.epsilon * decay))
+
+
 def collaborative_joint_selection(tables, s: ObservedState, order,
                                   rng: np.random.Generator) -> np.ndarray:
     """Joint channel pick with claims shared over the control channel.
@@ -210,36 +215,62 @@ class HierarchicalConfig:
             raise ConfigError("reward_scale: must be > 0")
 
 
+class WindowLeader:
+    """Window epsilon-greedy jammer: holds one channel for window_slots slots.
+
+    It is a single-state Q learner (discount 0) rewarded with minus the
+    window's mean total rate; its exploration decays once per window.
+    """
+
+    def __init__(self, num_channels: int, cfg: HierarchicalConfig):
+        self.cfg = cfg
+        self.table = QTable(num_channels, learning_rate=cfg.leader_learning_rate,
+                            discount=0.0, epsilon=cfg.leader_epsilon_start)
+        self.channel = 0
+        self._slot_in_window = 0
+        self._window_rate_sum = 0.0
+
+    def act(self, rng: np.random.Generator) -> int:
+        """This slot's jammed channel; a new one is drawn at each window start."""
+        if self._slot_in_window == 0:
+            self.channel = epsilon_greedy(self.table, _LEADER_STATE, rng)
+        return self.channel
+
+    def observe(self, total_rate: float) -> None:
+        """Feed back the slot's total rate; learn at the window boundary."""
+        self._window_rate_sum += total_rate
+        self._slot_in_window += 1
+        if self._slot_in_window >= self.cfg.window_slots:
+            reward = -self._window_rate_sum / self.cfg.window_slots
+            self.table = q_update(self.table, _LEADER_STATE, self.channel,
+                                  reward, _LEADER_STATE)
+            self.table = decay_epsilon(self.table, self.cfg.leader_epsilon_floor,
+                                       self.cfg.leader_epsilon_decay)
+            self._slot_in_window = 0
+            self._window_rate_sum = 0.0
+
+    def greedy(self) -> int:
+        return self.table.greedy(_LEADER_STATE)
+
+
 class HierarchicalController:
     """Two-timescale loop: the leader jams one channel per window, followers
-    adapt their mixed strategies every slot inside it.
-
-    The leader is a single-state Q learner (discount 0) rewarded with minus
-    the window's mean total rate; its exploration decays once per window.
-    """
+    adapt their mixed strategies every slot inside it."""
 
     def __init__(self, num_users: int, num_channels: int, cfg: HierarchicalConfig):
         self.cfg = cfg
         self.num_users = num_users
         self.num_channels = num_channels
         self.strategies = [uniform_strategy(num_channels) for _ in range(num_users)]
-        self.leader_table = QTable(num_channels,
-                                   learning_rate=cfg.leader_learning_rate,
-                                   discount=0.0,
-                                   epsilon=cfg.leader_epsilon_start)
-        self.leader_channel = 0
-        self._slot_in_window = 0
-        self._window_rate_sum = 0.0
+        self.leader = WindowLeader(num_channels, cfg)
         self._last_choices = None
-        self._last_active = None
 
     def begin_slot(self, rng: np.random.Generator):
         """Pick this slot's jammed channel and every user's channel."""
-        if self._slot_in_window == 0:
-            self.leader_channel = epsilon_greedy(self.leader_table, _LEADER_STATE, rng)
+        leader_channel = self.leader.act(rng)
         choices = np.array([s.sample(rng) for s in self.strategies], dtype=np.int64)
         self._last_choices = choices
-        return self.leader_channel, choices
+        return leader_channel, choices
 
     def end_slot(self, rates, active_mask=None) -> None:
         """Feed back the slot's rates: follower strategy updates now, leader
@@ -254,35 +285,11 @@ class HierarchicalController:
             self.strategies[n] = sla_update(self.strategies[n],
                                             int(self._last_choices[n]), r,
                                             self.cfg.step_size)
-        self._window_rate_sum += float(rates.sum())
-        self._slot_in_window += 1
-        if self._slot_in_window >= self.cfg.window_slots:
-            reward = -self._window_rate_sum / self.cfg.window_slots
-            self.leader_table = q_update(self.leader_table, _LEADER_STATE,
-                                         self.leader_channel, reward, _LEADER_STATE)
-            eps = max(self.cfg.leader_epsilon_floor,
-                      self.leader_table.epsilon * self.cfg.leader_epsilon_decay)
-            self.leader_table = dataclasses.replace(self.leader_table, epsilon=eps)
-            self._slot_in_window = 0
-            self._window_rate_sum = 0.0
+        self.leader.observe(float(rates.sum()))
 
     def greedy_profile(self):
         """Exploration-free snapshot: leader's greedy channel and each
         follower's argmax channel."""
-        leader = self.leader_table.greedy(_LEADER_STATE)
         choices = np.array([int(np.argmax(s.probs)) for s in self.strategies],
                            dtype=np.int64)
-        return leader, choices
-
-
-def hierarchical_step(controller: HierarchicalController, rate_fn,
-                      rng: np.random.Generator, active_mask=None):
-    """One slot of the two-timescale loop.
-
-    rate_fn(choices, jammed_channels, active_mask) -> per-user rates. Returns
-    (leader channel, user choices, rates) after all states are updated.
-    """
-    leader_channel, choices = controller.begin_slot(rng)
-    rates = rate_fn(choices, frozenset({leader_channel}), active_mask)
-    controller.end_slot(rates, active_mask)
-    return leader_channel, choices, rates
+        return self.leader.greedy(), choices

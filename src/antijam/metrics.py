@@ -1,4 +1,4 @@
-"""Performance metrics, equilibrium bounds, and trial aggregation."""
+"""Per-slot network metrics, equilibrium bounds, and confidence intervals."""
 
 from __future__ import annotations
 
@@ -7,17 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import SlotState
 from .errors import ConfigError
 from .games import GameSpec, run_best_response
 
 _NO_JAM = frozenset()
 
 
-def network_rate(state: SlotState, mode: str = "sum") -> float:
+def network_rate(rates, active, mode: str = "sum") -> float:
     """Sum of active users' rates, or that sum over the active count."""
-    active = state.active_mask
-    total = float(state.rates[active].sum())
+    total = float(rates[active].sum())
     if mode == "sum":
         return total
     if mode == "mean-active":
@@ -26,12 +24,11 @@ def network_rate(state: SlotState, mode: str = "sum") -> float:
     raise ConfigError(f"network_rate: unknown mode {mode!r}")
 
 
-def normalized_capacity(state: SlotState, r_max: float) -> float:
+def normalized_capacity(rates, active, r_max: float) -> float:
     """Network sum rate over the jam-free, interference-free ceiling N*r_max."""
     if r_max <= 0:
         raise ConfigError("normalized_capacity: r_max must be > 0")
-    n = state.rates.size
-    return float(state.rates[state.active_mask].sum()) / (n * r_max)
+    return float(rates[active].sum()) / (rates.size * r_max)
 
 
 @dataclass(frozen=True)
@@ -41,9 +38,6 @@ class NeBounds:
     worst: float
     num_converged: int
     num_failed: int
-
-    def __iter__(self):
-        return iter((self.best, self.worst))
 
 
 def ne_bounds(game: GameSpec, jammed_channels=_NO_JAM, active_mask=None,
@@ -120,25 +114,6 @@ def detect_convergence(series, window: int = 1, threshold: float = 0.99):
     return None
 
 
-@dataclass(frozen=True)
-class TrialSeries:
-    """Per-slot values of one metric for one seeded run."""
-    scenario_id: str
-    seed: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class AggregateCurve:
-    """Per-slot mean and normal-approximation 95% half-width over trials."""
-    mean: np.ndarray
-    ci_half_width: np.ndarray
-    trials: int
-
-
 def mean_ci(values) -> tuple:
     """Mean and 95% half-width (1.96 * sample std / sqrt(n); 0 when n < 2)."""
     arr = np.asarray(values, dtype=np.float64)
@@ -149,20 +124,3 @@ def mean_ci(values) -> tuple:
         return mean, 0.0
     half = 1.96 * float(arr.std(ddof=1)) / np.sqrt(arr.size)
     return mean, half
-
-
-def aggregate_trials(series) -> AggregateCurve:
-    """Stack TrialSeries (same length) into a per-slot mean curve."""
-    series = list(series)
-    if not series:
-        raise ConfigError("aggregate_trials: need at least one trial")
-    lengths = {s.values.size for s in series}
-    if len(lengths) != 1:
-        raise ConfigError("aggregate_trials: trials disagree on slot count")
-    stacked = np.stack([s.values for s in series])
-    mean = stacked.mean(axis=0)
-    if stacked.shape[0] < 2:
-        half = np.zeros_like(mean)
-    else:
-        half = 1.96 * stacked.std(axis=0, ddof=1) / np.sqrt(stacked.shape[0])
-    return AggregateCurve(mean=mean, ci_half_width=half, trials=stacked.shape[0])

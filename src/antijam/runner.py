@@ -8,7 +8,6 @@ run is byte-deterministic.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -16,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .env import RateModel, SlotState, max_single_user_rate
+from .env import RateModel, max_single_user_rate
 from .errors import ConfigError
 from .games import GameSpec, stackelberg_solve
 from .hypergraph import marginal_interference
 from .jammers import jammer_action
 from .learning import (HierarchicalConfig, HierarchicalController, ObservedState,
-                       QTable, baseline_action, collaborative_joint_selection,
+                       QTable, WindowLeader, baseline_action,
+                       collaborative_joint_selection, decay_epsilon,
                        epsilon_greedy, observe_jamming, q_update, sla_update,
                        uniform_strategy)
 from .metrics import mean_ci, ne_bounds, network_rate, normalized_capacity
@@ -54,19 +54,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _slot_metrics(state: SlotState, r_max: float) -> tuple:
+def _slot_metrics(choices, jammed, active, rates, r_max: float) -> tuple:
     jammed_hit = 0.0
-    if state.jammed_channels:
-        jam = np.fromiter(state.jammed_channels, dtype=np.int64)
-        jammed_hit = float(np.isin(state.choices[state.active_mask], jam).any())
-    return (network_rate(state, "sum"),
-            network_rate(state, "mean-active"),
-            normalized_capacity(state, r_max),
+    if jammed:
+        jam = np.fromiter(jammed, dtype=np.int64)
+        jammed_hit = float(np.isin(choices[active], jam).any())
+    return (network_rate(rates, active, "sum"),
+            network_rate(rates, active, "mean-active"),
+            normalized_capacity(rates, active, r_max),
             jammed_hit)
-
-
-def _epsilon_schedule(table: QTable, floor: float, decay: float) -> QTable:
-    return dataclasses.replace(table, epsilon=max(floor, table.epsilon * decay))
 
 
 # ---------------------------------------------------------------------------
@@ -79,61 +75,42 @@ def _simulate_stackelberg(config: ScenarioConfig, algo: str,
     lp = config.learning
     p = config.active_probability
     per_slot = np.empty((config.slots, len(METRICS)))
-    extras = {}
+    cfg = HierarchicalConfig(
+        window_slots=lp.window_slots,
+        step_size=lp.step_size,
+        reward_scale=r_max,
+        leader_learning_rate=lp.learning_rate,
+        leader_epsilon_start=lp.epsilon_start,
+        leader_epsilon_floor=lp.epsilon_floor,
+        leader_epsilon_decay=lp.leader_epsilon_decay,
+    )
 
     if algo == "hierarchical":
-        controller = HierarchicalController(n, m, HierarchicalConfig(
-            window_slots=lp.window_slots,
-            step_size=lp.step_size,
-            reward_scale=r_max,
-            leader_learning_rate=lp.learning_rate,
-            leader_epsilon_start=lp.epsilon_start,
-            leader_epsilon_floor=lp.epsilon_floor,
-            leader_epsilon_decay=lp.leader_epsilon_decay,
-        ))
+        controller = HierarchicalController(n, m, cfg)
         for t in range(config.slots):
             leader_channel, choices = controller.begin_slot(rng)
             active = rng.random(n) < p
             jammed = frozenset({leader_channel})
             rates = model.rates(choices, jammed, active)
             controller.end_slot(rates, active)
-            state = SlotState(t, choices, jammed, active, rates)
-            per_slot[t] = _slot_metrics(state, r_max)
+            per_slot[t] = _slot_metrics(choices, jammed, active, rates, r_max)
         leader_g, choices_g = controller.greedy_profile()
         greedy_rates = model.rates(choices_g, frozenset({leader_g}),
                                    np.ones(n, dtype=bool))
-        extras["converged_greedy_rate"] = float(greedy_rates.sum())
-        return per_slot, extras
+        return per_slot, {"converged_greedy_rate": float(greedy_rates.sum())}
 
     if algo == "random":
-        # Uniform users; the jammer is the same adaptive window bandit the
-        # hierarchical controller uses, so both algorithms face the same kind
-        # of adversary.
-        leader = QTable(m, learning_rate=lp.learning_rate, discount=0.0,
-                        epsilon=lp.epsilon_start)
-        leader_state = ObservedState(None)
-        leader_channel = 0
-        window_sum = 0.0
-        slot_in_window = 0
+        # Uniform users against the hierarchical controller's own leader, so
+        # both algorithms face the same kind of adversary.
+        leader = WindowLeader(m, cfg)
         for t in range(config.slots):
-            if slot_in_window == 0:
-                leader_channel = epsilon_greedy(leader, leader_state, rng)
+            jammed = frozenset({leader.act(rng)})
             choices = rng.integers(0, m, size=n)
             active = rng.random(n) < p
-            jammed = frozenset({leader_channel})
             rates = model.rates(choices, jammed, active)
-            window_sum += float(rates.sum())
-            slot_in_window += 1
-            if slot_in_window >= lp.window_slots:
-                leader = q_update(leader, leader_state, leader_channel,
-                                  -window_sum / lp.window_slots, leader_state)
-                leader = _epsilon_schedule(leader, lp.epsilon_floor,
-                                           lp.leader_epsilon_decay)
-                slot_in_window = 0
-                window_sum = 0.0
-            state = SlotState(t, choices, jammed, active, rates)
-            per_slot[t] = _slot_metrics(state, r_max)
-        return per_slot, extras
+            leader.observe(float(rates.sum()))
+            per_slot[t] = _slot_metrics(choices, jammed, active, rates, r_max)
+        return per_slot, {}
 
     raise ConfigError(f"algorithm {algo!r} not available in the stackelberg scenario")
 
@@ -149,11 +126,11 @@ def _simulate_markov(config: ScenarioConfig, algo: str, rng: np.random.Generator
     tables = [QTable(m, learning_rate=lp.learning_rate, discount=lp.discount,
                      epsilon=lp.epsilon_start) for _ in range(n)] if learning else None
     state = ObservedState(None)
-    last_choices = None
+    last_heard = None  # channels of the users active in the previous slot
 
     for t in range(config.slots):
         jammed = frozenset().union(
-            *(jammer_action(pat, t, m, last_choices, rng) for pat in patterns))
+            *(jammer_action(pat, t, m, last_heard, rng) for pat in patterns))
         if algo == "collaborative":
             choices = collaborative_joint_selection(tables, state, range(n), rng)
         elif algo == "independent_q":
@@ -171,12 +148,11 @@ def _simulate_markov(config: ScenarioConfig, algo: str, rng: np.random.Generator
                     reward = min(1.0, max(0.0, float(rates[u]) / r_max))
                     tables[u] = q_update(tables[u], state, int(choices[u]),
                                          reward, s_next)
-                tables[u] = _epsilon_schedule(tables[u], lp.epsilon_floor,
-                                              lp.epsilon_decay)
-        slot = SlotState(t, choices, jammed, active, rates)
-        per_slot[t] = _slot_metrics(slot, r_max)
+                tables[u] = decay_epsilon(tables[u], lp.epsilon_floor,
+                                          lp.epsilon_decay)
+        per_slot[t] = _slot_metrics(choices, jammed, active, rates, r_max)
         state = s_next
-        last_choices = choices
+        last_heard = choices[active]
     return per_slot, {}
 
 
@@ -200,11 +176,11 @@ def _simulate_hypergraph(config: ScenarioConfig, algo: str,
                     + sum(1 for h in hg.weak_hyperedges if u in h) + 1
                     for u in range(n)]
         d_norm = float(max(incident))
-    last_choices = None
+    last_heard = None  # channels of the users active in the previous slot
 
     for t in range(config.slots):
         jammed = frozenset().union(
-            *(jammer_action(pat, t, m, last_choices, rng) for pat in patterns))
+            *(jammer_action(pat, t, m, last_heard, rng) for pat in patterns))
         if learning:
             choices = np.array([s.sample(rng) for s in strategies], dtype=np.int64)
         else:
@@ -219,9 +195,8 @@ def _simulate_hypergraph(config: ScenarioConfig, algo: str,
                 reward = max(0.0, 1.0 + utility / d_norm)
                 strategies[u] = sla_update(strategies[u], int(choices[u]),
                                            reward, lp.step_size)
-        slot = SlotState(t, choices, jammed, active, rates)
-        per_slot[t] = _slot_metrics(slot, r_max)
-        last_choices = choices
+        per_slot[t] = _slot_metrics(choices, jammed, active, rates, r_max)
+        last_heard = choices[active]
     return per_slot, {}
 
 

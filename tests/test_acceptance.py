@@ -16,24 +16,12 @@ import time
 import numpy as np
 import pytest
 
-from antijam import (
-    GameSpec,
-    InterferenceHypergraph,
-    NodeGeometry,
-    QTable,
-    RadioParams,
-    enumerate_pure_nash,
-    get_preset,
-    load_config,
-    ne_bounds,
-    potential_value,
-    q_update,
-    run_best_response,
-    sla_update,
-    uniform_strategy,
-    user_utility,
-)
-from antijam.learning import ObservedState
+from antijam import GameSpec, enumerate_pure_nash, get_preset, load_config, ne_bounds
+from antijam.env import NodeGeometry, RadioParams
+from antijam.games import potential_value, run_best_response, user_utility
+from antijam.hypergraph import InterferenceHypergraph
+from antijam.learning import (ObservedState, QTable, q_update, sla_update,
+                              uniform_strategy)
 from antijam.metrics import mean_ci
 from antijam.runner import run_scenario
 

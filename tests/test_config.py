@@ -9,16 +9,11 @@ import json
 import numpy as np
 import pytest
 
-from antijam import (
-    ALGORITHMS,
-    SCENARIOS,
-    ConfigError,
-    get_preset,
-    load_config,
-    load_config_file,
-    preset_description,
-    preset_names,
-)
+from antijam import get_preset, load_config
+from antijam.config import ALGORITHMS, SCENARIOS, load_config_file
+from antijam.errors import ConfigError
+from antijam.games import MAX_PROFILES
+from antijam.presets import preset_description, preset_names
 
 
 def minimal_markov():
@@ -249,3 +244,18 @@ def test_document_must_be_a_dict():
     doc["jammer"] = 7
     with pytest.raises(ConfigError):
         load_config(doc)
+
+
+def test_oversized_leader_game_rejected_at_load():
+    """The leader oracle enumerates M^N follower profiles per leader action,
+    so a stackelberg config past its cap must fail before any simulation."""
+    doc = get_preset("fig3-stackelberg")
+    del doc["geometry"]
+    doc.update(num_users=6, num_channels=10)
+    assert 10 ** 6 == MAX_PROFILES
+    load_config(doc)  # exactly at the cap
+    doc.update(num_users=8, num_channels=6)
+    with pytest.raises(ConfigError, match="cap"):
+        load_config(doc)
+    # only the leader game runs the oracle
+    load_config({"scenario": "markov", "num_users": 8, "num_channels": 6})

@@ -1,4 +1,4 @@
-"""Rate environment tests: path loss, SINR rates, slot bookkeeping.
+"""Rate environment tests: path loss, SINR rates, per-slot activity and jamming.
 
 The two frozen rate vectors below were worked out by hand with the plain
 Shannon formula before the model existed, so they cross-check the whole
@@ -8,18 +8,12 @@ gain/interference/jamming pipeline and not just internal consistency.
 import numpy as np
 import pytest
 
-from antijam import (
-    ConfigError,
-    NodeGeometry,
-    RadioParams,
-    RateModel,
-    SlotState,
-    advance_slot,
-    compute_rates,
-    initial_slot,
-    link_gain,
-    max_single_user_rate,
-)
+from antijam import load_config, runner
+from antijam.env import (NodeGeometry, RadioParams, RateModel, link_gain,
+                         max_single_user_rate)
+from antijam.errors import ConfigError
+from antijam.jammers import jammer_action
+from antijam.runner import simulate_trial, trial_generator
 
 
 def two_user_setup():
@@ -30,6 +24,33 @@ def two_user_setup():
     params = RadioParams(num_channels=2, tx_power=2.0, jam_power=4.0,
                          noise_floor=0.05, pathloss_exponent=2.0)
     return geo, params
+
+
+def tiny_markov(**overrides):
+    doc = {"scenario": "markov", "num_users": 2, "num_channels": 3,
+           "slots": 400, "seed": 4, "algorithms": ["random"]}
+    doc.update(overrides)
+    return doc
+
+
+def record_slots(doc):
+    """Run one trial of doc's first algorithm and return what the runner
+    handed the rate model each slot: (choices, jammed set, active mask, rates)."""
+    config = load_config(doc)
+    model = RateModel(config.build_geometry(), config.radio)
+    rates_fn = model.rates
+    seen = []
+
+    def recording(choices, jammed, active):
+        rates = rates_fn(choices, jammed, active)
+        seen.append((np.array(choices), jammed, np.array(active), rates))
+        return rates
+
+    model.rates = recording
+    simulate_trial(config, config.algorithms[0],
+                   trial_generator(config.seed, 0, 0), model,
+                   max_single_user_rate(model))
+    return seen
 
 
 def test_link_gain_inverse_square():
@@ -58,19 +79,6 @@ def test_rates_match_hand_computed_values():
     split = model.rates(np.array([0, 1]), frozenset({0}), np.array([True, True]))
     assert split[0] == pytest.approx(0.5790132343899698, abs=1e-12)
     assert split[1] == pytest.approx(5.357552004618084, abs=1e-12)
-
-
-def test_compute_rates_agrees_with_model():
-    geo, params = two_user_setup()
-    model = RateModel(geo, params)
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        choices = rng.integers(0, 2, size=2)
-        active = rng.random(2) < 0.7
-        jammed = frozenset(int(c) for c in rng.integers(0, 2, size=rng.integers(0, 3)))
-        a = compute_rates(choices, jammed, active, geo, params)
-        b = model.rates(choices, jammed, active)
-        assert np.allclose(a, b)
 
 
 def test_channel_relabeling_leaves_rates_unchanged():
@@ -153,45 +161,60 @@ def test_max_single_user_rate_upper_bounds_everything():
         assert np.all(rates <= r_max + 1e-12)
 
 
-def test_initial_slot_is_empty():
-    s = initial_slot(3)
-    assert s.slot_index == 0
-    assert not s.active_mask.any()
-    assert np.all(s.rates == 0.0)
-
-
 def test_advance_slot_rolls_state_forward():
-    geo, params = two_user_setup()
-    model = RateModel(geo, params)
-    s0 = initial_slot(2)
-    s1 = advance_slot(s0, [frozenset({1})], np.array([0, 1]),
-                      np.array([0.0, 0.0]), model, active_prob=1.0)
-    assert s1.slot_index == 1
-    assert s1.jammed_channels == frozenset({1})
-    assert s1.active_mask.all()
-    assert s1.rates.shape == (2,)
-    # activity draws above the threshold silence the user
-    s2 = advance_slot(s1, [frozenset()], np.array([0, 1]),
-                      np.array([0.5, 0.99]), model, active_prob=0.6)
-    assert bool(s2.active_mask[0]) is True
-    assert bool(s2.active_mask[1]) is False
-    assert s2.rates[1] == 0.0
+    """Every slot draws each user's activity as Bernoulli(active_probability);
+    a silent user gets rate 0 and an active one a positive rate."""
+    seen = record_slots(tiny_markov(active_probability=0.6))
+    assert len(seen) == 400
+    active = np.array([a for _, _, a, _ in seen])
+    rates = np.array([r for _, _, _, r in seen])
+    assert np.all(rates[~active] == 0.0)
+    assert np.all(rates[active] > 0.0)
+    assert 0.5 < active.mean() < 0.7
+    assert all(a.all() for _, _, a, _ in record_slots(tiny_markov(active_probability=1.0)))
+    assert not any(a.any() for _, _, a, _ in record_slots(tiny_markov(active_probability=0.0)))
 
 
 def test_multiple_jammers_union():
-    geo = NodeGeometry(
-        user_pairs=[[[0.0, 0.0], [1.0, 0.0]], [[3.0, 0.0], [3.0, 1.0]]],
-        jammer_positions=[[1.0, 1.0], [-2.0, 0.5]],
-    )
-    params = RadioParams(num_channels=3)
-    model = RateModel(geo, params)
-    s0 = initial_slot(2)
-    s1 = advance_slot(s0, [frozenset({0}), frozenset({1})], np.array([0, 1]),
-                      np.zeros(2), model)
-    assert s1.jammed_channels == frozenset({0, 1})
-    # an action set per jammer is mandatory
+    doc = tiny_markov(slots=20,
+                      jammers=[{"kind": "fixed", "fixed_channel": 0},
+                               {"kind": "fixed", "fixed_channel": 1}],
+                      geometry={"jammer_positions": [[1.0, 1.0], [-2.0, 0.5]]})
+    assert all(jammed == frozenset({0, 1}) for _, jammed, _, _ in record_slots(doc))
+    # a jammed receiver hears the power of every jammer
+    config = load_config(doc)
+    model = RateModel(config.build_geometry(), config.radio)
+    rx = config.build_geometry().rx
+    for n in range(2):
+        expected = sum(link_gain(pos, rx[n], config.radio)
+                       for pos in ([1.0, 1.0], [-2.0, 0.5]))
+        assert model.jam_at_rx[n] == pytest.approx(expected)
+    # a position per jammer is mandatory
+    doc["geometry"] = {"jammer_positions": [[1.0, 1.0]]}
     with pytest.raises(ConfigError):
-        advance_slot(s1, [frozenset({0})], np.array([0, 1]), np.zeros(2), model)
+        load_config(doc)
+
+
+@pytest.mark.parametrize("scenario", ["markov", "hypergraph"])
+def test_reactive_jammer_hears_only_active_users(monkeypatch, scenario):
+    """A silent user cannot be observed: the reactive jammer sees the channels
+    of the previous slot's active users, and nothing after an all-silent slot."""
+    heard = []
+
+    def spy(pattern, t, num_channels, last_assignment=None, rng=None):
+        heard.append(None if last_assignment is None else list(last_assignment))
+        return jammer_action(pattern, t, num_channels, last_assignment, rng)
+
+    monkeypatch.setattr(runner, "jammer_action", spy)
+    doc = tiny_markov(scenario=scenario, num_users=3, slots=200,
+                      active_probability=0.5, jammer={"kind": "reactive"},
+                      algorithms=["random"])
+    seen = record_slots(doc)
+    assert any(not a.any() for _, _, a, _ in seen), "no all-silent slot drawn"
+    assert heard[0] is None
+    for t in range(1, len(seen)):
+        choices, _, active, _ = seen[t - 1]
+        assert heard[t] == list(choices[active])
 
 
 def test_radio_params_validation():
@@ -203,10 +226,3 @@ def test_radio_params_validation():
         RadioParams(num_channels=2, noise_floor=-1.0)
     # zero jam power is legal: a jammer that radiates nothing
     RadioParams(num_channels=2, jam_power=0.0)
-
-
-def test_slot_state_shape_mismatch_rejected():
-    with pytest.raises(ConfigError):
-        SlotState(slot_index=0, choices=np.array([0, 1]),
-                  jammed_channels=frozenset(), active_mask=np.array([True]),
-                  rates=np.zeros(2))

@@ -10,22 +10,14 @@ import itertools
 import numpy as np
 import pytest
 
-from antijam import (
-    ConfigError,
-    GameSpec,
-    InstanceTooLargeError,
-    InterferenceHypergraph,
-    NodeGeometry,
-    RadioParams,
-    UnsupportedOperationError,
-    best_response_step,
-    enumerate_pure_nash,
-    is_pure_nash,
-    potential_value,
-    run_best_response,
-    stackelberg_solve,
-    user_utility,
-)
+from antijam import GameSpec, enumerate_pure_nash, stackelberg_solve
+from antijam.env import NodeGeometry, RadioParams
+from antijam.errors import (ConfigError, InstanceTooLargeError,
+                            UnsupportedOperationError)
+from antijam.games import (best_response_step, is_pure_nash, potential_value,
+                           run_best_response, user_utility)
+from antijam.hypergraph import (InterferenceHypergraph,
+                                total_generalized_interference)
 
 
 def random_hyper_game(rng, n_max=6, m_max=4):
@@ -78,14 +70,13 @@ def test_potential_is_negative_total_interference():
     rng = np.random.default_rng(9)
     game, jammed, active = random_hyper_game(rng)
     choices = rng.integers(0, game.num_channels, size=game.num_users)
-    from antijam import total_generalized_interference
     assert potential_value(game, choices, jammed, active) == -float(
         total_generalized_interference(game.hypergraph, choices, active, jammed))
 
 
 def test_potential_rejected_outside_hypergraph_games():
     geo = line_geometry(2)
-    game = GameSpec(kind="markov", geometry=geo,
+    game = GameSpec(kind="stackelberg", geometry=geo,
                     params=RadioParams(num_channels=2))
     with pytest.raises(UnsupportedOperationError):
         potential_value(game, [0, 1], frozenset(), [True, True])
@@ -250,3 +241,5 @@ def test_game_spec_validation():
     hg = InterferenceHypergraph(num_users=3)
     with pytest.raises(ConfigError):
         GameSpec(kind="hypergraph", geometry=geo, params=params, hypergraph=hg)
+    with pytest.raises(ConfigError):
+        GameSpec(kind="markov", geometry=geo, params=params)  # not a game kind

@@ -9,17 +9,11 @@ set. Everything else here is small hand-checked cases.
 import numpy as np
 import pytest
 
-from antijam import (
-    ConfigError,
-    InterferenceHypergraph,
-    NodeGeometry,
-    build_hypergraph,
-    edge_active,
-    marginal_interference,
-    parse_edge_list,
-    to_edge_list,
-    total_generalized_interference,
-)
+from antijam.env import NodeGeometry
+from antijam.errors import ConfigError
+from antijam.hypergraph import (InterferenceHypergraph, build_hypergraph,
+                                marginal_interference,
+                                total_generalized_interference)
 
 
 def small_hg():
@@ -75,16 +69,6 @@ def test_inactive_members_do_not_count():
     assert total == 2
 
 
-def test_edge_active_reports_firing_channels():
-    hg = small_hg()
-    assert edge_active(hg, (0, 1), [2, 2, 0, 0], [True] * 4) == frozenset({2})
-    assert edge_active(hg, (0, 1), [2, 1, 0, 0], [True] * 4) == frozenset()
-    assert edge_active(hg, (1, 2, 3), [0, 1, 1, 1], [True] * 4) == frozenset({1})
-    assert edge_active(hg, (1, 2, 3), [0, 1, 1, 0], [True] * 4) == frozenset()
-    with pytest.raises(ConfigError):
-        edge_active(hg, (0, 2), [0, 0, 0, 0], [True] * 4)
-
-
 def test_marginal_equals_total_difference():
     """marginal(n) == total(active) - total(active with n removed), fuzzed."""
     rng = np.random.default_rng(42)
@@ -137,29 +121,6 @@ def test_build_from_geometry():
 
     with pytest.raises(ConfigError):
         build_hypergraph(geo, strong_radius=2.0, weak_radius=1.0)
-
-
-def test_edge_list_round_trip():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        hg = random_hg(rng, int(rng.integers(3, 9)))
-        back = parse_edge_list(to_edge_list(hg), num_users=hg.num_users,
-                               activation_threshold=hg.activation_threshold)
-        assert back == hg
-
-
-def test_edge_list_parsing_details():
-    text = "# comment line\nS 0 2\n\nW 1 2 3\n"
-    hg = parse_edge_list(text)
-    assert hg.num_users == 4  # inferred from the largest index
-    assert hg.strong_edges == ((0, 2),)
-    assert hg.weak_hyperedges == ((1, 2, 3),)
-    with pytest.raises(ConfigError):
-        parse_edge_list("S 0 1 2\n")
-    with pytest.raises(ConfigError):
-        parse_edge_list("W 0 1\n")
-    with pytest.raises(ConfigError):
-        parse_edge_list("X 0 1\n")
 
 
 def test_hypergraph_validation():

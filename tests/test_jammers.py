@@ -9,7 +9,8 @@ handed and nothing else.
 import numpy as np
 import pytest
 
-from antijam import ConfigError, JammerPattern, jammer_action
+from antijam.errors import ConfigError
+from antijam.jammers import JammerPattern, jammer_action
 
 
 def test_fixed_jams_one_channel_forever():

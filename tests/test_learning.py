@@ -10,22 +10,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from antijam import (
-    ConfigError,
-    HierarchicalConfig,
-    HierarchicalController,
-    MixedStrategy,
-    ObservedState,
-    QTable,
-    baseline_action,
-    collaborative_joint_selection,
-    epsilon_greedy,
-    hierarchical_step,
-    observe_jamming,
-    q_update,
-    sla_update,
-    uniform_strategy,
-)
+from antijam.errors import ConfigError
+from antijam.learning import (HierarchicalConfig, HierarchicalController,
+                              MixedStrategy, ObservedState, QTable, WindowLeader,
+                              baseline_action, collaborative_joint_selection,
+                              decay_epsilon, epsilon_greedy, observe_jamming,
+                              q_update, sla_update, uniform_strategy)
 
 
 def table_with(num_channels, values, epsilon=0.0, lr=0.1, discount=0.0):
@@ -238,6 +228,13 @@ def test_baseline_actions():
         baseline_action("psychic", S0, 4, rng)
 
 
+def hierarchical_step(controller, rate_fn, rng):
+    """One slot of the two-timescale loop with every user active."""
+    leader, choices = controller.begin_slot(rng)
+    controller.end_slot(rate_fn(choices, frozenset({leader})))
+    return leader
+
+
 def test_hierarchical_window_mechanics():
     cfg = HierarchicalConfig(window_slots=5, step_size=0.1, reward_scale=2.0,
                              leader_epsilon_start=0.0)
@@ -245,17 +242,16 @@ def test_hierarchical_window_mechanics():
     rng = np.random.default_rng(0)
 
     held = []
-    def rate_fn(choices, jammed, active):
+    def rate_fn(choices, jammed):
         # favor channel 0 so follower strategies drift toward it
         return np.where(np.asarray(choices) == 0, 2.0, 0.5)
 
     for _ in range(10):
-        leader, choices, rates = hierarchical_step(ctl, rate_fn, rng)
-        held.append(leader)
+        held.append(hierarchical_step(ctl, rate_fn, rng))
     # the leader holds its channel for exactly window_slots slots
     assert len(set(held[:5])) == 1 and len(set(held[5:])) == 1
     # two windows have elapsed, so the leader table saw two updates
-    assert len(ctl.leader_table.values) >= 1
+    assert len(ctl.leader.table.values) >= 1
     total = sum(s.probs.sum() for s in ctl.strategies)
     assert total == pytest.approx(2.0, abs=1e-9)
 
@@ -270,7 +266,7 @@ def test_hierarchical_leader_learns_to_hurt():
     ctl.strategies[0] = MixedStrategy(np.array([1.0, 0.0]))
     rng = np.random.default_rng(3)
 
-    def rate_fn(choices, jammed, active):
+    def rate_fn(choices, jammed):
         return np.array([0.2 if int(choices[0]) in jammed else 1.0])
 
     for _ in range(600):
@@ -286,3 +282,28 @@ def test_greedy_profile_reflects_strategies():
     ctl.strategies[1] = MixedStrategy(np.array([0.0, 0.2, 0.8]))
     _, choices = ctl.greedy_profile()
     assert list(choices) == [1, 2]
+
+
+def test_window_leader_learns_once_per_window():
+    cfg = HierarchicalConfig(window_slots=3, leader_learning_rate=0.5,
+                             leader_epsilon_start=0.4, leader_epsilon_floor=0.3,
+                             leader_epsilon_decay=0.5)
+    leader = WindowLeader(num_channels=2, cfg=cfg)
+    rng = np.random.default_rng(5)
+    first = leader.act(rng)
+    for total in (1.0, 2.0):
+        leader.observe(total)
+        assert leader.act(rng) == first
+    assert leader.table.values == {}
+    leader.observe(3.0)
+    # reward is minus the window's mean total rate, epsilon decays to its floor
+    assert leader.table.q(ObservedState(None), first) == pytest.approx(-1.0)
+    assert leader.table.epsilon == pytest.approx(0.3)
+    assert leader.greedy() == 1 - first
+
+
+def test_decay_epsilon_clips_at_floor():
+    t = QTable(num_channels=2, epsilon=0.5)
+    assert decay_epsilon(t, floor=0.1, decay=0.5).epsilon == pytest.approx(0.25)
+    assert decay_epsilon(t, floor=0.4, decay=0.5).epsilon == pytest.approx(0.4)
+    assert t.epsilon == 0.5

@@ -7,12 +7,15 @@ the CSV / metadata files follow the documented schemas exactly.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 
+import antijam
 from antijam import load_config
 from antijam.metrics import mean_ci
 from antijam.presets import get_preset
@@ -257,3 +260,41 @@ def test_cli_runtime_errors_exit_3(tmp_path):
     proc = run_cli("run", "--config", str(doc), "--out", str(blocker / "sub"))
     assert proc.returncode == 3
     assert "error:" in proc.stderr
+
+
+def test_cli_rejects_oversized_leader_game_before_running(tmp_path):
+    doc = small_stackelberg(num_users=8, num_channels=6)
+    del doc["geometry"]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("validate", "--config", str(path))
+    assert proc.returncode == 2
+    assert "cap" in proc.stderr
+    out = tmp_path / "big-run"
+    proc = run_cli("run", "--config", str(path), "--out", str(out))
+    assert proc.returncode == 2
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# public API
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_imports_run():
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("from antijam")]
+    assert lines
+    for line in lines:
+        exec(line, {})
+
+
+def test_package_exports_only_the_readme_api():
+    public = sorted(name for name, value in vars(antijam).items()
+                    if not name.startswith("_")
+                    and not isinstance(value, types.ModuleType))
+    assert public == ["GameSpec", "enumerate_pure_nash", "get_preset",
+                      "load_config", "ne_bounds", "stackelberg_solve"]
