@@ -32,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="override the config seed")
     run.add_argument("--trials", type=int, help="override the trial count")
     run.add_argument("--slots", type=int, help="override the slot count")
-    run.add_argument("--out", help="output directory (default runs/<name>)")
+    run.add_argument("--out", help="output directory (default: the config's "
+                     "output_dir, else runs/<name>)")
 
     presets = sub.add_parser("presets", help="inspect bundled scenarios")
     presets.add_argument("action", choices=["list"])
@@ -49,7 +50,9 @@ def _cmd_run(args) -> int:
         if value is not None:
             document[key] = value
     config = load_config(document)
-    out = args.out if args.out is not None else f"runs/{config.name}"
+    out = args.out if args.out is not None else config.output_dir
+    if out is None:
+        out = f"runs/{config.name}"
     result = run_scenario(config, out_dir=out)
     print(f"{config.name}: {config.trials} trials x {config.slots} slots, "
           f"seed {config.seed}")

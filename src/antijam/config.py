@@ -8,6 +8,7 @@ silently fall back to a default mid-experiment.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -35,24 +36,48 @@ def _check_keys(doc: dict, allowed, where: str) -> None:
             raise ConfigError(f"{where}: unknown key {key!r}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
 def _require_number(doc, key, where, lo=None, hi=None, integer=False, default=None):
     if key not in doc:
         if default is None:
             raise ConfigError(f"{where}: missing required key {key!r}")
         return default
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: {key} must be a number")
-    if integer:
-        if float(value) != int(value):
-            raise ConfigError(f"{where}: {key} must be an integer")
-        value = int(value)
-    else:
-        value = float(value)
+    if not _is_number(value):
+        raise ConfigError(f"{where}: {key} must be a finite number")
+    if integer and not float(value).is_integer():
+        raise ConfigError(f"{where}: {key} must be an integer")
+    value = int(value) if integer else float(value)
     if lo is not None and value < lo:
         raise ConfigError(f"{where}: {key} must be >= {lo}")
     if hi is not None and value > hi:
         raise ConfigError(f"{where}: {key} must be <= {hi}")
+    return value
+
+
+def _point(value, where: str) -> list:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(_is_number(c) for c in value)):
+        raise ConfigError(f"{where}: must be an [x, y] pair of finite numbers")
+    return [float(value[0]), float(value[1])]
+
+
+def _index_list(value, where: str) -> list:
+    """Sorted entries of a JSON list of integers (channel or user indices)."""
+    if not (isinstance(value, list)
+            and all(_is_number(v) and float(v).is_integer() for v in value)):
+        raise ConfigError(f"{where}: must be a list of integers")
+    return sorted(int(v) for v in value)
+
+
+def _list(doc, key, where: str, default) -> list:
+    value = doc.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: {key} must be a list")
     return value
 
 
@@ -89,16 +114,7 @@ class LearningParams:
             raise ConfigError("learning.window_slots: must be >= 1")
 
     def to_document(self) -> dict:
-        return {
-            "step_size": self.step_size,
-            "learning_rate": self.learning_rate,
-            "discount": self.discount,
-            "epsilon_start": self.epsilon_start,
-            "epsilon_floor": self.epsilon_floor,
-            "epsilon_decay": self.epsilon_decay,
-            "window_slots": self.window_slots,
-            "leader_epsilon_decay": self.leader_epsilon_decay,
-        }
+        return dataclasses.asdict(self)
 
 
 _LEARNING_KEYS = set(LearningParams().to_document())
@@ -209,20 +225,20 @@ def _resolve_geometry(doc, num_users: int, num_jammers: int) -> dict:
     layout = doc.get("layout", "ring")
     if layout not in ("ring", "explicit"):
         raise ConfigError(f"geometry.layout: unknown layout {layout!r}")
-    jam_pos = doc.get("jammer_positions")
-    if jam_pos is None:
-        jam_pos = [[0.0, 0.0]] * num_jammers
-    jam_pos = [[float(p[0]), float(p[1])] for p in jam_pos]
+    jam_pos = [_point(p, "geometry.jammer_positions")
+               for p in _list(doc, "jammer_positions", "geometry",
+                              [[0.0, 0.0]] * num_jammers)]
     if len(jam_pos) != num_jammers:
         raise ConfigError("geometry.jammer_positions: count must match the jammer list")
     if layout == "explicit":
         if "user_pairs" not in doc:
             raise ConfigError("geometry.user_pairs: required for explicit layout")
         pairs = doc["user_pairs"]
-        if len(pairs) != num_users:
-            raise ConfigError("geometry.user_pairs: count must equal num_users")
-        pairs = [[[float(p[0][0]), float(p[0][1])], [float(p[1][0]), float(p[1][1])]]
-                 for p in pairs]
+        if not (isinstance(pairs, list) and len(pairs) == num_users
+                and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+            raise ConfigError("geometry.user_pairs: must be num_users [tx, rx] pairs")
+        pairs = [[_point(tx, "geometry.user_pairs"), _point(rx, "geometry.user_pairs")]
+                 for tx, rx in pairs]
         resolved = {"layout": "explicit", "user_pairs": pairs,
                     "jammer_positions": jam_pos}
     else:
@@ -235,10 +251,6 @@ def _resolve_geometry(doc, num_users: int, num_jammers: int) -> dict:
                                              lo=0.0, default=1.0),
             "jammer_positions": jam_pos,
         }
-    try:
-        _build_geometry(resolved, num_users)
-    except (ConfigError, TypeError, IndexError) as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
     return resolved
 
 
@@ -263,7 +275,7 @@ def _resolve_jammer(doc, num_channels: int, where: str) -> dict:
         "kind": kind,
         "fixed_channel": _require_number(doc, "fixed_channel", where, lo=0,
                                          hi=num_channels - 1, integer=True, default=0),
-        "comb_set": sorted(int(c) for c in comb),
+        "comb_set": _index_list(comb, f"{where}.comb_set"),
         "dwell": _require_number(doc, "dwell", where, lo=1, integer=True, default=1),
         "start_channel": _require_number(doc, "start_channel", where, lo=0,
                                          hi=num_channels - 1, integer=True, default=0),
@@ -285,17 +297,12 @@ def _resolve_hypergraph(doc, num_users: int, where: str = "hypergraph") -> dict:
     if source == "explicit":
         resolved = {
             "source": "explicit",
-            "strong_edges": [sorted(int(u) for u in e) for e in doc.get("strong_edges", [])],
-            "weak_hyperedges": [sorted(int(u) for u in h) for h in doc.get("weak_hyperedges", [])],
+            "strong_edges": [_index_list(e, f"{where}.strong_edges")
+                             for e in _list(doc, "strong_edges", where, [])],
+            "weak_hyperedges": [_index_list(h, f"{where}.weak_hyperedges")
+                                for h in _list(doc, "weak_hyperedges", where, [])],
             "activation_threshold": threshold,
         }
-        try:
-            InterferenceHypergraph(num_users,
-                                   tuple(tuple(e) for e in resolved["strong_edges"]),
-                                   tuple(tuple(h) for h in resolved["weak_hyperedges"]),
-                                   threshold)
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
         return resolved
     strong_radius = _require_number(doc, "strong_radius", where, lo=0.0, default=2.0)
     weak_radius = _require_number(doc, "weak_radius", where, lo=0.0, default=6.0)
@@ -349,7 +356,9 @@ def load_config(document: dict) -> ScenarioConfig:
         if "jammer" in document or "jammers" in document:
             raise ConfigError("config: the stackelberg leader is adaptive; "
                               "jammer patterns are not allowed in this scenario")
-        if num_channels ** num_users > MAX_PROFILES:
+        # num_channels >= 2, so past the cap's bit length no power is needed
+        if num_users > MAX_PROFILES.bit_length() \
+                or num_channels ** num_users > MAX_PROFILES:
             raise ConfigError(f"config: the leader oracle cannot enumerate "
                               f"{num_channels}^{num_users} follower profiles "
                               f"(cap {MAX_PROFILES})")
@@ -369,8 +378,9 @@ def load_config(document: dict) -> ScenarioConfig:
                                      num_jammers)
 
     algos = document.get("algorithms", list(ALGORITHMS[scenario]))
-    if not isinstance(algos, list) or not algos:
-        raise ConfigError("algorithms: must be a non-empty list")
+    if not isinstance(algos, list) or not algos \
+            or not all(isinstance(a, str) for a in algos):
+        raise ConfigError("algorithms: must be a non-empty list of names")
     if len(set(algos)) != len(algos):
         raise ConfigError("algorithms: duplicates not allowed")
     for algo in algos:
@@ -381,7 +391,10 @@ def load_config(document: dict) -> ScenarioConfig:
 
     learning_doc = document.get("learning", {})
     _check_keys(learning_doc, _LEARNING_KEYS, "learning")
-    learning = LearningParams(**learning_doc)
+    learning = LearningParams(**{
+        key: _require_number(learning_doc, key, "learning",
+                             integer=key == "window_slots")
+        for key in learning_doc})
 
     if scenario == "hypergraph":
         hypergraph_doc = _resolve_hypergraph(document.get("hypergraph", {}), num_users)

@@ -37,13 +37,10 @@ class GameSpec:
 
     geometry and params are always required (rates are how profiles get
     valued); hypergraph is required exactly when kind == "hypergraph".
-    leader_actions restricts the Stackelberg leader's channel choices and
-    defaults to every channel.
     """
 
     def __init__(self, kind: str, geometry: NodeGeometry, params: RadioParams,
-                 hypergraph: InterferenceHypergraph | None = None,
-                 leader_actions=None):
+                 hypergraph: InterferenceHypergraph | None = None):
         if kind not in KINDS:
             raise ConfigError(f"game kind: unknown kind {kind!r}")
         if kind == "hypergraph":
@@ -51,16 +48,10 @@ class GameSpec:
                 raise ConfigError("game kind hypergraph: needs a hypergraph")
             if hypergraph.num_users != geometry.num_users:
                 raise ConfigError("hypergraph and geometry disagree on user count")
-        if leader_actions is None:
-            leader_actions = range(params.num_channels)
-        leader_actions = tuple(sorted(int(c) for c in leader_actions))
-        if leader_actions and not (0 <= leader_actions[0] and leader_actions[-1] < params.num_channels):
-            raise ConfigError("leader_actions: channel index out of range")
         self.kind = kind
         self.geometry = geometry
         self.params = params
         self.hypergraph = hypergraph
-        self.leader_actions = leader_actions
         self._model = None
 
     @property
@@ -233,7 +224,7 @@ def stackelberg_solve(game: GameSpec, active_mask=None,
                       max_profiles: int = MAX_PROFILES) -> StackelbergSolution:
     """Leader commits to one jammed channel anticipating the followers' best NE.
 
-    For each leader action the followers are assumed to land on the pure NE
+    For each leader channel the followers are assumed to land on the pure NE
     with maximal total rate (lexicographically first on ties). The leader,
     whose utility is minus that total, picks the action minimizing it; ties go
     to the lowest channel. Actions admitting no pure follower NE are recorded
@@ -245,7 +236,7 @@ def stackelberg_solve(game: GameSpec, active_mask=None,
     active = _as_mask(active_mask, game.num_users)
     audit = []
     best = None
-    for channel in game.leader_actions:
+    for channel in range(game.num_channels):
         jam = frozenset({channel})
         equilibria = enumerate_pure_nash(game, jam, active, max_profiles)
         if not equilibria:

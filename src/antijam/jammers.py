@@ -1,7 +1,9 @@
 """Jammer behaviors: fixed, random, sweep, comb, and reactive channel patterns.
 
-Each jammer instance emits one set of jammed channels per slot; several
-jammers are just several instances whose sets get unioned by the caller.
+Each pattern emits one set of jammed channels per slot. ScriptedJammers is
+the jammer side of a markov or hypergraph run: it plays several patterns
+together, jams the union of their sets, and remembers what a reactive
+pattern can observe.
 """
 
 from __future__ import annotations
@@ -70,3 +72,22 @@ def jammer_action(pattern: JammerPattern, t: int, num_channels: int,
     counts = Counter(int(c) for c in last_assignment)
     best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
     return frozenset({best[0]})
+
+
+class ScriptedJammers:
+    """Scripted patterns as one slot-loop leader: act(t, rng) jams the union
+    of the patterns' sets (drawing in pattern order), and observe keeps the
+    channels of the users that transmitted, all a reactive pattern hears."""
+
+    def __init__(self, patterns, num_channels: int):
+        self.patterns = tuple(patterns)
+        self.num_channels = num_channels
+        self.last_heard = None
+
+    def act(self, t: int, rng: np.random.Generator) -> frozenset:
+        return frozenset().union(
+            *(jammer_action(p, t, self.num_channels, self.last_heard, rng)
+              for p in self.patterns))
+
+    def observe(self, choices, active, rates) -> None:
+        self.last_heard = choices[active]

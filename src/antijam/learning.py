@@ -1,10 +1,11 @@
-"""Online channel selection policies.
+"""Online channel selection: the users' rules, the adaptive leader, and the
+controller that drives one slot of any algorithm.
 
-Covers the probability-vector learner (linear reward-inaction automata), the
-tabular Q learners in independent and coordinated flavors, the two-timescale
-leader/follower loop, and the two non-learning baselines. All of them produce
-one channel per user per slot; updates happen strictly after the slot's rates
-are known.
+Every algorithm is a HierarchicalController(leader, followers): the leader is
+the jammer side (WindowLeader, or jammers.ScriptedJammers), the followers one
+users' rule (AutomataUsers, QUsers, BaselineUsers). Both act at the start of
+a slot and learn strictly after its rates are known. What a user remembers of
+the jammer is the channel it last sensed as jammed, or None.
 """
 
 from __future__ import annotations
@@ -15,25 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .hypergraph import marginal_interference
 
 
-@dataclass(frozen=True)
-class ObservedState:
-    """What a user remembers about the jammer: the channel it last sensed as
-    jammed, or None before anything was observed."""
-    last_jammed: int | None = None
-
-    @property
-    def key(self):
-        return self.last_jammed
-
-
-def observe_jamming(jammed_channels) -> ObservedState:
+def observe_jamming(jammed_channels) -> int | None:
     """Sensing result for one slot; multi-channel jammers report the lowest
     jammed index so the state stays a single channel."""
     if jammed_channels:
-        return ObservedState(min(int(c) for c in jammed_channels))
-    return ObservedState(None)
+        return min(int(c) for c in jammed_channels)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +41,6 @@ class MixedStrategy:
             raise ConfigError("MixedStrategy: probs must be a non-empty vector")
         if (probs < -1e-12).any() or abs(probs.sum() - 1.0) > 1e-9:
             raise ConfigError("MixedStrategy: entries must be >= 0 and sum to 1")
-
-    @property
-    def num_channels(self) -> int:
-        return self.probs.size
 
     def sample(self, rng: np.random.Generator) -> int:
         u = rng.random()
@@ -90,7 +77,8 @@ def sla_update(strategy: MixedStrategy, chosen: int, normalized_reward: float,
 
 @dataclass(frozen=True)
 class QTable:
-    """Tabular action values over (observed state, channel) pairs.
+    """Tabular action values over (state, channel) pairs, where a state is
+    the last channel sensed as jammed or None.
 
     Missing entries read as 0. Updates are functional: q_update returns a new
     table sharing nothing mutable with the old one.
@@ -111,27 +99,27 @@ class QTable:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("QTable: epsilon must be in [0, 1]")
 
-    def q(self, state: ObservedState, channel: int) -> float:
-        return self.values.get((state.key, channel), 0.0)
+    def q(self, state: int | None, channel: int) -> float:
+        return self.values.get((state, channel), 0.0)
 
-    def action_values(self, state: ObservedState) -> np.ndarray:
+    def action_values(self, state: int | None) -> np.ndarray:
         return np.array([self.q(state, c) for c in range(self.num_channels)])
 
-    def greedy(self, state: ObservedState) -> int:
+    def greedy(self, state: int | None) -> int:
         return int(np.argmax(self.action_values(state)))
 
 
-def q_update(table: QTable, s: ObservedState, a: int, reward: float,
-             s_next: ObservedState) -> QTable:
+def q_update(table: QTable, s: int | None, a: int, reward: float,
+             s_next: int | None) -> QTable:
     """Q(s,a) <- (1-lr)*Q(s,a) + lr*(reward + discount*max_a' Q(s_next,a'))."""
     target = reward + table.discount * float(table.action_values(s_next).max())
     values = dict(table.values)
-    values[(s.key, a)] = (1.0 - table.learning_rate) * table.q(s, a) \
+    values[(s, a)] = (1.0 - table.learning_rate) * table.q(s, a) \
         + table.learning_rate * target
     return dataclasses.replace(table, values=values)
 
 
-def epsilon_greedy(table: QTable, s: ObservedState, rng: np.random.Generator) -> int:
+def epsilon_greedy(table: QTable, s: int | None, rng: np.random.Generator) -> int:
     if rng.random() < table.epsilon:
         return int(rng.integers(table.num_channels))
     return table.greedy(s)
@@ -142,7 +130,7 @@ def decay_epsilon(table: QTable, floor: float, decay: float) -> QTable:
     return dataclasses.replace(table, epsilon=max(floor, table.epsilon * decay))
 
 
-def collaborative_joint_selection(tables, s: ObservedState, order,
+def collaborative_joint_selection(tables, s: int | None, order,
                                   rng: np.random.Generator) -> np.ndarray:
     """Joint channel pick with claims shared over the control channel.
 
@@ -176,7 +164,7 @@ def collaborative_joint_selection(tables, s: ObservedState, order,
     return choices
 
 
-def baseline_action(kind: str, s: ObservedState, num_channels: int,
+def baseline_action(kind: str, s: int | None, num_channels: int,
                     rng: np.random.Generator) -> int:
     """Non-learning picks: uniform, or uniform avoiding the last sensed jam."""
     if num_channels < 1:
@@ -184,112 +172,189 @@ def baseline_action(kind: str, s: ObservedState, num_channels: int,
     if kind == "random":
         return int(rng.integers(num_channels))
     if kind == "sensing":
-        avoid = s.last_jammed
-        if avoid is None or num_channels == 1:
+        if s is None or num_channels == 1:
             return int(rng.integers(num_channels))
         pick = int(rng.integers(num_channels - 1))
-        return pick if pick < avoid else pick + 1
+        return pick if pick < s else pick + 1
     raise ConfigError(f"baseline_action: unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# hierarchical leader/follower loop
+# reward rules: reward(u, choices, active, rates, jammed) in [0, 1]
 
-_LEADER_STATE = ObservedState(None)
+def rate_reward(r_max: float):
+    """User u's rate as a fraction of r_max, clipped to [0, 1]."""
+    def reward(u, choices, active, rates, jammed):
+        return min(1.0, max(0.0, float(rates[u]) / r_max))
+    return reward
 
 
-@dataclass
-class HierarchicalConfig:
-    window_slots: int = 50
-    step_size: float = 0.08
-    reward_scale: float = 1.0
-    leader_learning_rate: float = 0.1
-    leader_epsilon_start: float = 0.3
-    leader_epsilon_floor: float = 0.01
-    leader_epsilon_decay: float = 0.95
+def interference_reward(hypergraph):
+    """Minus user u's marginal generalized interference, mapped from [-D, 0]
+    onto [0, 1]; D is the worst-case marginal contribution of any single user
+    (its incident edges plus the jammer)."""
+    incident = [sum(1 for e in hypergraph.strong_edges if u in e)
+                + sum(1 for h in hypergraph.weak_hyperedges if u in h) + 1
+                for u in range(hypergraph.num_users)]
+    d_norm = float(max(incident))
 
-    def __post_init__(self) -> None:
-        if self.window_slots < 1:
-            raise ConfigError("window_slots: must be >= 1")
-        if self.reward_scale <= 0:
-            raise ConfigError("reward_scale: must be > 0")
+    def reward(u, choices, active, rates, jammed):
+        utility = -marginal_interference(hypergraph, u, choices, active, jammed)
+        return max(0.0, 1.0 + utility / d_norm)
+    return reward
 
+
+# ---------------------------------------------------------------------------
+# followers: select(rng) -> channels, learn(choices, active, rates, jammed)
+
+class AutomataUsers:
+    """One learning automaton per user; each active user takes a linear
+    reward-inaction step on its reward rule after every slot."""
+
+    def __init__(self, num_users: int, num_channels: int, step_size: float,
+                 reward):
+        self.strategies = [uniform_strategy(num_channels) for _ in range(num_users)]
+        self.step_size = step_size
+        self.reward = reward
+
+    def select(self, rng: np.random.Generator) -> np.ndarray:
+        return np.array([s.sample(rng) for s in self.strategies], dtype=np.int64)
+
+    def learn(self, choices, active, rates, jammed) -> None:
+        for u, strategy in enumerate(self.strategies):
+            if active[u]:
+                self.strategies[u] = sla_update(
+                    strategy, int(choices[u]),
+                    self.reward(u, choices, active, rates, jammed), self.step_size)
+
+    def greedy(self) -> np.ndarray:
+        """Exploration-free choices: each user's most likely channel."""
+        return np.array([int(np.argmax(s.probs)) for s in self.strategies],
+                        dtype=np.int64)
+
+
+class QUsers:
+    """One Q table per user over the last sensed jammed channel; users claim
+    channels in index order when collaborative, else pick epsilon-greedily
+    alone. Active users learn; everyone's exploration decays every slot."""
+
+    def __init__(self, num_users: int, num_channels: int, params, reward,
+                 collaborative: bool):
+        self.tables = [QTable(num_channels, learning_rate=params.learning_rate,
+                              discount=params.discount,
+                              epsilon=params.epsilon_start)
+                       for _ in range(num_users)]
+        self.params = params
+        self.reward = reward
+        self.collaborative = collaborative
+        self.state = None
+
+    def select(self, rng: np.random.Generator) -> np.ndarray:
+        if self.collaborative:
+            return collaborative_joint_selection(self.tables, self.state,
+                                                 range(len(self.tables)), rng)
+        return np.array([epsilon_greedy(t, self.state, rng) for t in self.tables],
+                        dtype=np.int64)
+
+    def learn(self, choices, active, rates, jammed) -> None:
+        s_next = observe_jamming(jammed)
+        for u, table in enumerate(self.tables):
+            if active[u]:
+                table = q_update(table, self.state, int(choices[u]),
+                                 self.reward(u, choices, active, rates, jammed),
+                                 s_next)
+            self.tables[u] = decay_epsilon(table, self.params.epsilon_floor,
+                                           self.params.epsilon_decay)
+        self.state = s_next
+
+
+class BaselineUsers:
+    """Non-learning users. The markov baselines ("random", "sensing") draw one
+    baseline_action per user and remember the last sensed jammed channel;
+    "uniform" draws the whole channel vector at once. The two uniform forms
+    consume the generator differently, so both are kept."""
+
+    def __init__(self, kind: str, num_users: int, num_channels: int):
+        self.kind = kind
+        self.num_users = num_users
+        self.num_channels = num_channels
+        self.state = None
+
+    def select(self, rng: np.random.Generator) -> np.ndarray:
+        if self.kind == "uniform":
+            return rng.integers(0, self.num_channels, size=self.num_users)
+        return np.array([baseline_action(self.kind, self.state, self.num_channels, rng)
+                         for _ in range(self.num_users)], dtype=np.int64)
+
+    def learn(self, choices, active, rates, jammed) -> None:
+        self.state = observe_jamming(jammed)
+
+
+# ---------------------------------------------------------------------------
+# the adaptive leader and the slot driver
 
 class WindowLeader:
     """Window epsilon-greedy jammer: holds one channel for window_slots slots.
 
     It is a single-state Q learner (discount 0) rewarded with minus the
-    window's mean total rate; its exploration decays once per window.
+    window's mean total rate; its exploration decays once per window. `params`
+    is the run's LearningParams (learning_rate, epsilon_start, epsilon_floor,
+    leader_epsilon_decay, window_slots).
     """
 
-    def __init__(self, num_channels: int, cfg: HierarchicalConfig):
-        self.cfg = cfg
-        self.table = QTable(num_channels, learning_rate=cfg.leader_learning_rate,
-                            discount=0.0, epsilon=cfg.leader_epsilon_start)
+    def __init__(self, num_channels: int, params):
+        self.params = params
+        self.table = QTable(num_channels, learning_rate=params.learning_rate,
+                            discount=0.0, epsilon=params.epsilon_start)
         self.channel = 0
         self._slot_in_window = 0
         self._window_rate_sum = 0.0
 
-    def act(self, rng: np.random.Generator) -> int:
-        """This slot's jammed channel; a new one is drawn at each window start."""
+    def act(self, t: int, rng: np.random.Generator) -> frozenset:
+        """This slot's jammed set; a new channel is drawn at each window start."""
         if self._slot_in_window == 0:
-            self.channel = epsilon_greedy(self.table, _LEADER_STATE, rng)
-        return self.channel
+            self.channel = epsilon_greedy(self.table, None, rng)
+        return frozenset({self.channel})
 
-    def observe(self, total_rate: float) -> None:
-        """Feed back the slot's total rate; learn at the window boundary."""
-        self._window_rate_sum += total_rate
+    def observe(self, choices, active, rates) -> None:
+        """Add the slot's total rate; learn at the window boundary."""
+        self._window_rate_sum += float(rates.sum())
         self._slot_in_window += 1
-        if self._slot_in_window >= self.cfg.window_slots:
-            reward = -self._window_rate_sum / self.cfg.window_slots
-            self.table = q_update(self.table, _LEADER_STATE, self.channel,
-                                  reward, _LEADER_STATE)
-            self.table = decay_epsilon(self.table, self.cfg.leader_epsilon_floor,
-                                       self.cfg.leader_epsilon_decay)
+        if self._slot_in_window >= self.params.window_slots:
+            reward = -self._window_rate_sum / self.params.window_slots
+            self.table = q_update(self.table, None, self.channel, reward, None)
+            self.table = decay_epsilon(self.table, self.params.epsilon_floor,
+                                       self.params.leader_epsilon_decay)
             self._slot_in_window = 0
             self._window_rate_sum = 0.0
 
     def greedy(self) -> int:
-        return self.table.greedy(_LEADER_STATE)
+        return self.table.greedy(None)
 
 
 class HierarchicalController:
-    """Two-timescale loop: the leader jams one channel per window, followers
-    adapt their mixed strategies every slot inside it."""
+    """One slot of the jammer-vs-users game, the same for every algorithm.
 
-    def __init__(self, num_users: int, num_channels: int, cfg: HierarchicalConfig):
-        self.cfg = cfg
-        self.num_users = num_users
-        self.num_channels = num_channels
-        self.strategies = [uniform_strategy(num_channels) for _ in range(num_users)]
-        self.leader = WindowLeader(num_channels, cfg)
-        self._last_choices = None
+    The leader (the jammer side) moves first, then the followers pick their
+    channels; once the slot's rates are known the followers learn and the
+    leader observes. A leader offers act(t, rng) -> frozenset of jammed
+    channels and observe(choices, active, rates); followers offer
+    select(rng) -> channels and learn(choices, active, rates, jammed).
+    """
 
-    def begin_slot(self, rng: np.random.Generator):
-        """Pick this slot's jammed channel and every user's channel."""
-        leader_channel = self.leader.act(rng)
-        choices = np.array([s.sample(rng) for s in self.strategies], dtype=np.int64)
-        self._last_choices = choices
-        return leader_channel, choices
+    def __init__(self, leader, followers):
+        self.leader = leader
+        self.followers = followers
+        self._jammed = frozenset()
+        self._choices = None
 
-    def end_slot(self, rates, active_mask=None) -> None:
-        """Feed back the slot's rates: follower strategy updates now, leader
-        value update at the window boundary."""
-        rates = np.asarray(rates, dtype=np.float64)
-        active = np.ones(self.num_users, dtype=bool) if active_mask is None \
-            else np.asarray(active_mask, dtype=bool)
-        for n in range(self.num_users):
-            if not active[n]:
-                continue
-            r = min(1.0, max(0.0, rates[n] / self.cfg.reward_scale))
-            self.strategies[n] = sla_update(self.strategies[n],
-                                            int(self._last_choices[n]), r,
-                                            self.cfg.step_size)
-        self.leader.observe(float(rates.sum()))
+    def begin_slot(self, t: int, rng: np.random.Generator):
+        """This slot's jammed channel set and every user's channel."""
+        self._jammed = self.leader.act(t, rng)
+        self._choices = self.followers.select(rng)
+        return self._jammed, self._choices
 
-    def greedy_profile(self):
-        """Exploration-free snapshot: leader's greedy channel and each
-        follower's argmax channel."""
-        choices = np.array([int(np.argmax(s.probs)) for s in self.strategies],
-                           dtype=np.int64)
-        return self.leader.greedy(), choices
+    def end_slot(self, rates, active) -> None:
+        """Feed the slot's rates back: the followers learn, then the leader."""
+        self.followers.learn(self._choices, active, rates, self._jammed)
+        self.leader.observe(self._choices, active, rates)

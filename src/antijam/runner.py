@@ -4,6 +4,11 @@ One run = every configured algorithm x trials x slots. Each (algorithm, trial)
 pair gets its own generator derived from SeedSequence((seed, algorithm_index,
 trial_index)), so single trials can be reproduced in isolation and the whole
 run is byte-deterministic.
+
+Every algorithm runs through the one slot loop in simulate_trial: a
+HierarchicalController pairs the jammer side (WindowLeader in stackelberg,
+ScriptedJammers otherwise) with the users' rule, and each slot draws the
+jammer, then the users' channels, then their activity.
 """
 
 from __future__ import annotations
@@ -16,15 +21,10 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .env import RateModel, max_single_user_rate
-from .errors import ConfigError
 from .games import GameSpec, stackelberg_solve
-from .hypergraph import marginal_interference
-from .jammers import jammer_action
-from .learning import (HierarchicalConfig, HierarchicalController, ObservedState,
-                       QTable, WindowLeader, baseline_action,
-                       collaborative_joint_selection, decay_epsilon,
-                       epsilon_greedy, observe_jamming, q_update, sla_update,
-                       uniform_strategy)
+from .jammers import ScriptedJammers
+from .learning import (AutomataUsers, BaselineUsers, HierarchicalController,
+                       QUsers, WindowLeader, interference_reward, rate_reward)
 from .metrics import mean_ci, ne_bounds, network_rate, normalized_capacity
 
 METRICS = ("rate_sum", "rate_mean_active", "normalized_capacity", "any_user_jammed")
@@ -66,151 +66,54 @@ def _slot_metrics(choices, jammed, active, rates, r_max: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# per-trial simulation, one function per scenario kind
+# per-trial simulation
 
-def _simulate_stackelberg(config: ScenarioConfig, algo: str,
-                          rng: np.random.Generator, model: RateModel,
-                          r_max: float):
+def _controller(config: ScenarioConfig, algo: str,
+                r_max: float) -> HierarchicalController:
     n, m = config.num_users, config.num_channels
     lp = config.learning
-    p = config.active_probability
-    per_slot = np.empty((config.slots, len(METRICS)))
-    cfg = HierarchicalConfig(
-        window_slots=lp.window_slots,
-        step_size=lp.step_size,
-        reward_scale=r_max,
-        leader_learning_rate=lp.learning_rate,
-        leader_epsilon_start=lp.epsilon_start,
-        leader_epsilon_floor=lp.epsilon_floor,
-        leader_epsilon_decay=lp.leader_epsilon_decay,
-    )
-
+    if config.scenario == "stackelberg":
+        leader = WindowLeader(m, lp)
+    else:
+        leader = ScriptedJammers(config.jammer_patterns(), m)
     if algo == "hierarchical":
-        controller = HierarchicalController(n, m, cfg)
-        for t in range(config.slots):
-            leader_channel, choices = controller.begin_slot(rng)
-            active = rng.random(n) < p
-            jammed = frozenset({leader_channel})
-            rates = model.rates(choices, jammed, active)
-            controller.end_slot(rates, active)
-            per_slot[t] = _slot_metrics(choices, jammed, active, rates, r_max)
-        leader_g, choices_g = controller.greedy_profile()
-        greedy_rates = model.rates(choices_g, frozenset({leader_g}),
-                                   np.ones(n, dtype=bool))
-        return per_slot, {"converged_greedy_rate": float(greedy_rates.sum())}
-
-    if algo == "random":
-        # Uniform users against the hierarchical controller's own leader, so
-        # both algorithms face the same kind of adversary.
-        leader = WindowLeader(m, cfg)
-        for t in range(config.slots):
-            jammed = frozenset({leader.act(rng)})
-            choices = rng.integers(0, m, size=n)
-            active = rng.random(n) < p
-            rates = model.rates(choices, jammed, active)
-            leader.observe(float(rates.sum()))
-            per_slot[t] = _slot_metrics(choices, jammed, active, rates, r_max)
-        return per_slot, {}
-
-    raise ConfigError(f"algorithm {algo!r} not available in the stackelberg scenario")
-
-
-def _simulate_markov(config: ScenarioConfig, algo: str, rng: np.random.Generator,
-                     model: RateModel, r_max: float):
-    n, m = config.num_users, config.num_channels
-    lp = config.learning
-    p = config.active_probability
-    patterns = config.jammer_patterns()
-    per_slot = np.empty((config.slots, len(METRICS)))
-    learning = algo in ("collaborative", "independent_q")
-    tables = [QTable(m, learning_rate=lp.learning_rate, discount=lp.discount,
-                     epsilon=lp.epsilon_start) for _ in range(n)] if learning else None
-    state = ObservedState(None)
-    last_heard = None  # channels of the users active in the previous slot
-
-    for t in range(config.slots):
-        jammed = frozenset().union(
-            *(jammer_action(pat, t, m, last_heard, rng) for pat in patterns))
-        if algo == "collaborative":
-            choices = collaborative_joint_selection(tables, state, range(n), rng)
-        elif algo == "independent_q":
-            choices = np.array([epsilon_greedy(tables[u], state, rng)
-                                for u in range(n)], dtype=np.int64)
-        else:
-            choices = np.array([baseline_action(algo, state, m, rng)
-                                for _ in range(n)], dtype=np.int64)
-        active = rng.random(n) < p
-        rates = model.rates(choices, jammed, active)
-        s_next = observe_jamming(jammed)
-        if learning:
-            for u in range(n):
-                if active[u]:
-                    reward = min(1.0, max(0.0, float(rates[u]) / r_max))
-                    tables[u] = q_update(tables[u], state, int(choices[u]),
-                                         reward, s_next)
-                tables[u] = decay_epsilon(tables[u], lp.epsilon_floor,
-                                          lp.epsilon_decay)
-        per_slot[t] = _slot_metrics(choices, jammed, active, rates, r_max)
-        state = s_next
-        last_heard = choices[active]
-    return per_slot, {}
-
-
-def _simulate_hypergraph(config: ScenarioConfig, algo: str,
-                         rng: np.random.Generator, model: RateModel,
-                         r_max: float):
-    n, m = config.num_users, config.num_channels
-    lp = config.learning
-    p = config.active_probability
-    patterns = config.jammer_patterns()
-    per_slot = np.empty((config.slots, len(METRICS)))
-
-    full = config.build_hypergraph()
-    hg = full.without_weak_edges() if algo == "graph_sla" else full
-    learning = algo in ("hypergraph_sla", "graph_sla")
-    if learning:
-        strategies = [uniform_strategy(m) for _ in range(n)]
-        # worst-case marginal contribution of any single user, used to map
-        # utilities from [-D, 0] onto rewards in [0, 1]
-        incident = [sum(1 for e in hg.strong_edges if u in e)
-                    + sum(1 for h in hg.weak_hyperedges if u in h) + 1
-                    for u in range(n)]
-        d_norm = float(max(incident))
-    last_heard = None  # channels of the users active in the previous slot
-
-    for t in range(config.slots):
-        jammed = frozenset().union(
-            *(jammer_action(pat, t, m, last_heard, rng) for pat in patterns))
-        if learning:
-            choices = np.array([s.sample(rng) for s in strategies], dtype=np.int64)
-        else:
-            choices = rng.integers(0, m, size=n)
-        active = rng.random(n) < p
-        rates = model.rates(choices, jammed, active)
-        if learning:
-            for u in range(n):
-                if not active[u]:
-                    continue
-                utility = -marginal_interference(hg, u, choices, active, jammed)
-                reward = max(0.0, 1.0 + utility / d_norm)
-                strategies[u] = sla_update(strategies[u], int(choices[u]),
-                                           reward, lp.step_size)
-        per_slot[t] = _slot_metrics(choices, jammed, active, rates, r_max)
-        last_heard = choices[active]
-    return per_slot, {}
-
-
-_SIMULATORS = {
-    "stackelberg": _simulate_stackelberg,
-    "markov": _simulate_markov,
-    "hypergraph": _simulate_hypergraph,
-}
+        users = AutomataUsers(n, m, lp.step_size, rate_reward(r_max))
+    elif algo in ("hypergraph_sla", "graph_sla"):
+        hg = config.build_hypergraph()
+        if algo == "graph_sla":
+            hg = hg.without_weak_edges()
+        users = AutomataUsers(n, m, lp.step_size, interference_reward(hg))
+    elif algo in ("collaborative", "independent_q"):
+        users = QUsers(n, m, lp, rate_reward(r_max),
+                       collaborative=algo == "collaborative")
+    elif config.scenario == "markov":
+        users = BaselineUsers(algo, n, m)
+    else:
+        # "random" elsewhere: uniform users against the same jammer side
+        users = BaselineUsers("uniform", n, m)
+    return HierarchicalController(leader, users)
 
 
 def simulate_trial(config: ScenarioConfig, algo: str, rng: np.random.Generator,
                    model: RateModel, r_max: float):
     """One seeded trial; returns (slots x metrics array, extras dict)."""
-    return _SIMULATORS[config.scenario](config, algo, rng, model, r_max)
+    n, p = config.num_users, config.active_probability
+    ctl = _controller(config, algo, r_max)
+    per_slot = np.empty((config.slots, len(METRICS)))
+    for t in range(config.slots):
+        jammed, choices = ctl.begin_slot(t, rng)
+        active = rng.random(n) < p
+        rates = model.rates(choices, jammed, active)
+        ctl.end_slot(rates, active)
+        per_slot[t] = _slot_metrics(choices, jammed, active, rates, r_max)
+    if algo != "hierarchical":
+        return per_slot, {}
+    # exploration-free snapshot: the leader's greedy channel against each
+    # follower's most likely channel, every user active
+    greedy_rates = model.rates(ctl.followers.greedy(),
+                               frozenset({ctl.leader.greedy()}),
+                               np.ones(n, dtype=bool))
+    return per_slot, {"converged_greedy_rate": float(greedy_rates.sum())}
 
 
 # ---------------------------------------------------------------------------

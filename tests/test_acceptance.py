@@ -20,8 +20,7 @@ from antijam import GameSpec, enumerate_pure_nash, get_preset, load_config, ne_b
 from antijam.env import NodeGeometry, RadioParams
 from antijam.games import potential_value, run_best_response, user_utility
 from antijam.hypergraph import InterferenceHypergraph
-from antijam.learning import (ObservedState, QTable, q_update, sla_update,
-                              uniform_strategy)
+from antijam.learning import QTable, q_update, sla_update, uniform_strategy
 from antijam.metrics import mean_ci
 from antijam.runner import run_scenario
 
@@ -276,7 +275,7 @@ def test_c8_learning_state_invariants():
     print(f"simplex drift {worst_drift:.2e} over 1e5 updates")
     assert worst_drift <= 1e-9
 
-    states = [ObservedState(None), ObservedState(0), ObservedState(2)]
+    states = [None, 0, 2]  # last sensed jammed channel, or none yet
     for gamma in (0.0, 0.3, 0.7, 0.9):
         r_max = float(rng.uniform(0.5, 4.0))
         cap = r_max / (1.0 - gamma)

@@ -5,11 +5,13 @@ misspelled hyperparameters, so a good chunk of this file is negative cases.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from antijam import get_preset, load_config
+from antijam.cli import main
 from antijam.config import ALGORITHMS, SCENARIOS, load_config_file
 from antijam.errors import ConfigError
 from antijam.games import MAX_PROFILES
@@ -95,6 +97,8 @@ def test_type_and_range_errors():
         {"seed": -1},
         {"active_probability": 1.5},
         {"active_probability": -0.1},
+        {"active_probability": float("nan")},
+        {"slots": float("inf")},
         {"scenario": "quantum"},
         {"algorithms": ["collaborative", "alphago"]},
         {"algorithms": []},
@@ -102,6 +106,7 @@ def test_type_and_range_errors():
         {"radio": {"pathloss_exponent": -2.0}},
         {"learning": {"step_size": 1.0}},
         {"learning": {"discount": 1.0}},
+        {"learning": {"window_slots": 2.5}},
         {"jammer": {"kind": "comb", "comb_set": [0, 9]}},
         {"jammer": {"kind": "comb", "comb_set": []}},
     ]
@@ -257,5 +262,37 @@ def test_oversized_leader_game_rejected_at_load():
     doc.update(num_users=8, num_channels=6)
     with pytest.raises(ConfigError, match="cap"):
         load_config(doc)
+    # a huge population is rejected at once, without computing M^N
+    doc.update(num_users=10 ** 7, num_channels=3)
+    started = time.time()
+    with pytest.raises(ConfigError, match="cap"):
+        load_config(doc)
+    assert time.time() - started < 1.0
     # only the leader game runs the oracle
     load_config({"scenario": "markov", "num_users": 8, "num_channels": 6})
+
+
+MALFORMED = {
+    "jammer_positions": {"geometry": {"jammer_positions": [5]}},
+    "user_pairs": {"geometry": {"layout": "explicit", "user_pairs": [1, 2]}},
+    "comb_set": {"jammer": {"kind": "comb", "comb_set": ["a"]}},
+    "strong_edges": {"scenario": "hypergraph",
+                     "hypergraph": {"source": "explicit",
+                                    "strong_edges": [["x", 1]]}},
+    "step_size": {"learning": {"step_size": "big"}},
+    "algorithms": {"algorithms": [["random"]]},
+}
+
+
+@pytest.mark.parametrize("overrides", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_values_are_config_errors(tmp_path, overrides):
+    """A value of the wrong JSON type is a configuration problem (exit 2),
+    not a runtime failure with a raw Python message."""
+    doc = dict(minimal_markov(), **overrides)
+    with pytest.raises(ConfigError):
+        load_config(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()

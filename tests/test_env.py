@@ -8,7 +8,7 @@ gain/interference/jamming pipeline and not just internal consistency.
 import numpy as np
 import pytest
 
-from antijam import load_config, runner
+from antijam import jammers, load_config
 from antijam.env import (NodeGeometry, RadioParams, RateModel, link_gain,
                          max_single_user_rate)
 from antijam.errors import ConfigError
@@ -205,7 +205,7 @@ def test_reactive_jammer_hears_only_active_users(monkeypatch, scenario):
         heard.append(None if last_assignment is None else list(last_assignment))
         return jammer_action(pattern, t, num_channels, last_assignment, rng)
 
-    monkeypatch.setattr(runner, "jammer_action", spy)
+    monkeypatch.setattr(jammers, "jammer_action", spy)
     doc = tiny_markov(scenario=scenario, num_users=3, slots=200,
                       active_probability=0.5, jammer={"kind": "reactive"},
                       algorithms=["random"])

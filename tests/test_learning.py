@@ -10,12 +10,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from antijam.config import LearningParams
 from antijam.errors import ConfigError
-from antijam.learning import (HierarchicalConfig, HierarchicalController,
-                              MixedStrategy, ObservedState, QTable, WindowLeader,
+from antijam.learning import (AutomataUsers, HierarchicalController,
+                              MixedStrategy, QTable, WindowLeader,
                               baseline_action, collaborative_joint_selection,
                               decay_epsilon, epsilon_greedy, observe_jamming,
-                              q_update, sla_update, uniform_strategy)
+                              q_update, rate_reward, sla_update,
+                              uniform_strategy)
 
 
 def table_with(num_channels, values, epsilon=0.0, lr=0.1, discount=0.0):
@@ -27,14 +29,15 @@ def table_with(num_channels, values, epsilon=0.0, lr=0.1, discount=0.0):
     return t
 
 
-S0 = ObservedState(None)
-S1 = ObservedState(1)
+# states: the last channel sensed as jammed, or None before any observation
+S0 = None
+S1 = 1
 
 
 def test_observe_jamming_picks_lowest_or_none():
-    assert observe_jamming(frozenset()) == ObservedState(None)
-    assert observe_jamming({2, 0, 3}) == ObservedState(0)
-    assert observe_jamming([1]) == ObservedState(1)
+    assert observe_jamming(frozenset()) is None
+    assert observe_jamming({2, 0, 3}) == 0
+    assert observe_jamming([1]) == 1
 
 
 def test_sla_update_hand_case():
@@ -137,7 +140,7 @@ def test_q_values_bounded_by_discounted_max():
         t = QTable(num_channels=3, learning_rate=float(rng.uniform(0.05, 1.0)),
                    discount=discount, epsilon=0.0)
         bound = r_max / (1.0 - discount)
-        states = [S0, S1, ObservedState(2)]
+        states = [S0, S1, 2]
         for _ in range(400):
             s, s2 = rng.choice(3), rng.choice(3)
             t = q_update(t, states[s], int(rng.integers(3)),
@@ -228,17 +231,26 @@ def test_baseline_actions():
         baseline_action("psychic", S0, 4, rng)
 
 
-def hierarchical_step(controller, rate_fn, rng):
+def hierarchical(num_users, num_channels, params, r_max):
+    """The stackelberg hierarchical arm: window leader over automata users."""
+    return HierarchicalController(
+        WindowLeader(num_channels, params),
+        AutomataUsers(num_users, num_channels, params.step_size,
+                      rate_reward(r_max)))
+
+
+def hierarchical_step(controller, rate_fn, rng, t=0):
     """One slot of the two-timescale loop with every user active."""
-    leader, choices = controller.begin_slot(rng)
-    controller.end_slot(rate_fn(choices, frozenset({leader})))
-    return leader
+    jammed, choices = controller.begin_slot(t, rng)
+    rates = rate_fn(choices, jammed)
+    controller.end_slot(rates, np.ones(len(choices), dtype=bool))
+    return next(iter(jammed))
 
 
 def test_hierarchical_window_mechanics():
-    cfg = HierarchicalConfig(window_slots=5, step_size=0.1, reward_scale=2.0,
-                             leader_epsilon_start=0.0)
-    ctl = HierarchicalController(num_users=2, num_channels=3, cfg=cfg)
+    params = LearningParams(window_slots=5, step_size=0.1, epsilon_start=0.0,
+                            epsilon_floor=0.0)
+    ctl = hierarchical(num_users=2, num_channels=3, params=params, r_max=2.0)
     rng = np.random.default_rng(0)
 
     held = []
@@ -246,13 +258,13 @@ def test_hierarchical_window_mechanics():
         # favor channel 0 so follower strategies drift toward it
         return np.where(np.asarray(choices) == 0, 2.0, 0.5)
 
-    for _ in range(10):
-        held.append(hierarchical_step(ctl, rate_fn, rng))
+    for t in range(10):
+        held.append(hierarchical_step(ctl, rate_fn, rng, t))
     # the leader holds its channel for exactly window_slots slots
     assert len(set(held[:5])) == 1 and len(set(held[5:])) == 1
     # two windows have elapsed, so the leader table saw two updates
     assert len(ctl.leader.table.values) >= 1
-    total = sum(s.probs.sum() for s in ctl.strategies)
+    total = sum(s.probs.sum() for s in ctl.followers.strategies)
     assert total == pytest.approx(2.0, abs=1e-9)
 
 
@@ -260,46 +272,45 @@ def test_hierarchical_leader_learns_to_hurt():
     # followers fixed on channel 0 forever (step size tiny, strategies near
     # pure): jamming channel 0 gives the leader its best (least negative
     # mean-rate) reward, and the greedy leader should discover that
-    cfg = HierarchicalConfig(window_slots=10, step_size=0.01, reward_scale=1.0,
-                             leader_epsilon_start=0.5, leader_epsilon_decay=0.9)
-    ctl = HierarchicalController(num_users=1, num_channels=2, cfg=cfg)
-    ctl.strategies[0] = MixedStrategy(np.array([1.0, 0.0]))
+    params = LearningParams(window_slots=10, step_size=0.01, epsilon_start=0.5,
+                            leader_epsilon_decay=0.9)
+    ctl = hierarchical(num_users=1, num_channels=2, params=params, r_max=1.0)
+    ctl.followers.strategies[0] = MixedStrategy(np.array([1.0, 0.0]))
     rng = np.random.default_rng(3)
 
     def rate_fn(choices, jammed):
         return np.array([0.2 if int(choices[0]) in jammed else 1.0])
 
-    for _ in range(600):
-        hierarchical_step(ctl, rate_fn, rng)
-    leader, _ = ctl.greedy_profile()
-    assert leader == 0
+    for t in range(600):
+        hierarchical_step(ctl, rate_fn, rng, t)
+    assert ctl.leader.greedy() == 0
 
 
 def test_greedy_profile_reflects_strategies():
-    cfg = HierarchicalConfig()
-    ctl = HierarchicalController(num_users=2, num_channels=3, cfg=cfg)
-    ctl.strategies[0] = MixedStrategy(np.array([0.1, 0.8, 0.1]))
-    ctl.strategies[1] = MixedStrategy(np.array([0.0, 0.2, 0.8]))
-    _, choices = ctl.greedy_profile()
-    assert list(choices) == [1, 2]
+    users = AutomataUsers(num_users=2, num_channels=3, step_size=0.08,
+                          reward=rate_reward(1.0))
+    users.strategies[0] = MixedStrategy(np.array([0.1, 0.8, 0.1]))
+    users.strategies[1] = MixedStrategy(np.array([0.0, 0.2, 0.8]))
+    assert list(users.greedy()) == [1, 2]
 
 
 def test_window_leader_learns_once_per_window():
-    cfg = HierarchicalConfig(window_slots=3, leader_learning_rate=0.5,
-                             leader_epsilon_start=0.4, leader_epsilon_floor=0.3,
-                             leader_epsilon_decay=0.5)
-    leader = WindowLeader(num_channels=2, cfg=cfg)
+    params = LearningParams(window_slots=3, learning_rate=0.5, epsilon_start=0.4,
+                            epsilon_floor=0.3, leader_epsilon_decay=0.5)
+    leader = WindowLeader(num_channels=2, params=params)
     rng = np.random.default_rng(5)
-    first = leader.act(rng)
-    for total in (1.0, 2.0):
-        leader.observe(total)
-        assert leader.act(rng) == first
+    first = leader.act(0, rng)
+    (channel,) = first
+    user, on = np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool)
+    for t, total in ((1, 1.0), (2, 2.0)):
+        leader.observe(user, on, np.array([total]))
+        assert leader.act(t, rng) == first
     assert leader.table.values == {}
-    leader.observe(3.0)
+    leader.observe(user, on, np.array([3.0]))
     # reward is minus the window's mean total rate, epsilon decays to its floor
-    assert leader.table.q(ObservedState(None), first) == pytest.approx(-1.0)
+    assert leader.table.q(None, channel) == pytest.approx(-1.0)
     assert leader.table.epsilon == pytest.approx(0.3)
-    assert leader.greedy() == 1 - first
+    assert leader.greedy() == 1 - channel
 
 
 def test_decay_epsilon_clips_at_floor():

@@ -5,6 +5,8 @@ byte, per-trial generators do not depend on how many trials run in total, and
 the CSV / metadata files follow the documented schemas exactly.
 """
 
+import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -17,6 +19,7 @@ import numpy as np
 
 import antijam
 from antijam import load_config
+from antijam.cli import main
 from antijam.metrics import mean_ci
 from antijam.presets import get_preset
 from antijam.runner import METRICS, run_scenario, trial_generator
@@ -224,6 +227,18 @@ def test_cli_run_with_overrides(tmp_path):
     assert (out / "summary.csv").exists()
 
 
+def test_cli_run_writes_to_the_config_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tiny_markov(output_dir="from-config")))
+    assert main(["run", "--config", str(path)]) == 0
+    assert (tmp_path / "from-config" / "summary.csv").exists()
+    assert not (tmp_path / "runs").exists()
+    # --out still wins over the document
+    assert main(["run", "--config", str(path), "--out", "from-flag"]) == 0
+    assert (tmp_path / "from-flag" / "summary.csv").exists()
+
+
 def test_cli_validate_and_presets_list(tmp_path):
     good = tmp_path / "ok.json"
     good.write_text(json.dumps(tiny_markov()))
@@ -292,9 +307,77 @@ def test_readme_imports_run():
         exec(line, {})
 
 
+def test_every_benchmark_hook_target_resolves():
+    """perfbench's tracer hooks named functions of every layer; a refactor
+    that drops or renames one fails here rather than in a benchmark run."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+
+
 def test_package_exports_only_the_readme_api():
     public = sorted(name for name, value in vars(antijam).items()
                     if not name.startswith("_")
                     and not isinstance(value, types.ModuleType))
     assert public == ["GameSpec", "enumerate_pure_nash", "get_preset",
                       "load_config", "ne_bounds", "stackelberg_solve"]
+
+
+# ---------------------------------------------------------------------------
+# pinned output digests
+
+REACTIVE_MIX = {"scenario": "markov", "name": "random-reactive", "num_users": 3,
+                "num_channels": 4, "active_probability": 0.8,
+                "jammers": [{"kind": "random"}, {"kind": "reactive"}]}
+
+# sha256 of (per_slot.csv, summary.csv, metadata.json) at --trials 2 --slots 200
+PINNED_DIGESTS = {
+    "fig3-stackelberg": (
+        "cf01a288e2094acd7b2a83bd44a546c7e9af7f5fd0b2a958261f50b790c4f543",
+        "6220c17e67b6f8f79622cdd7847d21895b15aab6f471e6b23af4d5e439aea9d2",
+        "37c78e712a6a214e74165b2f995224e2a08726db432e2b5b9af61dcdd37e43d0"),
+    "fig4-sweep": (
+        "5e7b87bdd92f331c5a1a1b27bbd11663e9d7a8a00854c1688f637de8019e0029",
+        "0defc4d206d5db69780c2213c252f0fa41cead069401514e80280f414197a828",
+        "78f0cd565946d9371f5d756dd54e91c60e1a153746703a1b2230b821a40ce197"),
+    "fig4-comb": (
+        "85e207d1c33776d2e8bed582055eb4ddce32f97cd5deab3224db862ce2b30eb8",
+        "f47bec480299736d948b551b7791696d91c8e5ce274fa65d64fa12da77697831",
+        "ea038df406040768011c1e7c3446a47a34a821c622b328ffc674735dfaa4a7d7"),
+    "fig5-hypergraph": (
+        "cd22bd6b990a3d7e79a8f4428fc3be353eccd1243de8bb77e1e64e3aa9a322d1",
+        "03b33b0af98889c1c05c6507dfb26c5b52de32b352c4ef17207fcd0bc0f12a35",
+        "d44947406bdf2d1e65a01c20e3b2a3393d37f389af4e1b976f91b915e05fc803"),
+    "random-reactive": (
+        "4ef50b0bdf15df4ae7253d0d139ee6aab6ef86f61540b39c60042876cc8363de",
+        "61c283ac76882afcfab7ff805fca8549afd2989f3bb659e30d0088e12e53be4b",
+        "d10e593156775fbeacb6edaf435f2813e3d2c69094d9843d6b1349df8d2468cf"),
+}
+
+
+def test_run_outputs_match_pinned_digests(tmp_path):
+    """Every output byte is pinned across commits, not only between two runs
+    of one checkout: a refactor of the slot loop, the learners or the jammers
+    must leave these digests unchanged. Stream layout v2 (ROADMAP item 2)
+    changes the per-trial draws, so it re-pins them on purpose."""
+    mix = tmp_path / "random-reactive.json"
+    mix.write_text(json.dumps(REACTIVE_MIX))
+    got = {}
+    for name in PINNED_DIGESTS:
+        source = ["--config", str(mix)] if name == "random-reactive" \
+            else ["--preset", name]
+        out = tmp_path / name
+        assert main(["run", *source, "--trials", "2", "--slots", "200",
+                     "--out", str(out)]) == 0
+        got[name] = tuple(
+            hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in ("per_slot.csv", "summary.csv", "metadata.json"))
+    assert got == PINNED_DIGESTS
