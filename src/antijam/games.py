@@ -8,13 +8,16 @@ Two game kinds share one interface:
   potential, so best-response dynamics terminates at a pure NE.
 
 The oracles (pure NE enumeration, best-response dynamics, Stackelberg solve)
-brute-force small instances and are the ground truth the learners are tested
-against.
+are exact on small instances and are the ground truth the learners are tested
+against. They share one batched kernel, _deviation_utilities, which values
+every unilateral deviation of a block of profiles as a (K, N, M) tensor:
+enumeration walks the M^N profiles in lexicographic blocks, and best response
+sweeps many starts in lockstep. user_utility stays the scalar definition the
+kernel reproduces, bit for bit for rates and exactly for hypergraph counts.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +29,12 @@ from .hypergraph import (InterferenceHypergraph, marginal_interference,
 
 KINDS = ("stackelberg", "hypergraph")
 
-# Largest profile count M^N the brute-force oracles enumerate.
+# Largest profile count M^N the exhaustive oracles enumerate.
 MAX_PROFILES = 10 ** 6
+
+# (profile, user, channel) cells valued per block: enumeration and lockstep
+# best response hold a few arrays of this size at a time, whatever M^N is.
+_BLOCK_CELLS = 8192
 
 _NO_JAM = frozenset()
 
@@ -69,10 +76,14 @@ class GameSpec:
         return self._model
 
 
-def _as_choices(choices, num_users: int) -> np.ndarray:
+def _as_choices(game: GameSpec, choices, ndim: int = 1) -> np.ndarray:
+    """Channel choices as int64 with a last axis of one entry per user."""
     arr = np.asarray(choices, dtype=np.int64)
-    if arr.shape != (num_users,):
-        raise ConfigError(f"assignment: expected {num_users} entries, got shape {arr.shape}")
+    if arr.ndim != ndim or arr.shape[-1] != game.num_users:
+        raise ConfigError(f"assignment: expected {game.num_users} entries per "
+                          f"profile, got shape {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= game.num_channels):
+        raise ConfigError("assignment: channel index out of range")
     return arr
 
 
@@ -88,7 +99,7 @@ def _as_mask(active_mask, num_users: int) -> np.ndarray:
 def user_utility(game: GameSpec, n: int, choices, jammed_channels=_NO_JAM,
                  active_mask=None) -> float:
     """Utility of user n at the joint assignment; 0 by convention if inactive."""
-    choices = _as_choices(choices, game.num_users)
+    choices = _as_choices(game, choices)
     active = _as_mask(active_mask, game.num_users)
     if not active[n]:
         return 0.0
@@ -105,55 +116,113 @@ def potential_value(game: GameSpec, choices, jammed_channels=_NO_JAM,
     if game.kind != "hypergraph":
         raise UnsupportedOperationError(
             f"potential_value: defined for hypergraph games, not {game.kind!r}")
-    choices = _as_choices(choices, game.num_users)
+    choices = _as_choices(game, choices)
     active = _as_mask(active_mask, game.num_users)
     return -float(total_generalized_interference(game.hypergraph, choices, active,
                                                  jammed_channels))
 
 
-def _utility_row(game: GameSpec, n: int, choices: np.ndarray, jammed, active) -> np.ndarray:
-    """Utility of user n for each of its own channel choices, others fixed."""
-    out = np.empty(game.num_channels)
-    work = choices.copy()
-    for c in range(game.num_channels):
-        work[n] = c
-        out[c] = user_utility(game, n, work, jammed, active)
-    return out
+def lexicographic_profiles(num_users: int, num_channels: int, start: int,
+                           stop: int) -> np.ndarray:
+    """Profiles start..stop-1 of range(num_channels)^num_users in lexicographic
+    order (the last user varies fastest), as a (stop - start, num_users) array."""
+    index = np.arange(start, stop, dtype=np.int64)
+    place = num_channels ** np.arange(num_users - 1, -1, -1, dtype=np.int64)
+    return index[:, None] // place % num_channels
+
+
+def _block_rows(game: GameSpec) -> int:
+    return max(1, _BLOCK_CELLS // (game.num_users * game.num_channels))
+
+
+def _deviation_utilities(game: GameSpec, profiles: np.ndarray, jammed_channels,
+                         active: np.ndarray) -> np.ndarray:
+    """(K, N, M) tensor: [k, n, c] is user n's utility if it alone moves to
+    channel c in profile k (0 for inactive users).
+
+    Each entry equals user_utility at the deviated profile exactly. What a
+    user hears on channel c does not depend on its own choice, so one pass
+    over the other users' choices values every deviation at once.
+    """
+    m = game.num_channels
+    jam = np.array([c in jammed_channels for c in range(m)], dtype=bool)
+    if game.kind == "hypergraph":
+        hg = game.hypergraph
+        on = (profiles[:, :, None] == np.arange(m)) & active[:, None]
+        count = on.astype(np.int64)
+        neighbours = np.zeros((game.num_users, game.num_users), dtype=np.int64)
+        for u, v in hg.strong_edges:
+            neighbours[u, v] = neighbours[v, u] = 1
+        hits = neighbours @ count + jam
+        for edge in hg.weak_hyperedges:
+            members = np.zeros(game.num_users, dtype=bool)
+            members[list(edge)] = True
+            on_edge = count[:, list(edge), :].sum(axis=1)
+            # n fires the hyperedge on c when exactly thr - 1 others are there
+            others = on_edge[:, None, :] - count
+            hits += members[:, None] & (others == hg.activation_threshold - 1)
+        return np.where(active[:, None], -hits.astype(np.float64), 0.0)
+    model, p = game.rate_model, game.params
+    gain = model.gain.copy()
+    np.fill_diagonal(gain, 0.0)
+    # Each active transmitter adds its gains on its own channel, one at a
+    # time in RateModel.rates' order, so every entry is bitwise the rate that
+    # rates() gives the deviated profile (the zero terms it skips change no bit).
+    heard = np.zeros((len(profiles), game.num_users, m))
+    rows = np.arange(len(profiles))
+    for t in np.flatnonzero(active):
+        heard[rows, :, profiles[:, t]] += gain[t]
+    denom = (p.noise_floor + p.tx_power * heard
+             + np.where(jam, model.jam_at_rx[:, None], 0.0))
+    sinr = p.tx_power * model.own_gain[:, None] / denom
+    return np.where(active[:, None], np.log2(1.0 + sinr), 0.0)
+
+
+def _nash_rows(game: GameSpec, profiles: np.ndarray, jammed, active):
+    """(nash, own): which profiles leave no active user a strictly improving
+    deviation, and each user's utility at its own choice, (K, N)."""
+    util = _deviation_utilities(game, profiles, jammed, active)
+    own = np.take_along_axis(util, profiles[:, :, None], axis=2)[:, :, 0]
+    return (util.max(axis=2) <= own).all(axis=1), own
+
+
+def _nash_blocks(game: GameSpec, jammed, active, max_profiles: int):
+    """(equilibria, own utilities) of each lexicographic block of profiles.
+
+    Blocks hold a few thousand (profile, user, channel) cells, so memory stays
+    flat however many profiles there are.
+    """
+    n, m = game.num_users, game.num_channels
+    if m ** n > max_profiles:
+        raise InstanceTooLargeError(
+            f"exact oracle: {m}^{n} profiles exceeds cap {max_profiles}")
+    step = _block_rows(game)
+    for start in range(0, m ** n, step):
+        block = lexicographic_profiles(n, m, start, min(start + step, m ** n))
+        nash, own = _nash_rows(game, block, jammed, active)
+        yield block[nash], own[nash]
 
 
 def is_pure_nash(game: GameSpec, choices, jammed_channels=_NO_JAM,
                  active_mask=None) -> bool:
     """True iff no active user has a strictly improving unilateral deviation."""
-    choices = _as_choices(choices, game.num_users)
+    choices = _as_choices(game, choices)
     active = _as_mask(active_mask, game.num_users)
-    for n in range(game.num_users):
-        if not active[n]:
-            continue
-        row = _utility_row(game, n, choices, jammed_channels, active)
-        if row.max() > row[choices[n]]:
-            return False
-    return True
+    nash, _ = _nash_rows(game, choices[None], jammed_channels, active)
+    return bool(nash[0])
 
 
 def enumerate_pure_nash(game: GameSpec, jammed_channels=_NO_JAM, active_mask=None,
                         max_profiles: int = MAX_PROFILES) -> list:
-    """Every pure NE assignment, lexicographically ordered (brute force)."""
-    n, m = game.num_users, game.num_channels
-    if m ** n > max_profiles:
-        raise InstanceTooLargeError(
-            f"enumerate_pure_nash: {m}^{n} profiles exceeds cap {max_profiles}")
-    active = _as_mask(active_mask, n)
-    out = []
-    for profile in itertools.product(range(m), repeat=n):
-        arr = np.array(profile, dtype=np.int64)
-        if is_pure_nash(game, arr, jammed_channels, active):
-            out.append(arr)
-    return out
+    """Every pure NE assignment, lexicographically ordered (exhaustive)."""
+    active = _as_mask(active_mask, game.num_users)
+    return [profile for equilibria, _ in
+            _nash_blocks(game, jammed_channels, active, max_profiles)
+            for profile in equilibria]
 
 
-def best_response_step(game: GameSpec, choices, n: int, jammed_channels=_NO_JAM,
-                       active_mask=None) -> np.ndarray:
-    """Best response for user n with inertia; other users untouched.
+def _respond(game: GameSpec, profiles: np.ndarray, n: int, jammed, active) -> np.ndarray:
+    """Best response of user n in every profile, in place; returns who moved.
 
     The user moves only on a strict improvement, to the lowest-index channel
     among the maximizers. Keeping the current channel on ties makes every
@@ -161,16 +230,50 @@ def best_response_step(game: GameSpec, choices, n: int, jammed_channels=_NO_JAM,
     then strictly improves the mover (hence the potential, when there is
     one), round-robin sweeps cannot cycle on a potential game.
     """
-    choices = _as_choices(choices, game.num_users)
+    row = _deviation_utilities(game, profiles, jammed, active)[:, n]
+    own = row[np.arange(len(profiles)), profiles[:, n]]
+    moved = own < row.max(axis=1) - 1e-12
+    profiles[moved, n] = row[moved].argmax(axis=1)
+    return moved
+
+
+def best_response_step(game: GameSpec, choices, n: int, jammed_channels=_NO_JAM,
+                       active_mask=None) -> np.ndarray:
+    """Best response for user n with inertia; other users untouched."""
+    new = _as_choices(game, choices).copy()
     active = _as_mask(active_mask, game.num_users)
-    new = choices.copy()
-    if not active[n]:
-        return new
-    row = _utility_row(game, n, choices, jammed_channels, active)
-    if row[int(choices[n])] >= row.max() - 1e-12:
-        return new
-    new[n] = int(np.argmax(row))
+    if active[n]:
+        _respond(game, new[None], n, jammed_channels, active)
     return new
+
+
+def best_response_lockstep(game: GameSpec, starts, jammed_channels=_NO_JAM,
+                           active_mask=None, max_rounds: int = 500):
+    """run_best_response from every row of starts (S, N) at once.
+
+    Returns (finals, converged, rounds) arrays with one entry per start,
+    each exactly what run_best_response returns for that start. Starts are
+    swept in blocks; a start leaves its block as soon as it converges.
+    """
+    finals = _as_choices(game, starts, ndim=2).copy()
+    active = _as_mask(active_mask, game.num_users)
+    converged = np.zeros(len(finals), dtype=bool)
+    rounds = np.full(len(finals), max_rounds)
+    step = _block_rows(game)
+    for start in range(0, len(finals), step):
+        live = np.arange(start, min(start + step, len(finals)))
+        for r in range(1, max_rounds + 1):
+            if not live.size:
+                break
+            sweep = finals[live]
+            changed = np.zeros(len(live), dtype=bool)
+            for n in np.flatnonzero(active):
+                changed |= _respond(game, sweep, n, jammed_channels, active)
+            finals[live] = sweep
+            converged[live[~changed]] = True
+            rounds[live[~changed]] = r
+            live = live[changed]
+    return finals, converged, rounds
 
 
 def run_best_response(game: GameSpec, start, jammed_channels=_NO_JAM,
@@ -181,25 +284,10 @@ def run_best_response(game: GameSpec, start, jammed_channels=_NO_JAM,
     (exact potential); rate games may cycle, in which case converged is False
     after max_rounds sweeps.
     """
-    choices = _as_choices(start, game.num_users).copy()
-    active = _as_mask(active_mask, game.num_users)
-    for rounds in range(1, max_rounds + 1):
-        changed = False
-        for n in range(game.num_users):
-            if not active[n]:
-                continue
-            nxt = best_response_step(game, choices, n, jammed_channels, active)
-            if nxt[n] != choices[n]:
-                changed = True
-                choices = nxt
-        if not changed:
-            return choices, True, rounds
-    return choices, False, max_rounds
-
-
-def _total_rate(game: GameSpec, choices: np.ndarray, jammed, active) -> float:
-    rates = game.rate_model.rates(choices, jammed, active)
-    return float(rates.sum())
+    start = _as_choices(game, start)
+    finals, converged, rounds = best_response_lockstep(
+        game, start[None], jammed_channels, active_mask, max_rounds)
+    return finals[0], bool(converged[0]), int(rounds[0])
 
 
 @dataclass(frozen=True)
@@ -238,15 +326,21 @@ def stackelberg_solve(game: GameSpec, active_mask=None,
     best = None
     for channel in range(game.num_channels):
         jam = frozenset({channel})
-        equilibria = enumerate_pure_nash(game, jam, active, max_profiles)
-        if not equilibria:
+        # a user's own utility is its rate, so a row sum is the profile's
+        # total rate; the first maximum wins ties, as in lexicographic order
+        top = None
+        for equilibria, own in _nash_blocks(game, jam, active, max_profiles):
+            if len(equilibria):
+                totals = own.sum(axis=1)
+                i = int(np.argmax(totals))
+                if top is None or totals[i] > top[0]:
+                    top = (float(totals[i]), equilibria[i])
+        if top is None:
             audit.append(LeaderAudit(channel, False, None, None))
             continue
-        totals = [_total_rate(game, eq, jam, active) for eq in equilibria]
-        idx = int(np.argmax(totals))
-        audit.append(LeaderAudit(channel, True, totals[idx], equilibria[idx]))
-        if best is None or totals[idx] < best[1]:
-            best = (channel, totals[idx], equilibria[idx])
+        audit.append(LeaderAudit(channel, True, *top))
+        if best is None or top[0] < best[1]:
+            best = (channel, *top)
     if best is None:
         raise RuntimeError(
             "stackelberg_solve: no leader action admits a pure follower equilibrium")

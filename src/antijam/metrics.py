@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .games import GameSpec, run_best_response
+from .games import GameSpec, best_response_lockstep, lexicographic_profiles
 
 _NO_JAM = frozenset()
 
@@ -42,8 +41,8 @@ class NeBounds:
 
 def ne_bounds(game: GameSpec, jammed_channels=_NO_JAM, active_mask=None,
               num_trials: int = 200, rng=None, max_rounds: int = 500) -> NeBounds:
-    """Run best-response dynamics from num_trials random starts and report the
-    extreme converged network sum rates.
+    """Run best-response dynamics from num_trials random starts, all in
+    lockstep, and report the extreme converged network sum rates.
 
     When the whole profile space fits inside the trial budget, the first
     M^N starts are a shuffled enumeration of every assignment and only the
@@ -63,25 +62,19 @@ def ne_bounds(game: GameSpec, jammed_channels=_NO_JAM, active_mask=None,
         else np.asarray(active_mask, dtype=bool)
     starts = []
     if m ** n <= num_trials:
-        grid = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
+        grid = lexicographic_profiles(n, m, 0, m ** n)
         starts.extend(grid[rng.permutation(len(grid))])
     while len(starts) < num_trials:
         starts.append(rng.integers(0, m, size=n))
-    best = -np.inf
-    worst = np.inf
-    failed = 0
-    for start in starts:
-        final, converged, _ = run_best_response(game, start, jammed_channels,
-                                                active, max_rounds)
-        if not converged:
-            failed += 1
-            continue
-        value = float(game.rate_model.rates(final, jammed_channels, active).sum())
-        best = max(best, value)
-        worst = min(worst, value)
+    finals, converged, _ = best_response_lockstep(game, starts, jammed_channels,
+                                                  active, max_rounds)
+    failed = int(num_trials - converged.sum())
     if failed == num_trials:
         raise RuntimeError("ne_bounds: no best-response trial converged")
-    return NeBounds(best=best, worst=worst,
+    # many starts land on the same equilibrium; value each one once
+    values = [float(game.rate_model.rates(final, jammed_channels, active).sum())
+              for final in {tuple(f) for f in finals[converged].tolist()}]
+    return NeBounds(best=max(values), worst=min(values),
                     num_converged=num_trials - failed, num_failed=failed)
 
 

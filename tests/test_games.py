@@ -5,17 +5,22 @@ library (direct double loop over profiles and deviations) so the enumeration
 oracle is validated against something that cannot share its bugs.
 """
 
+import hashlib
+import importlib.util
 import itertools
+import os
 
 import numpy as np
 import pytest
 
-from antijam import GameSpec, enumerate_pure_nash, stackelberg_solve
+from antijam import (GameSpec, enumerate_pure_nash, load_config, ne_bounds,
+                     stackelberg_solve)
 from antijam.env import NodeGeometry, RadioParams
 from antijam.errors import (ConfigError, InstanceTooLargeError,
                             UnsupportedOperationError)
-from antijam.games import (best_response_step, is_pure_nash, potential_value,
-                           run_best_response, user_utility)
+from antijam.games import (best_response_lockstep, best_response_step,
+                           is_pure_nash, potential_value, run_best_response,
+                           user_utility)
 from antijam.hypergraph import (InterferenceHypergraph,
                                 total_generalized_interference)
 
@@ -166,6 +171,22 @@ def test_best_response_tie_rules():
     assert stepped[0] == 1
 
 
+def test_assignments_are_validated():
+    """A channel outside range(M) is a ConfigError, not a wrapped index."""
+    rng = np.random.default_rng(3)
+    game, jammed, active = random_hyper_game(rng, n_max=3, m_max=3)
+    n, m = game.num_users, game.num_channels
+    for bad in ([-1] + [0] * (n - 1), [m] + [0] * (n - 1), [0] * (n + 1)):
+        with pytest.raises(ConfigError):
+            is_pure_nash(game, bad, jammed, active)
+        with pytest.raises(ConfigError):
+            best_response_step(game, bad, 0, jammed, active)
+        with pytest.raises(ConfigError):
+            run_best_response(game, bad, jammed, active)
+        with pytest.raises(ConfigError):
+            best_response_lockstep(game, [bad], jammed, active)
+
+
 def test_enumeration_cap_enforced():
     rng = np.random.default_rng(5)
     game, jammed, active = random_hyper_game(rng, n_max=4, m_max=4)
@@ -243,3 +264,45 @@ def test_game_spec_validation():
         GameSpec(kind="hypergraph", geometry=geo, params=params, hypergraph=hg)
     with pytest.raises(ConfigError):
         GameSpec(kind="markov", geometry=geo, params=params)  # not a game kind
+
+
+def benchmark_oracle_game():
+    """The 6-user, 4-channel ring of perfbench's stackelberg-oracle, seed 7."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    doc = module.WORKLOADS["stackelberg-oracle"].document(7, "full")
+    config = load_config(doc)
+    return GameSpec("stackelberg", config.build_geometry(), config.radio)
+
+
+def test_oracle_values_pinned_at_the_benchmark_instance():
+    """4096 profiles span many enumeration blocks: the leader solve, the NE
+    list and the best-response bounds must keep every digit."""
+    game = benchmark_oracle_game()
+    sol = stackelberg_solve(game)
+    audit = [(a.channel, a.has_equilibrium, repr(a.total_rate),
+              a.follower_assignment.tolist()) for a in sol.per_action]
+    assert audit == [
+        (0, True, "38.13501703551253", [1, 2, 3, 1, 2, 3]),
+        (1, True, "38.13501703551253", [0, 2, 3, 0, 2, 3]),
+        (2, True, "38.13501703551253", [0, 1, 3, 0, 1, 3]),
+        (3, True, "38.13501703551253", [0, 1, 2, 0, 1, 2]),
+    ]
+    assert sol.leader_channel == 0
+    assert [repr(float(r)) for r in sol.follower_rates] == [
+        "6.345758490438696", "6.360479670014629", "6.361274778722026",
+        "6.345758295054295", "6.360476079896748", "6.361269721386135"]
+
+    equilibria = [e.tolist() for e in enumerate_pure_nash(game, frozenset({0}))]
+    assert len(equilibria) == 24
+    assert hashlib.sha256(repr(equilibria).encode()).hexdigest() == \
+        "de9d5c4b6f9836467c01e7f05b733ad45090f992dba5417a676e8eaac4e39cd9"
+
+    rng = np.random.default_rng(np.random.SeedSequence((7, 999983)))
+    bounds = ne_bounds(game, frozenset({0}), num_trials=200, rng=rng)
+    assert repr(bounds) == ("NeBounds(best=38.13501703551253, "
+                            "worst=37.72256382553547, num_converged=200, "
+                            "num_failed=0)")

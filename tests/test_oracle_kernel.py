@@ -1,0 +1,249 @@
+"""The batched oracle against its scalar reference.
+
+games values every unilateral deviation of a block of profiles in one
+(K, N, M) tensor. The scalar oracle it replaced lives here as the reference:
+one user_utility call per (profile, user, channel) cell, a per-profile NE
+filter and one best-response run per start. Rate games must agree bit for
+bit, hypergraph games exactly, on random small games with random activity
+and jam sets. The block size is also forced down, so enumeration and
+lockstep best response cross many block boundaries.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from antijam import games
+from antijam.env import NodeGeometry, RadioParams
+from antijam.games import (GameSpec, best_response_lockstep, best_response_step,
+                           enumerate_pure_nash, is_pure_nash,
+                           lexicographic_profiles, run_best_response,
+                           stackelberg_solve, user_utility)
+from antijam.hypergraph import InterferenceHypergraph
+
+# Block sizes in (profile, user, channel) cells: one profile per block for
+# most games, a few profiles per block, and the library's own size.
+BLOCK_CELLS = (7, 40, games._BLOCK_CELLS)
+
+
+def reference_utility_row(game, n, choices, jammed, active):
+    """Utility of user n for each of its own channel choices, others fixed."""
+    out = np.empty(game.num_channels)
+    work = np.array(choices, dtype=np.int64)
+    for c in range(game.num_channels):
+        work[n] = c
+        out[c] = user_utility(game, n, work, jammed, active)
+    return out
+
+
+def reference_is_nash(game, choices, jammed, active):
+    for n in range(game.num_users):
+        if not active[n]:
+            continue
+        row = reference_utility_row(game, n, choices, jammed, active)
+        if row.max() > row[choices[n]]:
+            return False
+    return True
+
+
+def reference_enumeration(game, jammed, active):
+    return [profile for profile in itertools.product(range(game.num_channels),
+                                                     repeat=game.num_users)
+            if reference_is_nash(game, np.array(profile), jammed, active)]
+
+
+def reference_leader_solve(game, active):
+    """Per leader channel: the NE of largest total rate, first on ties."""
+    audit = []
+    for channel in range(game.num_channels):
+        jam = frozenset({channel})
+        equilibria = reference_enumeration(game, jam, active)
+        totals = [float(game.rate_model.rates(np.array(eq), jam, active).sum())
+                  for eq in equilibria]
+        if not totals:
+            audit.append((channel, False, None, None))
+            continue
+        i = int(np.argmax(totals))
+        audit.append((channel, True, totals[i], list(equilibria[i])))
+    return audit
+
+
+def reference_best_response(game, start, jammed, active, max_rounds):
+    choices = np.array(start, dtype=np.int64)
+    for rounds in range(1, max_rounds + 1):
+        changed = False
+        for n in range(game.num_users):
+            if not active[n]:
+                continue
+            row = reference_utility_row(game, n, choices, jammed, active)
+            if row[choices[n]] < row.max() - 1e-12:
+                choices[n] = int(np.argmax(row))
+                changed = True
+        if not changed:
+            return choices, True, rounds
+    return choices, False, max_rounds
+
+
+@st.composite
+def small_games(draw, kinds=games.KINDS):
+    """(game, jammed, active): N <= 5, M <= 4, random activity and jam set."""
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    jammers = draw(st.integers(0, 2))
+    geometry = NodeGeometry(user_pairs=rng.uniform(-6, 6, size=(n, 2, 2)),
+                            jammer_positions=rng.uniform(-6, 6, size=(jammers, 2)))
+    params = RadioParams(num_channels=m,
+                         tx_power=draw(st.sampled_from([0.5, 1.0, 3.0])),
+                         jam_power=draw(st.sampled_from([0.0, 1.0, 5.0])),
+                         noise_floor=draw(st.sampled_from([1e-3, 1e-2, 0.5])),
+                         pathloss_exponent=draw(st.sampled_from([0.0, 2.0, 3.5])))
+    hypergraph = None
+    if kind == "hypergraph":
+        pairs = list(itertools.combinations(range(n), 2))
+        strong = [e for e in pairs if draw(st.booleans())]
+        threshold = draw(st.integers(1, 4))
+        size = max(3, threshold)
+        groups = list(itertools.combinations(range(n), size)) if n >= size else []
+        weak = draw(st.lists(st.sampled_from(groups), unique=True, max_size=3)) \
+            if groups else []
+        hypergraph = InterferenceHypergraph(num_users=n, strong_edges=tuple(strong),
+                                            weak_hyperedges=tuple(weak),
+                                            activation_threshold=threshold)
+    game = GameSpec(kind, geometry, params, hypergraph)
+    jammed = draw(st.frozensets(st.integers(0, m - 1)))
+    active = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return game, jammed, active
+
+
+def profiles_of(game, draw_list):
+    m = game.num_channels
+    return np.array([[c % m for c in row] for row in draw_list], dtype=np.int64)
+
+
+profile_rows = st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5),
+                        min_size=1, max_size=12)
+
+
+@given(small_games(), profile_rows)
+def test_deviation_tensor_equals_scalar_utilities(case, rows):
+    game, jammed, active = case
+    profiles = profiles_of(game, [r[:game.num_users] for r in rows])
+    got = games._deviation_utilities(game, profiles, jammed, active)
+    assert got.shape == (len(profiles), game.num_users, game.num_channels)
+    for k, profile in enumerate(profiles):
+        for n in range(game.num_users):
+            want = reference_utility_row(game, n, profile, jammed, active)
+            if game.kind == "stackelberg":
+                assert got[k, n].tobytes() == want.tobytes()
+            else:
+                assert np.array_equal(got[k, n], want)
+
+
+@given(small_games(), st.sampled_from(BLOCK_CELLS))
+def test_enumeration_equals_scalar_filter(case, cells):
+    game, jammed, active = case
+    want = reference_enumeration(game, jammed, active)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(games, "_BLOCK_CELLS", cells)
+        got = [tuple(int(c) for c in p)
+               for p in enumerate_pure_nash(game, jammed, active)]
+    assert got == want
+    for profile in lexicographic_profiles(game.num_users, game.num_channels, 0,
+                                          min(game.num_channels ** game.num_users, 16)):
+        assert is_pure_nash(game, profile, jammed, active) == \
+            (tuple(int(c) for c in profile) in want)
+
+
+@given(small_games(), profile_rows, st.sampled_from(BLOCK_CELLS),
+       st.integers(1, 6))
+def test_lockstep_best_response_equals_scalar_runs(case, rows, cells, max_rounds):
+    """Few rounds, so rate games that cycle also end unconverged."""
+    game, jammed, active = case
+    starts = profiles_of(game, [r[:game.num_users] for r in rows])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(games, "_BLOCK_CELLS", cells)
+        finals, converged, rounds = best_response_lockstep(
+            game, starts, jammed, active, max_rounds)
+    for s, start in enumerate(starts):
+        want = reference_best_response(game, start, jammed, active, max_rounds)
+        assert (finals[s].tolist(), bool(converged[s]), int(rounds[s])) == \
+            (want[0].tolist(), want[1], want[2])
+        final, ok, used = run_best_response(game, start, jammed, active, max_rounds)
+        assert (final.tolist(), ok, used) == (want[0].tolist(), want[1], want[2])
+    for n in range(game.num_users):
+        stepped = best_response_step(game, starts[0], n, jammed, active)
+        moved = starts[0].copy()
+        row = reference_utility_row(game, n, moved, jammed, active)
+        if active[n] and row[moved[n]] < row.max() - 1e-12:
+            moved[n] = int(np.argmax(row))
+        assert stepped.tolist() == moved.tolist()
+
+
+@given(small_games(kinds=("stackelberg",)), st.sampled_from(BLOCK_CELLS))
+def test_leader_solve_equals_scalar_reference(case, cells):
+    game, _, active = case
+    want = reference_leader_solve(game, active)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(games, "_BLOCK_CELLS", cells)
+        if not any(has for _, has, _, _ in want):
+            with pytest.raises(RuntimeError):
+                stackelberg_solve(game, active)
+            return
+        sol = stackelberg_solve(game, active)
+    got = [(a.channel, a.has_equilibrium, a.total_rate,
+            None if a.follower_assignment is None else a.follower_assignment.tolist())
+           for a in sol.per_action]
+    assert got == want
+    feasible = [w for w in want if w[1]]
+    chosen = min(feasible, key=lambda w: w[2])
+    assert (sol.leader_channel, sol.total_rate) == (chosen[0], chosen[2])
+
+
+def test_lexicographic_profiles_follow_itertools_order():
+    for n, m in [(1, 1), (1, 4), (3, 2), (2, 5), (4, 3)]:
+        want = list(itertools.product(range(m), repeat=n))
+        got = [tuple(p) for p in lexicographic_profiles(n, m, 0, m ** n)]
+        assert got == want
+        assert [tuple(p) for p in lexicographic_profiles(n, m, 1, m ** n - 1)] \
+            == want[1:-1]
+
+
+def test_rate_tensor_is_bitwise_beyond_five_users():
+    """With many co-channel transmitters, a sum taken in another order
+    rounds differently: the tensor must add them in rates()' order, and a
+    profile's own utilities must total as rates().sum() does."""
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        n, m = int(rng.integers(8, 17)), int(rng.integers(2, 5))
+        geometry = NodeGeometry(user_pairs=rng.uniform(-10, 10, size=(n, 2, 2)),
+                                jammer_positions=rng.uniform(-10, 10, size=(1, 2)))
+        game = GameSpec("stackelberg", geometry,
+                        RadioParams(num_channels=m, noise_floor=1e-3))
+        jammed = frozenset({int(rng.integers(0, m))})
+        active = rng.random(n) < 0.9
+        profiles = rng.integers(0, m, size=(4, n))
+        got = games._deviation_utilities(game, profiles, jammed, active)
+        for k, profile in enumerate(profiles):
+            for u in range(n):
+                want = reference_utility_row(game, u, profile, jammed, active)
+                assert got[k, u].tobytes() == want.tobytes()
+        # the leader solve totals an equilibrium as the sum of own utilities
+        own = np.take_along_axis(got, profiles[:, :, None], axis=2)[:, :, 0]
+        for k, profile in enumerate(profiles):
+            rates = game.rate_model.rates(profile, jammed, active)
+            assert float(own[k].sum()) == float(rates.sum())
+        if m == 2:
+            try:
+                solution = stackelberg_solve(game, active)
+            except RuntimeError:  # no leader action admits a pure NE
+                continue
+            for action in solution.per_action:
+                if action.has_equilibrium:
+                    rates = game.rate_model.rates(action.follower_assignment,
+                                                  {action.channel}, active)
+                    assert action.total_rate == float(rates.sum())
