@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .env import NodeGeometry, RadioParams
 from .errors import ConfigError
-from .games import MAX_PROFILES
+from .games import MAX_ORACLE_CELLS, oracle_cells
 from .hypergraph import InterferenceHypergraph, build_hypergraph
 from .jammers import KINDS as JAMMER_KINDS
 from .jammers import JammerPattern
@@ -357,11 +357,11 @@ def load_config(document: dict) -> ScenarioConfig:
             raise ConfigError("config: the stackelberg leader is adaptive; "
                               "jammer patterns are not allowed in this scenario")
         # num_channels >= 2, so past the cap's bit length no power is needed
-        if num_users > MAX_PROFILES.bit_length() \
-                or num_channels ** num_users > MAX_PROFILES:
-            raise ConfigError(f"config: the leader oracle cannot enumerate "
-                              f"{num_channels}^{num_users} follower profiles "
-                              f"(cap {MAX_PROFILES})")
+        if num_users > MAX_ORACLE_CELLS.bit_length() \
+                or oracle_cells(num_users, num_channels) > MAX_ORACLE_CELLS:
+            raise ConfigError(f"config: the leader oracle cannot value "
+                              f"{num_channels}^{num_users + 2} x {num_users} "
+                              f"deviation cells (cap {MAX_ORACLE_CELLS})")
         jammer_docs = ()
         num_jammers = 1
     else:

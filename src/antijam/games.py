@@ -29,8 +29,11 @@ from .hypergraph import (InterferenceHypergraph, marginal_interference,
 
 KINDS = ("stackelberg", "hypergraph")
 
-# Largest profile count M^N the exhaustive oracles enumerate.
-MAX_PROFILES = 10 ** 6
+# Most deviation cells an exhaustive oracle may value. The leader solve
+# values the N x M deviations of all M^N follower profiles once per leader
+# channel; 6 users on 10 channels, the largest instance admitted, took
+# 22-26 s on a 2-vCPU VM.
+MAX_ORACLE_CELLS = 6 * 10 ** 8
 
 # (profile, user, channel) cells valued per block: enumeration and lockstep
 # best response hold a few arrays of this size at a time, whatever M^N is.
@@ -131,6 +134,11 @@ def lexicographic_profiles(num_users: int, num_channels: int, start: int,
     return index[:, None] // place % num_channels
 
 
+def oracle_cells(num_users: int, num_channels: int) -> int:
+    """Deviation cells the leader solve values: M x M^N x N x M."""
+    return num_channels ** (num_users + 2) * num_users
+
+
 def _block_rows(game: GameSpec) -> int:
     return max(1, _BLOCK_CELLS // (game.num_users * game.num_channels))
 
@@ -186,16 +194,18 @@ def _nash_rows(game: GameSpec, profiles: np.ndarray, jammed, active):
     return (util.max(axis=2) <= own).all(axis=1), own
 
 
-def _nash_blocks(game: GameSpec, jammed, active, max_profiles: int):
+def _nash_blocks(game: GameSpec, jammed, active):
     """(equilibria, own utilities) of each lexicographic block of profiles.
 
     Blocks hold a few thousand (profile, user, channel) cells, so memory stays
-    flat however many profiles there are.
+    flat however many profiles there are. Games whose leader solve would
+    value more than MAX_ORACLE_CELLS cells are refused before any block.
     """
     n, m = game.num_users, game.num_channels
-    if m ** n > max_profiles:
+    if oracle_cells(n, m) > MAX_ORACLE_CELLS:
         raise InstanceTooLargeError(
-            f"exact oracle: {m}^{n} profiles exceeds cap {max_profiles}")
+            f"exact oracle: {n} users on {m} channels is {oracle_cells(n, m)} "
+            f"deviation cells, past the cap {MAX_ORACLE_CELLS}")
     step = _block_rows(game)
     for start in range(0, m ** n, step):
         block = lexicographic_profiles(n, m, start, min(start + step, m ** n))
@@ -212,12 +222,12 @@ def is_pure_nash(game: GameSpec, choices, jammed_channels=_NO_JAM,
     return bool(nash[0])
 
 
-def enumerate_pure_nash(game: GameSpec, jammed_channels=_NO_JAM, active_mask=None,
-                        max_profiles: int = MAX_PROFILES) -> list:
+def enumerate_pure_nash(game: GameSpec, jammed_channels=_NO_JAM,
+                        active_mask=None) -> list:
     """Every pure NE assignment, lexicographically ordered (exhaustive)."""
     active = _as_mask(active_mask, game.num_users)
     return [profile for equilibria, _ in
-            _nash_blocks(game, jammed_channels, active, max_profiles)
+            _nash_blocks(game, jammed_channels, active)
             for profile in equilibria]
 
 
@@ -308,15 +318,15 @@ class StackelbergSolution:
     per_action: tuple
 
 
-def stackelberg_solve(game: GameSpec, active_mask=None,
-                      max_profiles: int = MAX_PROFILES) -> StackelbergSolution:
+def stackelberg_solve(game: GameSpec, active_mask=None) -> StackelbergSolution:
     """Leader commits to one jammed channel anticipating the followers' best NE.
 
     For each leader channel the followers are assumed to land on the pure NE
     with maximal total rate (lexicographically first on ties). The leader,
     whose utility is minus that total, picks the action minimizing it; ties go
     to the lowest channel. Actions admitting no pure follower NE are recorded
-    in the audit and skipped.
+    in the audit and skipped. A game past MAX_ORACLE_CELLS raises
+    InstanceTooLargeError before any enumeration.
     """
     if game.kind != "stackelberg":
         raise UnsupportedOperationError(
@@ -329,7 +339,7 @@ def stackelberg_solve(game: GameSpec, active_mask=None,
         # a user's own utility is its rate, so a row sum is the profile's
         # total rate; the first maximum wins ties, as in lexicographic order
         top = None
-        for equilibria, own in _nash_blocks(game, jam, active, max_profiles):
+        for equilibria, own in _nash_blocks(game, jam, active):
             if len(equilibria):
                 totals = own.sum(axis=1)
                 i = int(np.argmax(totals))

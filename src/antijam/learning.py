@@ -6,12 +6,15 @@ the jammer side (WindowLeader, or jammers.ScriptedJammers), the followers one
 users' rule (AutomataUsers, QUsers, BaselineUsers). Both act at the start of
 a slot and learn strictly after its rates are known. What a user remembers of
 the jammer is the channel it last sensed as jammed, or None.
+
+A rule keeps every user's state in one array and steps all the users that
+learn at once, in place: the automata's strategies are one (N, M) matrix and
+the Q values one (N, M+1, M) array. Exploration decays alike for everyone, so
+it is one epsilon per rule. Only the epsilon-greedy and claiming picks still
+go user by user, since whether a user draws a channel depends on its own coin.
 """
 
 from __future__ import annotations
-
-import dataclasses
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,137 +33,104 @@ def observe_jamming(jammed_channels) -> int | None:
 # ---------------------------------------------------------------------------
 # stochastic learning automata
 
-@dataclass(frozen=True)
+def _check_simplex(probs: np.ndarray) -> None:
+    if probs.min() < -1e-12 or np.abs(probs.sum(axis=1) - 1.0).max() > 1e-9:
+        raise ConfigError("MixedStrategy: entries must be >= 0 and each row sum to 1")
+
+
 class MixedStrategy:
-    probs: np.ndarray
+    """Mixed strategies over channels, one row of probs per user."""
 
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1 or probs.size < 1:
-            raise ConfigError("MixedStrategy: probs must be a non-empty vector")
-        if (probs < -1e-12).any() or abs(probs.sum() - 1.0) > 1e-9:
-            raise ConfigError("MixedStrategy: entries must be >= 0 and sum to 1")
+    def __init__(self, probs):
+        self.probs = np.array(probs, dtype=np.float64)
+        if self.probs.ndim != 2 or self.probs.size < 1:
+            raise ConfigError("MixedStrategy: probs must be a non-empty "
+                              "(users, channels) matrix")
+        _check_simplex(self.probs)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        u = rng.random()
-        return int(np.searchsorted(np.cumsum(self.probs), u, side="right").clip(0, self.probs.size - 1))
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """One channel per user from one block of uniforms, user n taking the
+        n-th; entries are non-negative, so counting the cumulative sums at or
+        below a draw is a search of the sorted row."""
+        u = rng.random(len(self.probs))
+        hits = (np.cumsum(self.probs, axis=1) <= u[:, None]).sum(axis=1)
+        return hits.clip(0, self.probs.shape[1] - 1)
 
 
-def uniform_strategy(num_channels: int) -> MixedStrategy:
-    return MixedStrategy(np.full(num_channels, 1.0 / num_channels))
+def sla_update(strategy: MixedStrategy, users, chosen, rewards,
+               step_size: float) -> None:
+    """Linear reward-inaction step of each of `users`, in place.
 
-
-def sla_update(strategy: MixedStrategy, chosen: int, normalized_reward: float,
-               step_size: float) -> MixedStrategy:
-    """Linear reward-inaction step.
-
-    P_chosen grows by b*r*(1 - P_chosen), every other entry shrinks by
-    b*r*P_other; the sum is preserved exactly in exact arithmetic, so no
-    renormalization happens here.
+    Row n's chosen entry grows by b*r_n*(1 - P_chosen), every other entry of
+    the row shrinks by b*r_n*P_other; the sum is preserved exactly in exact
+    arithmetic, so no renormalization happens here.
     """
     if not 0.0 < step_size < 1.0:
         raise ConfigError("sla_update: step_size must be in (0, 1)")
-    if not 0.0 <= normalized_reward <= 1.0:
-        raise ConfigError("sla_update: reward must lie in [0, 1]")
-    p = strategy.probs
-    if not 0 <= chosen < p.size:
-        raise ConfigError("sla_update: chosen channel out of range")
-    scale = step_size * normalized_reward
-    new = p - scale * p
-    new[chosen] = p[chosen] + scale * (1.0 - p[chosen])
-    return MixedStrategy(new)
+    users = np.asarray(users, dtype=np.int64)
+    r = np.asarray(rewards, dtype=np.float64)[users]
+    c = np.asarray(chosen, dtype=np.int64)[users]
+    if users.size:
+        if not (r.min() >= 0.0 and r.max() <= 1.0):
+            raise ConfigError("sla_update: reward must lie in [0, 1]")
+        if c.min() < 0 or c.max() >= strategy.probs.shape[1]:
+            raise ConfigError("sla_update: chosen channel out of range")
+    p = strategy.probs[users]
+    scale = step_size * r
+    new = p - scale[:, None] * p
+    rows = np.arange(len(users))
+    own = p[rows, c]
+    new[rows, c] = own + scale * (1.0 - own)
+    strategy.probs[users] = new
+    _check_simplex(strategy.probs)
 
 
 # ---------------------------------------------------------------------------
 # Q-learning
 
-@dataclass(frozen=True)
-class QTable:
-    """Tabular action values over (state, channel) pairs, where a state is
-    the last channel sensed as jammed or None.
-
-    Missing entries read as 0. Updates are functional: q_update returns a new
-    table sharing nothing mutable with the old one.
-    """
-    num_channels: int
-    learning_rate: float = 0.1
-    discount: float = 0.9
-    epsilon: float = 0.1
-    values: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.num_channels < 1:
-            raise ConfigError("QTable: num_channels must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ConfigError("QTable: learning_rate must be in (0, 1]")
-        if not 0.0 <= self.discount < 1.0:
-            raise ConfigError("QTable: discount must be in [0, 1)")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError("QTable: epsilon must be in [0, 1]")
-
-    def q(self, state: int | None, channel: int) -> float:
-        return self.values.get((state, channel), 0.0)
-
-    def action_values(self, state: int | None) -> np.ndarray:
-        return np.array([self.q(state, c) for c in range(self.num_channels)])
-
-    def greedy(self, state: int | None) -> int:
-        return int(np.argmax(self.action_values(state)))
+def q_update(q: np.ndarray, users, s: int, actions, rewards, s_next: int,
+             learning_rate: float, discount: float) -> None:
+    """One Q-learning step of each of `users`, in place, where q[n] is
+    learner n's (state, channel) table:
+    Q(s,a) <- (1-lr)*Q(s,a) + lr*(reward + discount*max_a' Q(s_next,a'))."""
+    users = np.asarray(users, dtype=np.int64)
+    a = np.asarray(actions, dtype=np.int64)[users]
+    target = np.asarray(rewards, dtype=np.float64)[users] \
+        + discount * q[users, s_next].max(axis=1)
+    q[users, s, a] = (1.0 - learning_rate) * q[users, s, a] + learning_rate * target
 
 
-def q_update(table: QTable, s: int | None, a: int, reward: float,
-             s_next: int | None) -> QTable:
-    """Q(s,a) <- (1-lr)*Q(s,a) + lr*(reward + discount*max_a' Q(s_next,a'))."""
-    target = reward + table.discount * float(table.action_values(s_next).max())
-    values = dict(table.values)
-    values[(s, a)] = (1.0 - table.learning_rate) * table.q(s, a) \
-        + table.learning_rate * target
-    return dataclasses.replace(table, values=values)
+def epsilon_greedy(values: np.ndarray, epsilon: float,
+                   rng: np.random.Generator) -> int:
+    """A uniform channel with probability epsilon, else the first best one."""
+    if rng.random() < epsilon:
+        return int(rng.integers(len(values)))
+    return int(np.argmax(values))
 
 
-def epsilon_greedy(table: QTable, s: int | None, rng: np.random.Generator) -> int:
-    if rng.random() < table.epsilon:
-        return int(rng.integers(table.num_channels))
-    return table.greedy(s)
-
-
-def decay_epsilon(table: QTable, floor: float, decay: float) -> QTable:
-    """One step of the multiplicative exploration schedule, clipped at floor."""
-    return dataclasses.replace(table, epsilon=max(floor, table.epsilon * decay))
-
-
-def collaborative_joint_selection(tables, s: int | None, order,
+def collaborative_joint_selection(values: np.ndarray, epsilon: float,
                                   rng: np.random.Generator) -> np.ndarray:
     """Joint channel pick with claims shared over the control channel.
 
-    Users explore independently with their own epsilon; everyone, explorer or
-    not, announces its claim, and each non-explorer takes its argmax among the
-    channels still unclaimed when its turn in `order` comes (falling back to
-    the unrestricted argmax once every channel is claimed). Ties go to the
+    values[n] is user n's action values in the current state. Users take
+    turns in index order and explore with probability epsilon; everyone,
+    explorer or not, announces its claim, and each non-explorer takes its
+    argmax among the channels still unclaimed (falling back to the
+    unrestricted argmax once every channel is claimed). Ties go to the
     lowest index.
     """
-    tables = list(tables)
-    num_users = len(tables)
-    order = list(order)
-    if sorted(order) != list(range(num_users)):
-        raise ConfigError("collaborative_joint_selection: order must be a permutation")
-    m = tables[0].num_channels
-    if any(t.num_channels != m for t in tables):
-        raise ConfigError("collaborative_joint_selection: tables disagree on channel count")
+    num_users, m = values.shape
     choices = np.zeros(num_users, dtype=np.int64)
-    claimed = set()
-    for n in order:
-        table = tables[n]
-        if rng.random() < table.epsilon:
+    claimed = np.zeros(m, dtype=bool)
+    for n in range(num_users):
+        if rng.random() < epsilon:
             pick = int(rng.integers(m))
+        elif claimed.all():
+            pick = int(np.argmax(values[n]))
         else:
-            vals = table.action_values(s)
-            free = [c for c in range(m) if c not in claimed]
-            pool = free if free else range(m)
-            pick = min(pool, key=lambda c: (-vals[c], c))
+            pick = int(np.argmax(np.where(claimed, -np.inf, values[n])))
         choices[n] = pick
-        claimed.add(pick)
+        claimed[pick] = True
     return choices
 
 
@@ -180,27 +150,30 @@ def baseline_action(kind: str, s: int | None, num_channels: int,
 
 
 # ---------------------------------------------------------------------------
-# reward rules: reward(u, choices, active, rates, jammed) in [0, 1]
+# reward rules: reward(choices, active, rates, jammed) -> one value in [0, 1]
+# per user (only the active users' values are read)
 
 def rate_reward(r_max: float):
-    """User u's rate as a fraction of r_max, clipped to [0, 1]."""
-    def reward(u, choices, active, rates, jammed):
-        return min(1.0, max(0.0, float(rates[u]) / r_max))
+    """Each user's rate as a fraction of r_max, clipped to [0, 1]."""
+    def reward(choices, active, rates, jammed):
+        return np.clip(rates / r_max, 0.0, 1.0)
     return reward
 
 
 def interference_reward(hypergraph):
-    """Minus user u's marginal generalized interference, mapped from [-D, 0]
-    onto [0, 1]; D is the worst-case marginal contribution of any single user
-    (its incident edges plus the jammer)."""
+    """Minus each user's marginal generalized interference, mapped from
+    [-D, 0] onto [0, 1]; D is the worst-case marginal contribution of any
+    single user (its incident edges plus the jammer)."""
     incident = [sum(1 for e in hypergraph.strong_edges if u in e)
                 + sum(1 for h in hypergraph.weak_hyperedges if u in h) + 1
                 for u in range(hypergraph.num_users)]
     d_norm = float(max(incident))
 
-    def reward(u, choices, active, rates, jammed):
-        utility = -marginal_interference(hypergraph, u, choices, active, jammed)
-        return max(0.0, 1.0 + utility / d_norm)
+    def reward(choices, active, rates, jammed):
+        hits = np.zeros(hypergraph.num_users)
+        for u in np.flatnonzero(active).tolist():
+            hits[u] = marginal_interference(hypergraph, u, choices, active, jammed)
+        return np.maximum(0.0, 1.0 - hits / d_norm)
     return reward
 
 
@@ -209,62 +182,57 @@ def interference_reward(hypergraph):
 
 class AutomataUsers:
     """One learning automaton per user; each active user takes a linear
-    reward-inaction step on its reward rule after every slot."""
+    reward-inaction step on its reward after every slot."""
 
     def __init__(self, num_users: int, num_channels: int, step_size: float,
                  reward):
-        self.strategies = [uniform_strategy(num_channels) for _ in range(num_users)]
+        self.strategy = MixedStrategy(
+            np.full((num_users, num_channels), 1.0 / num_channels))
         self.step_size = step_size
         self.reward = reward
 
     def select(self, rng: np.random.Generator) -> np.ndarray:
-        return np.array([s.sample(rng) for s in self.strategies], dtype=np.int64)
+        return self.strategy.sample(rng)
 
     def learn(self, choices, active, rates, jammed) -> None:
-        for u, strategy in enumerate(self.strategies):
-            if active[u]:
-                self.strategies[u] = sla_update(
-                    strategy, int(choices[u]),
-                    self.reward(u, choices, active, rates, jammed), self.step_size)
+        sla_update(self.strategy, np.flatnonzero(active), choices,
+                   self.reward(choices, active, rates, jammed), self.step_size)
 
     def greedy(self) -> np.ndarray:
         """Exploration-free choices: each user's most likely channel."""
-        return np.array([int(np.argmax(s.probs)) for s in self.strategies],
-                        dtype=np.int64)
+        return self.strategy.probs.argmax(axis=1)
 
 
 class QUsers:
-    """One Q table per user over the last sensed jammed channel; users claim
-    channels in index order when collaborative, else pick epsilon-greedily
-    alone. Active users learn; everyone's exploration decays every slot."""
+    """Q values per user over the last sensed jammed channel, where state M
+    stands for nothing sensed yet; users claim channels in index order when
+    collaborative, else pick epsilon-greedily alone. Active users learn;
+    everyone's exploration decays every slot."""
 
     def __init__(self, num_users: int, num_channels: int, params, reward,
                  collaborative: bool):
-        self.tables = [QTable(num_channels, learning_rate=params.learning_rate,
-                              discount=params.discount,
-                              epsilon=params.epsilon_start)
-                       for _ in range(num_users)]
+        self.q = np.zeros((num_users, num_channels + 1, num_channels))
+        self.epsilon = params.epsilon_start
         self.params = params
         self.reward = reward
         self.collaborative = collaborative
-        self.state = None
+        self.state = num_channels
 
     def select(self, rng: np.random.Generator) -> np.ndarray:
+        values = self.q[:, self.state]
         if self.collaborative:
-            return collaborative_joint_selection(self.tables, self.state,
-                                                 range(len(self.tables)), rng)
-        return np.array([epsilon_greedy(t, self.state, rng) for t in self.tables],
+            return collaborative_joint_selection(values, self.epsilon, rng)
+        return np.array([epsilon_greedy(v, self.epsilon, rng) for v in values],
                         dtype=np.int64)
 
     def learn(self, choices, active, rates, jammed) -> None:
-        s_next = observe_jamming(jammed)
-        for u, table in enumerate(self.tables):
-            if active[u]:
-                table = q_update(table, self.state, int(choices[u]),
-                                 self.reward(u, choices, active, rates, jammed),
-                                 s_next)
-            self.tables[u] = decay_epsilon(table, self.params.epsilon_floor,
-                                           self.params.epsilon_decay)
+        sensed = observe_jamming(jammed)
+        s_next = self.q.shape[2] if sensed is None else sensed
+        p = self.params
+        q_update(self.q, np.flatnonzero(active), self.state, choices,
+                 self.reward(choices, active, rates, jammed), s_next,
+                 p.learning_rate, p.discount)
+        self.epsilon = max(p.epsilon_floor, self.epsilon * p.epsilon_decay)
         self.state = s_next
 
 
@@ -296,16 +264,16 @@ class BaselineUsers:
 class WindowLeader:
     """Window epsilon-greedy jammer: holds one channel for window_slots slots.
 
-    It is a single-state Q learner (discount 0) rewarded with minus the
-    window's mean total rate; its exploration decays once per window. `params`
-    is the run's LearningParams (learning_rate, epsilon_start, epsilon_floor,
-    leader_epsilon_decay, window_slots).
+    It is a single-state Q learner (discount 0) over an (M,) value vector,
+    rewarded with minus the window's mean total rate; its exploration decays
+    once per window. `params` is the run's LearningParams (learning_rate,
+    epsilon_start, epsilon_floor, leader_epsilon_decay, window_slots).
     """
 
     def __init__(self, num_channels: int, params):
         self.params = params
-        self.table = QTable(num_channels, learning_rate=params.learning_rate,
-                            discount=0.0, epsilon=params.epsilon_start)
+        self.values = np.zeros(num_channels)
+        self.epsilon = params.epsilon_start
         self.channel = 0
         self._slot_in_window = 0
         self._window_rate_sum = 0.0
@@ -313,23 +281,26 @@ class WindowLeader:
     def act(self, t: int, rng: np.random.Generator) -> frozenset:
         """This slot's jammed set; a new channel is drawn at each window start."""
         if self._slot_in_window == 0:
-            self.channel = epsilon_greedy(self.table, None, rng)
+            self.channel = epsilon_greedy(self.values, self.epsilon, rng)
         return frozenset({self.channel})
 
     def observe(self, choices, active, rates) -> None:
         """Add the slot's total rate; learn at the window boundary."""
         self._window_rate_sum += float(rates.sum())
         self._slot_in_window += 1
-        if self._slot_in_window >= self.params.window_slots:
-            reward = -self._window_rate_sum / self.params.window_slots
-            self.table = q_update(self.table, None, self.channel, reward, None)
-            self.table = decay_epsilon(self.table, self.params.epsilon_floor,
-                                       self.params.leader_epsilon_decay)
+        p = self.params
+        if self._slot_in_window >= p.window_slots:
+            reward = -self._window_rate_sum / p.window_slots
+            # the vector is the table of one learner with a single state
+            q_update(self.values[None, None], [0], 0, [self.channel], [reward],
+                     0, p.learning_rate, 0.0)
+            self.epsilon = max(p.epsilon_floor,
+                               self.epsilon * p.leader_epsilon_decay)
             self._slot_in_window = 0
             self._window_rate_sum = 0.0
 
     def greedy(self) -> int:
-        return self.table.greedy(None)
+        return int(np.argmax(self.values))
 
 
 class HierarchicalController:

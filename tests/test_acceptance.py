@@ -20,7 +20,7 @@ from antijam import GameSpec, enumerate_pure_nash, get_preset, load_config, ne_b
 from antijam.env import NodeGeometry, RadioParams
 from antijam.games import potential_value, run_best_response, user_utility
 from antijam.hypergraph import InterferenceHypergraph
-from antijam.learning import QTable, q_update, sla_update, uniform_strategy
+from antijam.learning import MixedStrategy, q_update, sla_update
 from antijam.metrics import mean_ci
 from antijam.runner import run_scenario
 
@@ -264,28 +264,32 @@ def test_c8_learning_state_invariants():
     """Mixed strategies stay on the simplex to within 1e-9 over 1e5 updates;
     Q values stay inside [0, r_max/(1-gamma)] under fuzzed update streams."""
     rng = np.random.default_rng(4242)
-    strategy = uniform_strategy(4)
+    one = np.zeros(1, dtype=np.int64)  # a single learner's index
+    strategy = MixedStrategy(np.full((1, 4), 0.25))
     worst_drift = 0.0
     for _ in range(10 ** 5):
         chosen = int(rng.integers(0, 4))
-        strategy = sla_update(strategy, chosen, float(rng.random()), 0.2)
-        probs = np.asarray(strategy.probs)
+        sla_update(strategy, one, [chosen], [float(rng.random())], 0.2)
+        probs = strategy.probs[0]
         worst_drift = max(worst_drift, abs(float(probs.sum()) - 1.0))
         assert probs.min() >= -1e-12
     print(f"simplex drift {worst_drift:.2e} over 1e5 updates")
     assert worst_drift <= 1e-9
 
-    states = [None, 0, 2]  # last sensed jammed channel, or none yet
+    states = [3, 0, 2]  # last sensed jammed channel, or none yet (3)
     for gamma in (0.0, 0.3, 0.7, 0.9):
         r_max = float(rng.uniform(0.5, 4.0))
         cap = r_max / (1.0 - gamma)
-        table = QTable(3, learning_rate=0.4, discount=gamma, epsilon=0.1)
+        table = np.zeros((1, 4, 3))
+        seen = np.zeros(table.shape, dtype=bool)
         for _ in range(3000):
             s = states[int(rng.integers(0, 3))]
             s2 = states[int(rng.integers(0, 3))]
             a = int(rng.integers(0, 3))
-            table = q_update(table, s, a, float(rng.uniform(0.0, r_max)), s2)
-        values = np.array(list(table.values.values()))
+            q_update(table, one, s, [a], [float(rng.uniform(0.0, r_max))], s2,
+                     learning_rate=0.4, discount=gamma)
+            seen[0, s, a] = True
+        values = table[seen]
         assert values.min() >= 0.0
         assert values.max() <= cap + 1e-9
 

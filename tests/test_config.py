@@ -14,7 +14,7 @@ from antijam import get_preset, load_config
 from antijam.cli import main
 from antijam.config import ALGORITHMS, SCENARIOS, load_config_file
 from antijam.errors import ConfigError
-from antijam.games import MAX_PROFILES
+from antijam.games import MAX_ORACLE_CELLS, oracle_cells
 from antijam.presets import preset_description, preset_names
 
 
@@ -252,16 +252,21 @@ def test_document_must_be_a_dict():
 
 
 def test_oversized_leader_game_rejected_at_load():
-    """The leader oracle enumerates M^N follower profiles per leader action,
-    so a stackelberg config past its cap must fail before any simulation."""
+    """The leader oracle values the N x M deviations of M^N follower profiles
+    per leader action, so a stackelberg config past its cap must fail before
+    any simulation."""
     doc = get_preset("fig3-stackelberg")
     del doc["geometry"]
     doc.update(num_users=6, num_channels=10)
-    assert 10 ** 6 == MAX_PROFILES
+    assert oracle_cells(6, 10) == MAX_ORACLE_CELLS == 6 * 10 ** 8
     load_config(doc)  # exactly at the cap
-    doc.update(num_users=8, num_channels=6)
-    with pytest.raises(ConfigError, match="cap"):
-        load_config(doc)
+    doc.update(num_users=6, num_channels=4)
+    load_config(doc)  # the benchmark's oracle instance
+    # wide games have few profiles but many deviations per profile
+    for users, channels in ((2, 1000), (3, 100), (5, 15), (9, 6)):
+        doc.update(num_users=users, num_channels=channels)
+        with pytest.raises(ConfigError, match="cap"):
+            load_config(doc)
     # a huge population is rejected at once, without computing M^N
     doc.update(num_users=10 ** 7, num_channels=3)
     started = time.time()

@@ -15,6 +15,7 @@ import pytest
 
 from antijam import (GameSpec, enumerate_pure_nash, load_config, ne_bounds,
                      stackelberg_solve)
+from antijam import games
 from antijam.env import NodeGeometry, RadioParams
 from antijam.errors import (ConfigError, InstanceTooLargeError,
                             UnsupportedOperationError)
@@ -187,11 +188,12 @@ def test_assignments_are_validated():
             best_response_lockstep(game, [bad], jammed, active)
 
 
-def test_enumeration_cap_enforced():
+def test_enumeration_cap_enforced(monkeypatch):
     rng = np.random.default_rng(5)
     game, jammed, active = random_hyper_game(rng, n_max=4, m_max=4)
+    monkeypatch.setattr(games, "MAX_ORACLE_CELLS", 1)
     with pytest.raises(InstanceTooLargeError):
-        enumerate_pure_nash(game, jammed, active, max_profiles=1)
+        enumerate_pure_nash(game, jammed, active)
 
 
 def test_stackelberg_symmetric_single_user():

@@ -1,0 +1,343 @@
+"""The array learners against their scalar reference.
+
+learning keeps every user's state in one array and steps all users at once.
+The per-user learners it replaced live here as the reference: a frozen
+QTable dict per user with a functional q_update, one MixedStrategy vector
+per user with a functional sla_update, per-user epsilon-greedy picks and
+decay, and the claiming pick walked in an explicit order. Driven from
+generators with the same seed, on random activity, rewards, jammed sets and
+exploration schedules, both must make the same choice on every slot, leave
+their generators in the same state, and hold bitwise-equal state.
+"""
+
+import dataclasses
+from dataclasses import dataclass, field
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from antijam.config import LearningParams
+from antijam.hypergraph import InterferenceHypergraph, marginal_interference
+from antijam.learning import (AutomataUsers, QUsers, WindowLeader,
+                              interference_reward, observe_jamming, rate_reward)
+
+# ---------------------------------------------------------------------------
+# the scalar reference
+
+
+@dataclass(frozen=True)
+class RefStrategy:
+    probs: np.ndarray
+
+    def sample(self, rng):
+        u = rng.random()
+        return int(np.searchsorted(np.cumsum(self.probs), u, side="right")
+                   .clip(0, self.probs.size - 1))
+
+
+def ref_sla_update(strategy, chosen, normalized_reward, step_size):
+    p = strategy.probs
+    scale = step_size * normalized_reward
+    new = p - scale * p
+    new[chosen] = p[chosen] + scale * (1.0 - p[chosen])
+    return RefStrategy(new)
+
+
+@dataclass(frozen=True)
+class QTable:
+    num_channels: int
+    learning_rate: float
+    discount: float
+    epsilon: float
+    values: dict = field(default_factory=dict)
+
+    def q(self, state, channel):
+        return self.values.get((state, channel), 0.0)
+
+    def action_values(self, state):
+        return np.array([self.q(state, c) for c in range(self.num_channels)])
+
+
+def ref_q_update(table, s, a, reward, s_next):
+    target = reward + table.discount * float(table.action_values(s_next).max())
+    values = dict(table.values)
+    values[(s, a)] = (1.0 - table.learning_rate) * table.q(s, a) \
+        + table.learning_rate * target
+    return dataclasses.replace(table, values=values)
+
+
+def ref_epsilon_greedy(table, s, rng):
+    if rng.random() < table.epsilon:
+        return int(rng.integers(table.num_channels))
+    return int(np.argmax(table.action_values(s)))
+
+
+def ref_decay(table, floor, decay):
+    return dataclasses.replace(table, epsilon=max(floor, table.epsilon * decay))
+
+
+def ref_collaborative(tables, s, order, rng):
+    m = tables[0].num_channels
+    choices = np.zeros(len(tables), dtype=np.int64)
+    claimed = set()
+    for n in order:
+        table = tables[n]
+        if rng.random() < table.epsilon:
+            pick = int(rng.integers(m))
+        else:
+            vals = table.action_values(s)
+            free = [c for c in range(m) if c not in claimed]
+            pool = free if free else range(m)
+            pick = min(pool, key=lambda c: (-vals[c], c))
+        choices[n] = pick
+        claimed.add(pick)
+    return choices
+
+
+def ref_rate_reward(r_max):
+    def reward(u, choices, active, rates, jammed):
+        return min(1.0, max(0.0, float(rates[u]) / r_max))
+    return reward
+
+
+def ref_interference_reward(hypergraph):
+    incident = [sum(1 for e in hypergraph.strong_edges if u in e)
+                + sum(1 for h in hypergraph.weak_hyperedges if u in h) + 1
+                for u in range(hypergraph.num_users)]
+    d_norm = float(max(incident))
+
+    def reward(u, choices, active, rates, jammed):
+        utility = -marginal_interference(hypergraph, u, choices, active, jammed)
+        return max(0.0, 1.0 + utility / d_norm)
+    return reward
+
+
+class RefAutomataUsers:
+    def __init__(self, num_users, num_channels, step_size, reward):
+        self.strategies = [RefStrategy(np.full(num_channels, 1.0 / num_channels))
+                           for _ in range(num_users)]
+        self.step_size = step_size
+        self.reward = reward
+
+    def select(self, rng):
+        return np.array([s.sample(rng) for s in self.strategies], dtype=np.int64)
+
+    def learn(self, choices, active, rates, jammed):
+        for u, strategy in enumerate(self.strategies):
+            if active[u]:
+                self.strategies[u] = ref_sla_update(
+                    strategy, int(choices[u]),
+                    self.reward(u, choices, active, rates, jammed), self.step_size)
+
+    def greedy(self):
+        return np.array([int(np.argmax(s.probs)) for s in self.strategies],
+                        dtype=np.int64)
+
+
+class RefQUsers:
+    def __init__(self, num_users, num_channels, params, reward, collaborative):
+        self.tables = [QTable(num_channels, params.learning_rate, params.discount,
+                              params.epsilon_start) for _ in range(num_users)]
+        self.params = params
+        self.reward = reward
+        self.collaborative = collaborative
+        self.state = None
+
+    def select(self, rng):
+        if self.collaborative:
+            return ref_collaborative(self.tables, self.state,
+                                     range(len(self.tables)), rng)
+        return np.array([ref_epsilon_greedy(t, self.state, rng)
+                         for t in self.tables], dtype=np.int64)
+
+    def learn(self, choices, active, rates, jammed):
+        s_next = observe_jamming(jammed)
+        for u, table in enumerate(self.tables):
+            if active[u]:
+                table = ref_q_update(table, self.state, int(choices[u]),
+                                     self.reward(u, choices, active, rates, jammed),
+                                     s_next)
+            self.tables[u] = ref_decay(table, self.params.epsilon_floor,
+                                       self.params.epsilon_decay)
+        self.state = s_next
+
+
+class RefWindowLeader:
+    def __init__(self, num_channels, params):
+        self.params = params
+        self.table = QTable(num_channels, params.learning_rate, 0.0,
+                            params.epsilon_start)
+        self.channel = 0
+        self._slot_in_window = 0
+        self._window_rate_sum = 0.0
+
+    def act(self, t, rng):
+        if self._slot_in_window == 0:
+            self.channel = ref_epsilon_greedy(self.table, None, rng)
+        return frozenset({self.channel})
+
+    def observe(self, choices, active, rates):
+        self._window_rate_sum += float(rates.sum())
+        self._slot_in_window += 1
+        if self._slot_in_window >= self.params.window_slots:
+            reward = -self._window_rate_sum / self.params.window_slots
+            self.table = ref_q_update(self.table, None, self.channel, reward, None)
+            self.table = ref_decay(self.table, self.params.epsilon_floor,
+                                   self.params.leader_epsilon_decay)
+            self._slot_in_window = 0
+            self._window_rate_sum = 0.0
+
+    def greedy(self):
+        return int(np.argmax(self.table.action_values(None)))
+
+
+def q_array(tables):
+    """The reference tables in the (N, M+1, M) layout, state M for None."""
+    m = tables[0].num_channels
+    states = list(range(m)) + [None]
+    return np.array([[t.action_values(s) for s in states] for t in tables])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# random drives
+
+
+@st.composite
+def schedules(draw):
+    """Sizes, exploration schedule and a seed for the drive's draws."""
+    start = draw(st.floats(0.0, 1.0))
+    return dict(
+        n=draw(st.integers(1, 6)),
+        m=draw(st.integers(1, 5)),
+        p_active=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+        params=LearningParams(
+            step_size=draw(st.floats(0.01, 0.99)),
+            learning_rate=draw(st.floats(0.01, 1.0)),
+            discount=draw(st.floats(0.0, 0.99)),
+            epsilon_start=start,
+            epsilon_floor=draw(st.floats(0.0, start)),
+            epsilon_decay=draw(st.floats(0.01, 1.0)),
+            window_slots=draw(st.integers(1, 4)),
+            leader_epsilon_decay=draw(st.floats(0.01, 1.0))),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+    )
+
+
+def slot_inputs(env, n, m, p_active):
+    """One slot's activity, rates, per-user rewards and jammed set."""
+    active = env.random(n) < p_active
+    rates = np.where(active, env.uniform(0.0, 3.0, size=n), 0.0)
+    rewards = env.random(n)
+    # some users get the reward range's end points exactly
+    rewards[env.random(n) < 0.2] = env.choice([0.0, 1.0])
+    jammed = frozenset(np.flatnonzero(env.random(m) < 0.4).tolist())
+    return active, rates, rewards, jammed
+
+
+def drive_users(new, ref, box, s, compare, slots=25):
+    """Run a rule and its reference on the same draws, comparing every slot."""
+    rng_new = np.random.default_rng(s["seed"])
+    rng_ref = np.random.default_rng(s["seed"])
+    env = np.random.default_rng(s["seed"] + 1)
+    for _ in range(slots):
+        choices = new.select(rng_new)
+        assert np.array_equal(choices, ref.select(rng_ref))
+        active, rates, box["rewards"], jammed = slot_inputs(
+            env, s["n"], s["m"], s["p_active"])
+        new.learn(choices, active, rates, jammed)
+        ref.learn(choices, active, rates, jammed)
+        compare()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@given(schedules())
+def test_automata_users_match_the_scalar_reference(s):
+    box = {}
+    new = AutomataUsers(s["n"], s["m"], s["params"].step_size,
+                        lambda choices, active, rates, jammed: box["rewards"])
+    ref = RefAutomataUsers(s["n"], s["m"], s["params"].step_size,
+                           lambda u, *_: float(box["rewards"][u]))
+
+    def compare():
+        assert same_bits(new.strategy.probs,
+                         np.stack([r.probs for r in ref.strategies]))
+        assert np.array_equal(new.greedy(), ref.greedy())
+    drive_users(new, ref, box, s, compare)
+
+
+@given(schedules(), st.booleans())
+def test_q_users_match_the_scalar_reference(s, collaborative):
+    box = {}
+    new = QUsers(s["n"], s["m"], s["params"],
+                 lambda choices, active, rates, jammed: box["rewards"],
+                 collaborative)
+    ref = RefQUsers(s["n"], s["m"], s["params"],
+                    lambda u, *_: float(box["rewards"][u]), collaborative)
+
+    def compare():
+        assert same_bits(new.q, q_array(ref.tables))
+        assert all(t.epsilon == new.epsilon for t in ref.tables)
+        assert (ref.state is None and new.state == s["m"]) \
+            or new.state == ref.state
+    drive_users(new, ref, box, s, compare)
+
+
+@given(schedules())
+def test_window_leader_matches_the_scalar_reference(s):
+    new = WindowLeader(s["m"], s["params"])
+    ref = RefWindowLeader(s["m"], s["params"])
+    rng_new = np.random.default_rng(s["seed"])
+    rng_ref = np.random.default_rng(s["seed"])
+    env = np.random.default_rng(s["seed"] + 1)
+    for t in range(30):
+        jammed = new.act(t, rng_new)
+        assert jammed == ref.act(t, rng_ref)
+        choices = env.integers(0, s["m"], size=s["n"])
+        active, rates, _, _ = slot_inputs(env, s["n"], s["m"], s["p_active"])
+        new.observe(choices, active, rates)
+        ref.observe(choices, active, rates)
+        assert same_bits(new.values, ref.table.action_values(None))
+        assert new.epsilon == ref.table.epsilon
+        assert new.greedy() == ref.greedy()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = []
+    if n >= 2:
+        pairs = draw(st.lists(st.sampled_from(
+            [(u, v) for u in range(n) for v in range(u + 1, n)]), max_size=4))
+    hyper = []
+    if n >= 3:
+        hyper = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3,
+                                      max_size=n).map(lambda h: tuple(sorted(h))),
+                              max_size=3))
+    threshold = draw(st.integers(2, 3))
+    return InterferenceHypergraph(num_users=n, strong_edges=tuple(set(pairs)),
+                                  weak_hyperedges=tuple(set(hyper)),
+                                  activation_threshold=threshold)
+
+
+@given(hypergraphs(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_reward_rules_match_the_scalar_reference(hg, m, seed):
+    env = np.random.default_rng(seed)
+    n = hg.num_users
+    r_max = float(env.uniform(0.5, 3.0))
+    for _ in range(10):
+        choices = env.integers(0, m, size=n)
+        active, rates, _, jammed = slot_inputs(env, n, m, 0.7)
+        rates[env.random(n) < 0.2] = 4.0          # above r_max, clipped to 1
+        for new, ref in ((rate_reward(r_max), ref_rate_reward(r_max)),
+                         (interference_reward(hg), ref_interference_reward(hg))):
+            got = new(choices, active, rates, jammed)
+            want = [ref(u, choices, active, rates, jammed)
+                    for u in np.flatnonzero(active)]
+            assert same_bits(got[active], want)

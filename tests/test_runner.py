@@ -278,7 +278,7 @@ def test_cli_runtime_errors_exit_3(tmp_path):
 
 
 def test_cli_rejects_oversized_leader_game_before_running(tmp_path):
-    doc = small_stackelberg(num_users=8, num_channels=6)
+    doc = small_stackelberg(num_users=2, num_channels=1000)
     del doc["geometry"]
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
@@ -289,6 +289,12 @@ def test_cli_rejects_oversized_leader_game_before_running(tmp_path):
     proc = run_cli("run", "--config", str(path), "--out", str(out))
     assert proc.returncode == 2
     assert not out.exists()
+    for users, channels in ((3, 100), (5, 15), (9, 6)):
+        path.write_text(json.dumps(dict(doc, num_users=users,
+                                        num_channels=channels)))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +340,25 @@ def test_package_exports_only_the_readme_api():
 # ---------------------------------------------------------------------------
 # pinned output digests
 
-REACTIVE_MIX = {"scenario": "markov", "name": "random-reactive", "num_users": 3,
-                "num_channels": 4, "active_probability": 0.8,
-                "jammers": [{"kind": "random"}, {"kind": "reactive"}]}
+def _partial_activity(preset, name, **overrides):
+    doc = get_preset(preset)
+    doc.update(name=name, **overrides)
+    return doc
+
+
+# Pinned runs that are not presets. Users are active with p < 1 in each, so
+# every learner's handling of inactive users is pinned too.
+CONFIG_CASES = {
+    "random-reactive": {"scenario": "markov", "name": "random-reactive",
+                        "num_users": 3, "num_channels": 4,
+                        "active_probability": 0.8,
+                        "jammers": [{"kind": "random"}, {"kind": "reactive"}]},
+    "fig5-random-p07": _partial_activity("fig5-hypergraph", "fig5-random-p07",
+                                         jammer={"kind": "random"},
+                                         active_probability=0.7),
+    "fig3-p08": _partial_activity("fig3-stackelberg", "fig3-p08",
+                                  active_probability=0.8),
+}
 
 # sha256 of (per_slot.csv, summary.csv, metadata.json) at --trials 2 --slots 200
 PINNED_DIGESTS = {
@@ -360,6 +382,14 @@ PINNED_DIGESTS = {
         "4ef50b0bdf15df4ae7253d0d139ee6aab6ef86f61540b39c60042876cc8363de",
         "61c283ac76882afcfab7ff805fca8549afd2989f3bb659e30d0088e12e53be4b",
         "d10e593156775fbeacb6edaf435f2813e3d2c69094d9843d6b1349df8d2468cf"),
+    "fig5-random-p07": (
+        "416963442030ca5fbc812455f68a11179d5d7e02e55c4419042b9f3115e954d7",
+        "02bd70e65d41ea304b0e707866b8e90cd2ac5e0caf6d09391ef3aa91ac646d31",
+        "757759b0704f6b25a56e9ce1c6ea40a613aa832e4f71c09d7b07f0866b2f7a68"),
+    "fig3-p08": (
+        "4de8fad2d91e22d5d6f9c11a417b0ec6055f90f60abc0875f375161155ae833d",
+        "932f1513f18e57684f9f4c29afbcb1c4bde2a6b1aabd608e0b7a6f9ea8343f87",
+        "f2c1715bd057c11e69aa33647c72217a102a4721ada1b91a60cad916a59a7ad1"),
 }
 
 
@@ -368,12 +398,13 @@ def test_run_outputs_match_pinned_digests(tmp_path):
     of one checkout: a refactor of the slot loop, the learners or the jammers
     must leave these digests unchanged. Stream layout v2 (ROADMAP item 2)
     changes the per-trial draws, so it re-pins them on purpose."""
-    mix = tmp_path / "random-reactive.json"
-    mix.write_text(json.dumps(REACTIVE_MIX))
     got = {}
     for name in PINNED_DIGESTS:
-        source = ["--config", str(mix)] if name == "random-reactive" \
-            else ["--preset", name]
+        source = ["--preset", name]
+        if name in CONFIG_CASES:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(CONFIG_CASES[name]))
+            source = ["--config", str(path)]
         out = tmp_path / name
         assert main(["run", *source, "--trials", "2", "--slots", "200",
                      "--out", str(out)]) == 0
