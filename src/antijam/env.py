@@ -71,6 +71,30 @@ class NodeGeometry:
         return self.jammers.shape[0]
 
 
+def jam_mask(jammed, num_channels: int) -> np.ndarray:
+    """The jammed channels as an (M,) bool mask.
+
+    A numpy array is taken to be a mask already and passes through once its
+    dtype and shape are checked; any other collection is a set of channel
+    indices, each an integer in range(num_channels), and becomes a mask.
+    """
+    if isinstance(jammed, np.ndarray):
+        if jammed.dtype != bool or jammed.shape != (num_channels,):
+            raise ConfigError(f"jammed channels: a mask must be a bool array of "
+                              f"shape ({num_channels},), got {jammed.dtype} "
+                              f"{jammed.shape}")
+        return jammed
+    mask = np.zeros(num_channels, dtype=bool)
+    for c in jammed:
+        # a bool is no channel index: a list of bools is a mask gone astray
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) \
+                or not 0 <= c < num_channels:
+            raise ConfigError(f"jammed channels: {c!r} is not a channel in "
+                              f"range({num_channels})")
+        mask[c] = True
+    return mask
+
+
 def link_gain(from_position, to_position, params: RadioParams) -> float:
     """Path-loss gain max(d, min_distance)^(-alpha) between two points."""
     d = math.dist(tuple(from_position), tuple(to_position))
@@ -109,7 +133,8 @@ class RateModel:
         """Per-user achievable rates for one slot.
 
         Inactive users radiate nothing and receive a rate of 0. A user hears
-        jamming power iff its own channel is in the jammed set.
+        jamming power iff its own channel is jammed; jammed_channels is a
+        channel set or an (M,) bool mask (see jam_mask).
         """
         p = self.params
         choices = np.asarray(choices, dtype=np.int64)
@@ -124,10 +149,7 @@ class RateModel:
         np.fill_diagonal(co, False)
         # interference[j] = sum over co-channel active transmitters m of p_tx * gain[m, j]
         interference = p.tx_power * np.einsum("mj,mj->j", co, self.gain)
-        if jammed_channels:
-            jammed = np.isin(choices, np.fromiter(jammed_channels, dtype=np.int64))
-        else:
-            jammed = np.zeros(n, dtype=bool)
+        jammed = jam_mask(jammed_channels, p.num_channels)[choices]
         denom = p.noise_floor + interference + np.where(jammed, self.jam_at_rx, 0.0)
         sinr = p.tx_power * self.own_gain / denom
         return np.where(active, np.log2(1.0 + sinr), 0.0)

@@ -14,6 +14,9 @@ every unilateral deviation of a block of profiles as a (K, N, M) tensor:
 enumeration walks the M^N profiles in lexicographic blocks, and best response
 sweeps many starts in lockstep. user_utility stays the scalar definition the
 kernel reproduces, bit for bit for rates and exactly for hypergraph counts.
+
+Every entry point takes the jammed channels as a channel set or an (M,) bool
+mask and checks them once, through env.jam_mask.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import NodeGeometry, RadioParams, RateModel
+from .env import NodeGeometry, RadioParams, RateModel, jam_mask
 from .errors import ConfigError, InstanceTooLargeError, UnsupportedOperationError
-from .hypergraph import (InterferenceHypergraph, marginal_interference,
+from .hypergraph import (InterferenceHypergraph, incidence, marginal_interference,
                          total_generalized_interference)
 
 KINDS = ("stackelberg", "hypergraph")
@@ -99,17 +102,25 @@ def _as_mask(active_mask, num_users: int) -> np.ndarray:
     return mask
 
 
+def _jammed_set(game: GameSpec, jammed_channels) -> frozenset:
+    """The jammed channels, checked by jam_mask, as the channel set the scalar
+    hypergraph counts read."""
+    mask = jam_mask(jammed_channels, game.num_channels)
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
 def user_utility(game: GameSpec, n: int, choices, jammed_channels=_NO_JAM,
                  active_mask=None) -> float:
     """Utility of user n at the joint assignment; 0 by convention if inactive."""
     choices = _as_choices(game, choices)
     active = _as_mask(active_mask, game.num_users)
+    jammed = _jammed_set(game, jammed_channels)
     if not active[n]:
         return 0.0
     if game.kind == "hypergraph":
         return -float(marginal_interference(game.hypergraph, n, choices, active,
-                                            jammed_channels))
-    rates = game.rate_model.rates(choices, jammed_channels, active)
+                                            jammed))
+    rates = game.rate_model.rates(choices, jammed, active)
     return float(rates[n])
 
 
@@ -121,8 +132,8 @@ def potential_value(game: GameSpec, choices, jammed_channels=_NO_JAM,
             f"potential_value: defined for hypergraph games, not {game.kind!r}")
     choices = _as_choices(game, choices)
     active = _as_mask(active_mask, game.num_users)
-    return -float(total_generalized_interference(game.hypergraph, choices, active,
-                                                 jammed_channels))
+    return -float(total_generalized_interference(
+        game.hypergraph, choices, active, _jammed_set(game, jammed_channels)))
 
 
 def lexicographic_profiles(num_users: int, num_channels: int, start: int,
@@ -153,22 +164,20 @@ def _deviation_utilities(game: GameSpec, profiles: np.ndarray, jammed_channels,
     over the other users' choices values every deviation at once.
     """
     m = game.num_channels
-    jam = np.array([c in jammed_channels for c in range(m)], dtype=bool)
+    jam = jam_mask(jammed_channels, m)
     if game.kind == "hypergraph":
         hg = game.hypergraph
+        adjacency, membership = incidence(hg)
+        thr = hg.activation_threshold
         on = (profiles[:, :, None] == np.arange(m)) & active[:, None]
         count = on.astype(np.int64)
-        neighbours = np.zeros((game.num_users, game.num_users), dtype=np.int64)
-        for u, v in hg.strong_edges:
-            neighbours[u, v] = neighbours[v, u] = 1
-        hits = neighbours @ count + jam
-        for edge in hg.weak_hyperedges:
-            members = np.zeros(game.num_users, dtype=bool)
-            members[list(edge)] = True
-            on_edge = count[:, list(edge), :].sum(axis=1)
-            # n fires the hyperedge on c when exactly thr - 1 others are there
-            others = on_edge[:, None, :] - count
-            hits += members[:, None] & (others == hg.activation_threshold - 1)
+        # on_edge[k, e, c]: active members of hyperedge e on channel c. n
+        # fires e on c when exactly thr - 1 others are there, so thr members
+        # counting n where it already is, thr - 1 where it would move to.
+        on_edge = membership.T @ count
+        fires = np.where(on, membership @ (on_edge == thr),
+                         membership @ (on_edge == thr - 1))
+        hits = adjacency @ count + jam + fires
         return np.where(active[:, None], -hits.astype(np.float64), 0.0)
     model, p = game.rate_model, game.params
     gain = model.gain.copy()
@@ -226,8 +235,8 @@ def enumerate_pure_nash(game: GameSpec, jammed_channels=_NO_JAM,
                         active_mask=None) -> list:
     """Every pure NE assignment, lexicographically ordered (exhaustive)."""
     active = _as_mask(active_mask, game.num_users)
-    return [profile for equilibria, _ in
-            _nash_blocks(game, jammed_channels, active)
+    jammed = jam_mask(jammed_channels, game.num_channels)
+    return [profile for equilibria, _ in _nash_blocks(game, jammed, active)
             for profile in equilibria]
 
 
@@ -252,8 +261,9 @@ def best_response_step(game: GameSpec, choices, n: int, jammed_channels=_NO_JAM,
     """Best response for user n with inertia; other users untouched."""
     new = _as_choices(game, choices).copy()
     active = _as_mask(active_mask, game.num_users)
+    jammed = jam_mask(jammed_channels, game.num_channels)
     if active[n]:
-        _respond(game, new[None], n, jammed_channels, active)
+        _respond(game, new[None], n, jammed, active)
     return new
 
 
@@ -267,6 +277,7 @@ def best_response_lockstep(game: GameSpec, starts, jammed_channels=_NO_JAM,
     """
     finals = _as_choices(game, starts, ndim=2).copy()
     active = _as_mask(active_mask, game.num_users)
+    jammed = jam_mask(jammed_channels, game.num_channels)
     converged = np.zeros(len(finals), dtype=bool)
     rounds = np.full(len(finals), max_rounds)
     step = _block_rows(game)
@@ -278,7 +289,7 @@ def best_response_lockstep(game: GameSpec, starts, jammed_channels=_NO_JAM,
             sweep = finals[live]
             changed = np.zeros(len(live), dtype=bool)
             for n in np.flatnonzero(active):
-                changed |= _respond(game, sweep, n, jammed_channels, active)
+                changed |= _respond(game, sweep, n, jammed, active)
             finals[live] = sweep
             converged[live[~changed]] = True
             rounds[live[~changed]] = r
@@ -335,7 +346,7 @@ def stackelberg_solve(game: GameSpec, active_mask=None) -> StackelbergSolution:
     audit = []
     best = None
     for channel in range(game.num_channels):
-        jam = frozenset({channel})
+        jam = np.arange(game.num_channels) == channel
         # a user's own utility is its rate, so a row sum is the profile's
         # total rate; the first maximum wins ties, as in lexicographic order
         top = None
@@ -355,7 +366,7 @@ def stackelberg_solve(game: GameSpec, active_mask=None) -> StackelbergSolution:
         raise RuntimeError(
             "stackelberg_solve: no leader action admits a pure follower equilibrium")
     channel, total, assignment = best
-    jam = frozenset({channel})
+    jam = np.arange(game.num_channels) == channel
     rates = game.rate_model.rates(assignment, jam, active)
     return StackelbergSolution(
         leader_channel=channel,

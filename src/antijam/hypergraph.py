@@ -103,6 +103,21 @@ def build_hypergraph(geometry: NodeGeometry, strong_radius: float, weak_radius: 
     )
 
 
+def incidence(hypergraph: InterferenceHypergraph) -> tuple:
+    """(adjacency, membership) as int64 0/1 arrays: adjacency[u, v] marks a
+    strong edge between u and v, membership[u, e] that u belongs to the e-th
+    weak hyperedge. Conflicts are counted from these, in the slot reward and
+    in the exact oracle alike."""
+    n = hypergraph.num_users
+    adjacency = np.zeros((n, n), dtype=np.int64)
+    for u, v in hypergraph.strong_edges:
+        adjacency[u, v] = adjacency[v, u] = 1
+    membership = np.zeros((n, len(hypergraph.weak_hyperedges)), dtype=np.int64)
+    for e, h in enumerate(hypergraph.weak_hyperedges):
+        membership[list(h), e] = 1
+    return adjacency, membership
+
+
 def total_generalized_interference(hypergraph: InterferenceHypergraph, choices,
                                    active_mask, jammed_channels) -> int:
     """Active strong edges + (hyperedge, channel) activations + jammed active users."""

@@ -2,8 +2,8 @@
 
 Each pattern emits one set of jammed channels per slot. ScriptedJammers is
 the jammer side of a markov or hypergraph run: it plays several patterns
-together, jams the union of their sets, and remembers what a reactive
-pattern can observe.
+together, jams the union of their sets as one (M,) bool channel mask, and
+remembers what a reactive pattern can observe.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def jammer_action(pattern: JammerPattern, t: int, num_channels: int,
 
 
 class ScriptedJammers:
-    """Scripted patterns as one slot-loop leader: act(t, rng) jams the union
+    """Scripted patterns as one slot-loop leader: act(t, rng) masks the union
     of the patterns' sets (drawing in pattern order), and observe keeps the
     channels of the users that transmitted, all a reactive pattern hears."""
 
@@ -84,10 +84,12 @@ class ScriptedJammers:
         self.num_channels = num_channels
         self.last_heard = None
 
-    def act(self, t: int, rng: np.random.Generator) -> frozenset:
-        return frozenset().union(
-            *(jammer_action(p, t, self.num_channels, self.last_heard, rng)
-              for p in self.patterns))
+    def act(self, t: int, rng: np.random.Generator) -> np.ndarray:
+        mask = np.zeros(self.num_channels, dtype=bool)
+        for p in self.patterns:
+            mask[list(jammer_action(p, t, self.num_channels, self.last_heard,
+                                    rng))] = True
+        return mask
 
     def observe(self, choices, active, rates) -> None:
         self.last_heard = choices[active]

@@ -4,8 +4,10 @@ controller that drives one slot of any algorithm.
 Every algorithm is a HierarchicalController(leader, followers): the leader is
 the jammer side (WindowLeader, or jammers.ScriptedJammers), the followers one
 users' rule (AutomataUsers, QUsers, BaselineUsers). Both act at the start of
-a slot and learn strictly after its rates are known. What a user remembers of
-the jammer is the channel it last sensed as jammed, or None.
+a slot and learn strictly after its rates are known. The leader hands the
+slot's jammed channels on as one (M,) bool mask, which the rate model, the
+reward rules and the users read. What a user remembers of the jammer is the
+channel it last sensed as jammed, or None.
 
 A rule keeps every user's state in one array and steps all the users that
 learn at once, in place: the automata's strategies are one (N, M) matrix and
@@ -19,15 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .hypergraph import marginal_interference
+from .hypergraph import incidence
 
 
-def observe_jamming(jammed_channels) -> int | None:
-    """Sensing result for one slot; multi-channel jammers report the lowest
-    jammed index so the state stays a single channel."""
-    if jammed_channels:
-        return min(int(c) for c in jammed_channels)
-    return None
+def observe_jamming(jammed: np.ndarray) -> int | None:
+    """Sensing result for one slot's (M,) jam mask; multi-channel jammers
+    report the lowest jammed index so the state stays a single channel."""
+    return int(jammed.argmax()) if jammed.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def baseline_action(kind: str, s: int | None, num_channels: int,
 
 # ---------------------------------------------------------------------------
 # reward rules: reward(choices, active, rates, jammed) -> one value in [0, 1]
-# per user (only the active users' values are read)
+# per user (only the active users' values are read); jammed is the jam mask
 
 def rate_reward(r_max: float):
     """Each user's rate as a fraction of r_max, clipped to [0, 1]."""
@@ -163,17 +163,25 @@ def rate_reward(r_max: float):
 def interference_reward(hypergraph):
     """Minus each user's marginal generalized interference, mapped from
     [-D, 0] onto [0, 1]; D is the worst-case marginal contribution of any
-    single user (its incident edges plus the jammer)."""
-    incident = [sum(1 for e in hypergraph.strong_edges if u in e)
-                + sum(1 for h in hypergraph.weak_hyperedges if u in h) + 1
-                for u in range(hypergraph.num_users)]
-    d_norm = float(max(incident))
+    single user (its incident edges plus the jammer).
+
+    All users are counted at once, in integers: an active user u hits each
+    strong neighbour active on its channel, each of its hyperedges with
+    exactly the threshold of active members (u included) on that channel,
+    and the jammer if its channel is jammed. That is exactly the scalar
+    marginal_interference of every user.
+    """
+    adjacency, membership = incidence(hypergraph)
+    thr = hypergraph.activation_threshold
+    d_norm = float((adjacency.sum(axis=1) + membership.sum(axis=1)).max() + 1)
 
     def reward(choices, active, rates, jammed):
-        hits = np.zeros(hypergraph.num_users)
-        for u in np.flatnonzero(active).tolist():
-            hits[u] = marginal_interference(hypergraph, u, choices, active, jammed)
-        return np.maximum(0.0, 1.0 - hits / d_norm)
+        # same[u, v]: v is active on u's channel
+        same = (choices[:, None] == choices) & active
+        on_edge = same @ membership
+        hits = ((adjacency * same).sum(axis=1)
+                + ((on_edge == thr) * membership).sum(axis=1) + jammed[choices])
+        return np.maximum(0.0, 1.0 - np.where(active, hits, 0) / d_norm)
     return reward
 
 
@@ -278,11 +286,14 @@ class WindowLeader:
         self._slot_in_window = 0
         self._window_rate_sum = 0.0
 
-    def act(self, t: int, rng: np.random.Generator) -> frozenset:
-        """This slot's jammed set; a new channel is drawn at each window start."""
+    def act(self, t: int, rng: np.random.Generator) -> np.ndarray:
+        """This slot's one-hot jam mask; a new channel is drawn at each
+        window start."""
         if self._slot_in_window == 0:
             self.channel = epsilon_greedy(self.values, self.epsilon, rng)
-        return frozenset({self.channel})
+        mask = np.zeros(len(self.values), dtype=bool)
+        mask[self.channel] = True
+        return mask
 
     def observe(self, choices, active, rates) -> None:
         """Add the slot's total rate; learn at the window boundary."""
@@ -308,19 +319,20 @@ class HierarchicalController:
 
     The leader (the jammer side) moves first, then the followers pick their
     channels; once the slot's rates are known the followers learn and the
-    leader observes. A leader offers act(t, rng) -> frozenset of jammed
-    channels and observe(choices, active, rates); followers offer
-    select(rng) -> channels and learn(choices, active, rates, jammed).
+    leader observes. A leader offers act(t, rng) -> (M,) bool mask of the
+    jammed channels and observe(choices, active, rates); followers offer
+    select(rng) -> channels and learn(choices, active, rates, jammed), where
+    jammed is that mask.
     """
 
     def __init__(self, leader, followers):
         self.leader = leader
         self.followers = followers
-        self._jammed = frozenset()
+        self._jammed = None
         self._choices = None
 
     def begin_slot(self, t: int, rng: np.random.Generator):
-        """This slot's jammed channel set and every user's channel."""
+        """This slot's jam mask and every user's channel."""
         self._jammed = self.leader.act(t, rng)
         self._choices = self.followers.select(rng)
         return self._jammed, self._choices

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .env import jam_mask
 from .errors import ConfigError
 from .games import GameSpec, best_response_lockstep, lexicographic_profiles
 
@@ -60,19 +61,20 @@ def ne_bounds(game: GameSpec, jammed_channels=_NO_JAM, active_mask=None,
     n, m = game.num_users, game.num_channels
     active = np.ones(n, dtype=bool) if active_mask is None \
         else np.asarray(active_mask, dtype=bool)
+    jammed = jam_mask(jammed_channels, m)
     starts = []
     if m ** n <= num_trials:
         grid = lexicographic_profiles(n, m, 0, m ** n)
         starts.extend(grid[rng.permutation(len(grid))])
     while len(starts) < num_trials:
         starts.append(rng.integers(0, m, size=n))
-    finals, converged, _ = best_response_lockstep(game, starts, jammed_channels,
-                                                  active, max_rounds)
+    finals, converged, _ = best_response_lockstep(game, starts, jammed, active,
+                                                  max_rounds)
     failed = int(num_trials - converged.sum())
     if failed == num_trials:
         raise RuntimeError("ne_bounds: no best-response trial converged")
     # many starts land on the same equilibrium; value each one once
-    values = [float(game.rate_model.rates(final, jammed_channels, active).sum())
+    values = [float(game.rate_model.rates(final, jammed, active).sum())
               for final in {tuple(f) for f in finals[converged].tolist()}]
     return NeBounds(best=max(values), worst=min(values),
                     num_converged=num_trials - failed, num_failed=failed)

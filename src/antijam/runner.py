@@ -8,7 +8,8 @@ run is byte-deterministic.
 Every algorithm runs through the one slot loop in simulate_trial: a
 HierarchicalController pairs the jammer side (WindowLeader in stackelberg,
 ScriptedJammers otherwise) with the users' rule, and each slot draws the
-jammer, then the users' channels, then their activity.
+jammer, then the users' channels, then their activity. The jammed channels
+travel through the slot as one (M,) bool mask.
 """
 
 from __future__ import annotations
@@ -55,14 +56,10 @@ def _fmt(value: float) -> str:
 
 
 def _slot_metrics(choices, jammed, active, rates, r_max: float) -> tuple:
-    jammed_hit = 0.0
-    if jammed:
-        jam = np.fromiter(jammed, dtype=np.int64)
-        jammed_hit = float(np.isin(choices[active], jam).any())
     return (network_rate(rates, active, "sum"),
             network_rate(rates, active, "mean-active"),
             normalized_capacity(rates, active, r_max),
-            jammed_hit)
+            float(jammed[choices[active]].any()))
 
 
 # ---------------------------------------------------------------------------

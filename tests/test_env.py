@@ -7,11 +7,14 @@ gain/interference/jamming pipeline and not just internal consistency.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from antijam import jammers, load_config
-from antijam.env import (NodeGeometry, RadioParams, RateModel, link_gain,
-                         max_single_user_rate)
+from antijam import jammers, load_config, ne_bounds
+from antijam.env import (NodeGeometry, RadioParams, RateModel, jam_mask,
+                         link_gain, max_single_user_rate)
 from antijam.errors import ConfigError
+from antijam.games import GameSpec, is_pure_nash
 from antijam.jammers import jammer_action
 from antijam.runner import simulate_trial, trial_generator
 
@@ -35,7 +38,7 @@ def tiny_markov(**overrides):
 
 def record_slots(doc):
     """Run one trial of doc's first algorithm and return what the runner
-    handed the rate model each slot: (choices, jammed set, active mask, rates)."""
+    handed the rate model each slot: (choices, jam mask, active mask, rates)."""
     config = load_config(doc)
     model = RateModel(config.build_geometry(), config.radio)
     rates_fn = model.rates
@@ -180,7 +183,8 @@ def test_multiple_jammers_union():
                       jammers=[{"kind": "fixed", "fixed_channel": 0},
                                {"kind": "fixed", "fixed_channel": 1}],
                       geometry={"jammer_positions": [[1.0, 1.0], [-2.0, 0.5]]})
-    assert all(jammed == frozenset({0, 1}) for _, jammed, _, _ in record_slots(doc))
+    assert all(jammed.tolist() == [True, True, False]
+               for _, jammed, _, _ in record_slots(doc))
     # a jammed receiver hears the power of every jammer
     config = load_config(doc)
     model = RateModel(config.build_geometry(), config.radio)
@@ -193,6 +197,54 @@ def test_multiple_jammers_union():
     doc["geometry"] = {"jammer_positions": [[1.0, 1.0]]}
     with pytest.raises(ConfigError):
         load_config(doc)
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.data())
+def test_rates_read_a_channel_set_and_its_mask_alike(n, m, data):
+    """The slot loop hands rates a jam mask, the oracle often a channel set:
+    both must give bitwise the same rates, empty and multi-channel sets too."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    geo = NodeGeometry(user_pairs=rng.uniform(-5, 5, size=(n, 2, 2)),
+                       jammer_positions=rng.uniform(-5, 5, size=(2, 2)))
+    model = RateModel(geo, RadioParams(num_channels=m, jam_power=3.0))
+    choices = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n,
+                                          max_size=n)))
+    active = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    jammed = data.draw(st.frozensets(st.integers(0, m - 1)))
+    mask = jam_mask(jammed, m)
+    assert mask.dtype == bool and mask.shape == (m,)
+    assert set(np.flatnonzero(mask).tolist()) == jammed
+    assert jam_mask(mask, m) is mask
+    assert model.rates(choices, jammed, active).tobytes() \
+        == model.rates(choices, mask, active).tobytes()
+
+
+@pytest.mark.parametrize("jammed", [
+    {0.5}, {7}, {-4}, [True, False, False, False],
+    np.zeros(3, dtype=bool), np.zeros((1, 4), dtype=bool), np.zeros(4, dtype=int)],
+    ids=["fraction", "past-the-end", "negative", "bool-list", "short-mask",
+         "2d-mask", "int-mask"])
+def test_jammed_channels_are_validated_at_the_boundary(jammed):
+    """A jammed entry that is not a channel, or a mask of the wrong shape or
+    dtype, is refused alike by the slot model and the oracles; none of them
+    may read {0.5} as channel 0 or skip {7}."""
+    geo, _ = two_user_setup()
+    game = GameSpec("stackelberg", geo, RadioParams(num_channels=4))
+    choices, on = np.array([0, 1]), np.array([True, True])
+    with pytest.raises(ConfigError):
+        game.rate_model.rates(choices, jammed, on)
+    with pytest.raises(ConfigError):
+        is_pure_nash(game, choices, jammed)
+    with pytest.raises(ConfigError):
+        ne_bounds(game, jammed, num_trials=4)
+
+
+def test_numpy_integer_channels_are_accepted():
+    geo, _ = two_user_setup()
+    model = RateModel(geo, RadioParams(num_channels=4))
+    choices, on = np.array([0, 1]), np.array([True, True])
+    assert model.rates(choices, {np.int64(0)}, on).tobytes() \
+        == model.rates(choices, {0}, on).tobytes()
 
 
 @pytest.mark.parametrize("scenario", ["markov", "hypergraph"])

@@ -5,9 +5,13 @@ The per-user learners it replaced live here as the reference: a frozen
 QTable dict per user with a functional q_update, one MixedStrategy vector
 per user with a functional sla_update, per-user epsilon-greedy picks and
 decay, and the claiming pick walked in an explicit order. Driven from
-generators with the same seed, on random activity, rewards, jammed sets and
-exploration schedules, both must make the same choice on every slot, leave
-their generators in the same state, and hold bitwise-equal state.
+generators with the same seed, on random activity, rewards, jammed channels
+and exploration schedules, both must make the same choice on every slot,
+leave their generators in the same state, and hold bitwise-equal state.
+
+The library hands the jammed channels on as an (M,) bool mask; the reference
+reads them as a channel set, and the hypergraph reward as one scalar
+marginal_interference per user.
 """
 
 import dataclasses
@@ -24,6 +28,11 @@ from antijam.learning import (AutomataUsers, QUsers, WindowLeader,
 
 # ---------------------------------------------------------------------------
 # the scalar reference
+
+
+def channels(mask):
+    """The channel set of a jam mask."""
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,8 @@ def ref_interference_reward(hypergraph):
     d_norm = float(max(incident))
 
     def reward(u, choices, active, rates, jammed):
-        utility = -marginal_interference(hypergraph, u, choices, active, jammed)
+        utility = -marginal_interference(hypergraph, u, choices, active,
+                                         channels(jammed))
         return max(0.0, 1.0 + utility / d_norm)
     return reward
 
@@ -152,7 +162,7 @@ class RefQUsers:
                          for t in self.tables], dtype=np.int64)
 
     def learn(self, choices, active, rates, jammed):
-        s_next = observe_jamming(jammed)
+        s_next = min(channels(jammed), default=None)
         for u, table in enumerate(self.tables):
             if active[u]:
                 table = ref_q_update(table, self.state, int(choices[u]),
@@ -230,13 +240,13 @@ def schedules(draw):
 
 
 def slot_inputs(env, n, m, p_active):
-    """One slot's activity, rates, per-user rewards and jammed set."""
+    """One slot's activity, rates, per-user rewards and jam mask."""
     active = env.random(n) < p_active
     rates = np.where(active, env.uniform(0.0, 3.0, size=n), 0.0)
     rewards = env.random(n)
     # some users get the reward range's end points exactly
     rewards[env.random(n) < 0.2] = env.choice([0.0, 1.0])
-    jammed = frozenset(np.flatnonzero(env.random(m) < 0.4).tolist())
+    jammed = env.random(m) < 0.4
     return active, rates, rewards, jammed
 
 
@@ -297,7 +307,8 @@ def test_window_leader_matches_the_scalar_reference(s):
     env = np.random.default_rng(s["seed"] + 1)
     for t in range(30):
         jammed = new.act(t, rng_new)
-        assert jammed == ref.act(t, rng_ref)
+        assert jammed.dtype == bool and jammed.shape == (s["m"],)
+        assert channels(jammed) == ref.act(t, rng_ref)
         choices = env.integers(0, s["m"], size=s["n"])
         active, rates, _, _ = slot_inputs(env, s["n"], s["m"], s["p_active"])
         new.observe(choices, active, rates)
@@ -310,34 +321,46 @@ def test_window_leader_matches_the_scalar_reference(s):
 
 @st.composite
 def hypergraphs(draw):
+    """Up to 6 users, thresholds 1-4, with or without weak hyperedges."""
     n = draw(st.integers(1, 6))
+    threshold = draw(st.integers(1, 4))
     pairs = []
     if n >= 2:
         pairs = draw(st.lists(st.sampled_from(
             [(u, v) for u in range(n) for v in range(u + 1, n)]), max_size=4))
     hyper = []
-    if n >= 3:
-        hyper = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3,
+    size = max(3, threshold)
+    if n >= size and draw(st.booleans()):
+        hyper = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=size,
                                       max_size=n).map(lambda h: tuple(sorted(h))),
-                              max_size=3))
-    threshold = draw(st.integers(2, 3))
+                              min_size=1, max_size=3))
     return InterferenceHypergraph(num_users=n, strong_edges=tuple(set(pairs)),
                                   weak_hyperedges=tuple(set(hyper)),
                                   activation_threshold=threshold)
 
 
-@given(hypergraphs(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
-def test_reward_rules_match_the_scalar_reference(hg, m, seed):
+@given(hypergraphs(), st.integers(1, 5), st.sampled_from([0.3, 0.7, 1.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_reward_rules_match_the_scalar_reference(hg, m, p_active, seed):
+    """Every user's reward, silent users' included, on jam masks that may
+    be empty or cover several channels."""
     env = np.random.default_rng(seed)
     n = hg.num_users
     r_max = float(env.uniform(0.5, 3.0))
     for _ in range(10):
-        choices = env.integers(0, m, size=n)
-        active, rates, _, jammed = slot_inputs(env, n, m, 0.7)
+        # few channels, so users crowd onto one and fire the hyperedges
+        choices = env.integers(0, min(m, 2), size=n) if env.random() < 0.5 \
+            else env.integers(0, m, size=n)
+        active, rates, _, jammed = slot_inputs(env, n, m, p_active)
         rates[env.random(n) < 0.2] = 4.0          # above r_max, clipped to 1
         for new, ref in ((rate_reward(r_max), ref_rate_reward(r_max)),
                          (interference_reward(hg), ref_interference_reward(hg))):
             got = new(choices, active, rates, jammed)
-            want = [ref(u, choices, active, rates, jammed)
-                    for u in np.flatnonzero(active)]
-            assert same_bits(got[active], want)
+            want = [ref(u, choices, active, rates, jammed) for u in range(n)]
+            assert same_bits(got, want)
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=5))
+def test_observe_jamming_reads_the_lowest_masked_channel(bits):
+    mask = np.array(bits)
+    assert observe_jamming(mask) == min(channels(mask), default=None)

@@ -358,6 +358,10 @@ CONFIG_CASES = {
                                          active_probability=0.7),
     "fig3-p08": _partial_activity("fig3-stackelberg", "fig3-p08",
                                   active_probability=0.8),
+    "fig5-comb-p07": _partial_activity("fig5-hypergraph", "fig5-comb-p07",
+                                       jammer={"kind": "comb",
+                                               "comb_set": [0, 2]},
+                                       active_probability=0.7),
 }
 
 # sha256 of (per_slot.csv, summary.csv, metadata.json) at --trials 2 --slots 200
@@ -390,6 +394,10 @@ PINNED_DIGESTS = {
         "4de8fad2d91e22d5d6f9c11a417b0ec6055f90f60abc0875f375161155ae833d",
         "932f1513f18e57684f9f4c29afbcb1c4bde2a6b1aabd608e0b7a6f9ea8343f87",
         "f2c1715bd057c11e69aa33647c72217a102a4721ada1b91a60cad916a59a7ad1"),
+    "fig5-comb-p07": (
+        "57b8ccf42d2b7e903399bd101ffade1bf61e64bef5bacb529c5a59f6777a69a0",
+        "0f3166753ab970789a06eaf7442ee46889b8a49f63ca688c24313a0623791a7a",
+        "404082645b9cf1f7d01cfb534926c7b156402350c5a2f8fe6a919515b3dfa1ad"),
 }
 
 
