@@ -95,6 +95,11 @@ def jam_mask(jammed, num_channels: int) -> np.ndarray:
     return mask
 
 
+def uniform_channels(u, num_channels: int):
+    """The channel each uniform u in [0, 1) picks: min(int(u*M), M-1)."""
+    return np.minimum((np.asarray(u) * num_channels).astype(np.int64), num_channels - 1)
+
+
 def link_gain(from_position, to_position, params: RadioParams) -> float:
     """Path-loss gain max(d, min_distance)^(-alpha) between two points."""
     d = math.dist(tuple(from_position), tuple(to_position))

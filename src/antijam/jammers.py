@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+from .env import uniform_channels
 from .errors import ConfigError
 
 KINDS = ("fixed", "random", "sweep", "comb", "reactive")
+_DRAWING_KINDS = ("random", "reactive")
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,14 @@ class JammerPattern:
 
 
 def jammer_action(pattern: JammerPattern, t: int, num_channels: int,
-                  last_assignment=None, rng: Optional[np.random.Generator] = None) -> frozenset:
+                  last_assignment=None, u: float | None = None) -> frozenset:
     """Channel set jammed at slot t.
 
-    The reactive kind jams the channel most used in last_assignment, the
-    channels of the users that transmitted in the previous slot (lowest index
-    on ties). It falls back to a random channel when it heard nobody: in the
-    first slot, or after a slot in which every user was silent.
+    The random kind jams the uniform u's channel. The reactive kind jams the
+    channel most used in last_assignment, the channels of the users that
+    transmitted in the previous slot (lowest index on ties). It falls back to
+    u's channel when it heard nobody: in the first slot, or after a slot in
+    which every user was silent.
     """
     if t < 0:
         raise ConfigError("jammer_action: t must be >= 0")
@@ -60,35 +62,35 @@ def jammer_action(pattern: JammerPattern, t: int, num_channels: int,
         return frozenset(pattern.comb_set)
     if pattern.kind == "sweep":
         return frozenset({(pattern.start_channel + t // pattern.dwell) % num_channels})
-    if pattern.kind == "random":
-        if rng is None:
-            raise ConfigError("jammer_action: random kind needs an rng")
-        return frozenset({int(rng.integers(num_channels))})
-    # reactive
-    if last_assignment is None or len(last_assignment) == 0:
-        if rng is None:
-            raise ConfigError("jammer_action: reactive kind needs an rng for its fallback")
-        return frozenset({int(rng.integers(num_channels))})
-    counts = Counter(int(c) for c in last_assignment)
-    best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    return frozenset({best[0]})
+    if pattern.kind == "reactive" and last_assignment is not None and len(last_assignment):
+        counts = Counter(int(c) for c in last_assignment)
+        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
+        return frozenset({best[0]})
+    # random, or reactive with nobody heard
+    if u is None:
+        raise ConfigError(f"jammer_action: {pattern.kind} kind needs a uniform draw")
+    return frozenset({int(uniform_channels(u, num_channels))})
 
 
 class ScriptedJammers:
     """Scripted patterns as one slot-loop leader: act(t, rng) masks the union
-    of the patterns' sets (drawing in pattern order), and observe keeps the
-    channels of the users that transmitted, all a reactive pattern hears."""
+    of the patterns' sets, drawing one uniform for each random or reactive
+    pattern every slot, read or not, and observe keeps the channels of the
+    users that transmitted, all a reactive pattern hears."""
 
     def __init__(self, patterns, num_channels: int):
         self.patterns = tuple(patterns)
         self.num_channels = num_channels
         self.last_heard = None
+        self._draws = sum(p.kind in _DRAWING_KINDS for p in self.patterns)
 
     def act(self, t: int, rng: np.random.Generator) -> np.ndarray:
         mask = np.zeros(self.num_channels, dtype=bool)
+        draws = iter(rng.random(self._draws))
         for p in self.patterns:
+            u = next(draws) if p.kind in _DRAWING_KINDS else None
             mask[list(jammer_action(p, t, self.num_channels, self.last_heard,
-                                    rng))] = True
+                                    u))] = True
         return mask
 
     def observe(self, choices, active, rates) -> None:

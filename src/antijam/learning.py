@@ -12,14 +12,16 @@ channel it last sensed as jammed, or None.
 A rule keeps every user's state in one array and steps all the users that
 learn at once, in place: the automata's strategies are one (N, M) matrix and
 the Q values one (N, M+1, M) array. Exploration decays alike for everyone, so
-it is one epsilon per rule. Only the epsilon-greedy and claiming picks still
-go user by user, since whether a user draws a channel depends on its own coin.
+it is one epsilon per rule. Stream layout v2: every pick draws a fixed row of
+uniforms whatever the state, leaving unread what the state does not need, and
+env.uniform_channels maps them to channels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .env import uniform_channels
 from .errors import ConfigError
 from .hypergraph import incidence
 
@@ -101,11 +103,12 @@ def q_update(q: np.ndarray, users, s: int, actions, rewards, s_next: int,
 
 
 def epsilon_greedy(values: np.ndarray, epsilon: float,
-                   rng: np.random.Generator) -> int:
-    """A uniform channel with probability epsilon, else the first best one."""
-    if rng.random() < epsilon:
-        return int(rng.integers(len(values)))
-    return int(np.argmax(values))
+                   rng: np.random.Generator) -> np.ndarray:
+    """One pick per row of values from a coin and a channel draw per row: a
+    uniform channel where the coin is below epsilon, else the first best."""
+    coins, draws = rng.random((2, len(values)))
+    return np.where(coins < epsilon, uniform_channels(draws, values.shape[1]),
+                    values.argmax(axis=1))
 
 
 def collaborative_joint_selection(values: np.ndarray, epsilon: float,
@@ -117,14 +120,17 @@ def collaborative_joint_selection(values: np.ndarray, epsilon: float,
     explorer or not, announces its claim, and each non-explorer takes its
     argmax among the channels still unclaimed (falling back to the
     unrestricted argmax once every channel is claimed). Ties go to the
-    lowest index.
+    lowest index. The coins and channels are drawn up front, as in
+    epsilon_greedy.
     """
     num_users, m = values.shape
+    coins, draws = rng.random((2, num_users))
+    explore = uniform_channels(draws, m)
     choices = np.zeros(num_users, dtype=np.int64)
     claimed = np.zeros(m, dtype=bool)
     for n in range(num_users):
-        if rng.random() < epsilon:
-            pick = int(rng.integers(m))
+        if coins[n] < epsilon:
+            pick = explore[n]
         elif claimed.all():
             pick = int(np.argmax(values[n]))
         else:
@@ -134,19 +140,19 @@ def collaborative_joint_selection(values: np.ndarray, epsilon: float,
     return choices
 
 
-def baseline_action(kind: str, s: int | None, num_channels: int,
-                    rng: np.random.Generator) -> int:
-    """Non-learning picks: uniform, or uniform avoiding the last sensed jam."""
+def baseline_action(kind: str, s: int | None, num_users: int,
+                    num_channels: int, rng: np.random.Generator) -> np.ndarray:
+    """Non-learning picks from one uniform per user: uniform ("random"), or
+    uniform avoiding the last sensed jammed channel s, if any ("sensing")."""
     if num_channels < 1:
         raise ConfigError("baseline_action: num_channels must be >= 1")
-    if kind == "random":
-        return int(rng.integers(num_channels))
-    if kind == "sensing":
-        if s is None or num_channels == 1:
-            return int(rng.integers(num_channels))
-        pick = int(rng.integers(num_channels - 1))
-        return pick if pick < s else pick + 1
-    raise ConfigError(f"baseline_action: unknown kind {kind!r}")
+    if kind not in ("random", "sensing"):
+        raise ConfigError(f"baseline_action: unknown kind {kind!r}")
+    u = rng.random(num_users)
+    if kind == "random" or s is None or num_channels == 1:
+        return uniform_channels(u, num_channels)
+    pick = uniform_channels(u, num_channels - 1)
+    return pick + (pick >= s)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +233,9 @@ class QUsers:
         self.state = num_channels
 
     def select(self, rng: np.random.Generator) -> np.ndarray:
-        values = self.q[:, self.state]
-        if self.collaborative:
-            return collaborative_joint_selection(values, self.epsilon, rng)
-        return np.array([epsilon_greedy(v, self.epsilon, rng) for v in values],
-                        dtype=np.int64)
+        pick = collaborative_joint_selection if self.collaborative \
+            else epsilon_greedy
+        return pick(self.q[:, self.state], self.epsilon, rng)
 
     def learn(self, choices, active, rates, jammed) -> None:
         sensed = observe_jamming(jammed)
@@ -245,10 +249,8 @@ class QUsers:
 
 
 class BaselineUsers:
-    """Non-learning users. The markov baselines ("random", "sensing") draw one
-    baseline_action per user and remember the last sensed jammed channel;
-    "uniform" draws the whole channel vector at once. The two uniform forms
-    consume the generator differently, so both are kept."""
+    """Non-learning users ("random" or "sensing"): baseline_action for all of
+    them, remembering the last sensed jammed channel."""
 
     def __init__(self, kind: str, num_users: int, num_channels: int):
         self.kind = kind
@@ -257,10 +259,8 @@ class BaselineUsers:
         self.state = None
 
     def select(self, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "uniform":
-            return rng.integers(0, self.num_channels, size=self.num_users)
-        return np.array([baseline_action(self.kind, self.state, self.num_channels, rng)
-                         for _ in range(self.num_users)], dtype=np.int64)
+        return baseline_action(self.kind, self.state, self.num_users,
+                               self.num_channels, rng)
 
     def learn(self, choices, active, rates, jammed) -> None:
         self.state = observe_jamming(jammed)
@@ -287,10 +287,11 @@ class WindowLeader:
         self._window_rate_sum = 0.0
 
     def act(self, t: int, rng: np.random.Generator) -> np.ndarray:
-        """This slot's one-hot jam mask; a new channel is drawn at each
-        window start."""
+        """This slot's one-hot jam mask. Every slot draws a coin and a
+        channel; only a window start reads them."""
+        pick = epsilon_greedy(self.values[None], self.epsilon, rng)
         if self._slot_in_window == 0:
-            self.channel = epsilon_greedy(self.values, self.epsilon, rng)
+            self.channel = int(pick[0])
         mask = np.zeros(len(self.values), dtype=bool)
         mask[self.channel] = True
         return mask

@@ -13,15 +13,9 @@ from .games import GameSpec, best_response_lockstep, lexicographic_profiles
 _NO_JAM = frozenset()
 
 
-def network_rate(rates, active, mode: str = "sum") -> float:
-    """Sum of active users' rates, or that sum over the active count."""
-    total = float(rates[active].sum())
-    if mode == "sum":
-        return total
-    if mode == "mean-active":
-        count = int(active.sum())
-        return total / count if count else 0.0
-    raise ConfigError(f"network_rate: unknown mode {mode!r}")
+def network_rate(rates, active) -> float:
+    """Sum of the active users' rates."""
+    return float(rates[active].sum())
 
 
 def normalized_capacity(rates, active, r_max: float) -> float:

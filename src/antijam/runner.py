@@ -7,9 +7,9 @@ run is byte-deterministic.
 
 Every algorithm runs through the one slot loop in simulate_trial: a
 HierarchicalController pairs the jammer side (WindowLeader in stackelberg,
-ScriptedJammers otherwise) with the users' rule, and each slot draws the
-jammer, then the users' channels, then their activity. The jammed channels
-travel through the slot as one (M,) bool mask.
+ScriptedJammers otherwise) with the users' rule. Stream layout v2: each slot
+draws a fixed row of uniforms whatever the state (the jammer side's, the
+users', then N for activity), so extending `slots` keeps earlier slots.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ METRICS = ("rate_sum", "rate_mean_active", "normalized_capacity", "any_user_jamm
 
 NE_BOUND_TRIALS = 200
 
-SEED_DERIVATION = ("per-trial generator: numpy default_rng(SeedSequence((seed, "
-                   "algorithm_index, trial_index))); oracle generator: "
+SEED_DERIVATION = ("layout v2: per-trial generator: numpy default_rng(SeedSequence("
+                   "(seed, algorithm_index, trial_index))), one fixed row of uniforms "
+                   "per slot (jammer side, users, activity); oracle generator: "
                    "default_rng(SeedSequence((seed, 999983)))")
 
 
@@ -56,8 +57,8 @@ def _fmt(value: float) -> str:
 
 
 def _slot_metrics(choices, jammed, active, rates, r_max: float) -> tuple:
-    return (network_rate(rates, active, "sum"),
-            network_rate(rates, active, "mean-active"),
+    total, count = network_rate(rates, active), int(active.sum())
+    return (total, total / count if count else 0.0,
             normalized_capacity(rates, active, r_max),
             float(jammed[choices[active]].any()))
 
@@ -83,11 +84,8 @@ def _controller(config: ScenarioConfig, algo: str,
     elif algo in ("collaborative", "independent_q"):
         users = QUsers(n, m, lp, rate_reward(r_max),
                        collaborative=algo == "collaborative")
-    elif config.scenario == "markov":
-        users = BaselineUsers(algo, n, m)
     else:
-        # "random" elsewhere: uniform users against the same jammer side
-        users = BaselineUsers("uniform", n, m)
+        users = BaselineUsers(algo, n, m)
     return HierarchicalController(leader, users)
 
 

@@ -253,9 +253,9 @@ def test_reactive_jammer_hears_only_active_users(monkeypatch, scenario):
     of the previous slot's active users, and nothing after an all-silent slot."""
     heard = []
 
-    def spy(pattern, t, num_channels, last_assignment=None, rng=None):
+    def spy(pattern, t, num_channels, last_assignment=None, u=None):
         heard.append(None if last_assignment is None else list(last_assignment))
-        return jammer_action(pattern, t, num_channels, last_assignment, rng)
+        return jammer_action(pattern, t, num_channels, last_assignment, u)
 
     monkeypatch.setattr(jammers, "jammer_action", spy)
     doc = tiny_markov(scenario=scenario, num_users=3, slots=200,

@@ -2,8 +2,8 @@
 
 The sweep schedule is the only stateful-looking pattern, but it is a pure
 function of the slot index, which makes the whole module trivially
-deterministic; the random and reactive fallbacks consume the rng they are
-handed and nothing else.
+deterministic; the random pick and the reactive fallback read the uniform
+they are handed and nothing else.
 """
 
 import numpy as np
@@ -42,12 +42,17 @@ def test_sweep_dwell_one_cycles_every_slot():
 
 def test_random_is_seeded_and_in_range():
     p = JammerPattern(kind="random")
-    a = [jammer_action(p, t, 5, rng=np.random.default_rng(3)) for t in range(20)]
-    b = [jammer_action(p, t, 5, rng=np.random.default_rng(3)) for t in range(20)]
+    a = [jammer_action(p, t, 5, u=np.random.default_rng(3).random())
+         for t in range(20)]
+    b = [jammer_action(p, t, 5, u=np.random.default_rng(3).random())
+         for t in range(20)]
     assert a == b
     assert all(0 <= next(iter(s)) < 5 for s in a)
+    # a uniform's channel is min(int(u*M), M-1), the top edge included
+    assert [jammer_action(p, 0, 5, u=u) for u in (0.0, 0.39, 0.4, 1.0)] \
+        == [frozenset({c}) for c in (0, 1, 2, 4)]
     with pytest.raises(ConfigError):
-        jammer_action(p, 0, 5)  # no rng supplied
+        jammer_action(p, 0, 5)  # no uniform supplied
 
 
 def test_reactive_follows_the_crowd():
@@ -60,8 +65,11 @@ def test_reactive_follows_the_crowd():
 
 def test_reactive_fallback_before_any_observation():
     p = JammerPattern(kind="reactive")
-    out = jammer_action(p, 0, 4, last_assignment=None, rng=np.random.default_rng(0))
+    out = jammer_action(p, 0, 4, last_assignment=None,
+                        u=np.random.default_rng(0).random())
     assert len(out) == 1 and 0 <= next(iter(out)) < 4
+    # it hears the crowd whenever there is one, whatever the uniform
+    assert jammer_action(p, 1, 4, last_assignment=[3], u=0.0) == frozenset({3})
     with pytest.raises(ConfigError):
         jammer_action(p, 0, 4, last_assignment=[])
 
@@ -91,5 +99,5 @@ def test_every_kind_emits_a_subset_of_channels():
     for t in range(30):
         last = rng.integers(0, 3, size=4)
         for p in patterns:
-            out = jammer_action(p, t, 3, last_assignment=last, rng=rng)
+            out = jammer_action(p, t, 3, last_assignment=last, u=rng.random())
             assert out and all(0 <= c < 3 for c in out)

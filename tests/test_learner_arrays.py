@@ -11,7 +11,10 @@ leave their generators in the same state, and hold bitwise-equal state.
 
 The library hands the jammed channels on as an (M,) bool mask; the reference
 reads them as a channel set, and the hypergraph reward as one scalar
-marginal_interference per user.
+marginal_interference per user. Both follow stream layout v2: the Q users
+draw one flat row of N coins then N channel draws every slot, the window
+leader a coin and a channel every slot, read only at a window start, and a
+uniform u picks channel min(int(u*M), M-1).
 """
 
 import dataclasses
@@ -76,9 +79,18 @@ def ref_q_update(table, s, a, reward, s_next):
     return dataclasses.replace(table, values=values)
 
 
-def ref_epsilon_greedy(table, s, rng):
-    if rng.random() < table.epsilon:
-        return int(rng.integers(table.num_channels))
+def ref_channel(u, num_channels):
+    return min(int(u * num_channels), num_channels - 1)
+
+
+def ref_coins_and_draws(rng, n):
+    row = rng.random(2 * n)
+    return row[:n], row[n:]
+
+
+def ref_epsilon_greedy(table, s, coin, draw):
+    if coin < table.epsilon:
+        return ref_channel(draw, table.num_channels)
     return int(np.argmax(table.action_values(s)))
 
 
@@ -88,12 +100,13 @@ def ref_decay(table, floor, decay):
 
 def ref_collaborative(tables, s, order, rng):
     m = tables[0].num_channels
+    coins, draws = ref_coins_and_draws(rng, len(tables))
     choices = np.zeros(len(tables), dtype=np.int64)
     claimed = set()
     for n in order:
         table = tables[n]
-        if rng.random() < table.epsilon:
-            pick = int(rng.integers(m))
+        if coins[n] < table.epsilon:
+            pick = ref_channel(draws[n], m)
         else:
             vals = table.action_values(s)
             free = [c for c in range(m) if c not in claimed]
@@ -158,8 +171,9 @@ class RefQUsers:
         if self.collaborative:
             return ref_collaborative(self.tables, self.state,
                                      range(len(self.tables)), rng)
-        return np.array([ref_epsilon_greedy(t, self.state, rng)
-                         for t in self.tables], dtype=np.int64)
+        coins, draws = ref_coins_and_draws(rng, len(self.tables))
+        return np.array([ref_epsilon_greedy(t, self.state, coins[u], draws[u])
+                         for u, t in enumerate(self.tables)], dtype=np.int64)
 
     def learn(self, choices, active, rates, jammed):
         s_next = min(channels(jammed), default=None)
@@ -183,8 +197,9 @@ class RefWindowLeader:
         self._window_rate_sum = 0.0
 
     def act(self, t, rng):
+        coin, draw = rng.random(2)
         if self._slot_in_window == 0:
-            self.channel = ref_epsilon_greedy(self.table, None, rng)
+            self.channel = ref_epsilon_greedy(self.table, None, coin, draw)
         return frozenset({self.channel})
 
     def observe(self, choices, active, rates):

@@ -41,19 +41,15 @@ def step(s, chosen, reward, step_size):
 
 
 class ScriptedRng:
-    """Stands in for a Generator: random() and integers() replay scripts."""
+    """Stands in for a Generator: random(size) replays one scripted row of
+    uniforms, every coin then every channel draw."""
 
-    def __init__(self, coins, channels=()):
-        self.coins = iter(coins)
-        self.channels = iter(channels)
+    def __init__(self, coins, channels):
+        self.row = np.array([*coins, *channels], dtype=np.float64)
 
-    def random(self):
-        return next(self.coins)
-
-    def integers(self, high):
-        pick = next(self.channels)
-        assert 0 <= pick < high
-        return pick
+    def random(self, size):
+        assert np.prod(size) == self.row.size
+        return self.row.reshape(size)
 
 
 def test_observe_jamming_picks_lowest_or_none():
@@ -198,11 +194,15 @@ def test_q_values_bounded_by_discounted_max():
 
 
 def test_epsilon_greedy_extremes():
-    values = np.array([0.0, 5.0, 0.0])
-    assert epsilon_greedy(values, 0.0, np.random.default_rng(0)) == 1
-    picks = {epsilon_greedy(values, 1.0, np.random.default_rng(i))
+    values = np.array([[0.0, 5.0, 0.0]])
+    assert list(epsilon_greedy(values, 0.0, np.random.default_rng(0))) == [1]
+    picks = {int(epsilon_greedy(values, 1.0, np.random.default_rng(i))[0])
              for i in range(40)}
     assert picks == {0, 1, 2}
+    # all rows at once: each row's coin decides for that row alone
+    rows = np.array([[0.0, 5.0, 0.0], [3.0, 0.0, 0.0]])
+    rng = ScriptedRng(coins=[0.9, 0.1], channels=[0.0, 0.99])
+    assert list(epsilon_greedy(rows, 0.5, rng)) == [1, 2]
 
 
 def test_collaborative_greedy_users_avoid_claims():
@@ -227,7 +227,8 @@ def test_collaborative_explorers_also_claim():
     # must dodge to its runner-up
     values = np.array([[0.0, 0.0, 0.0], [0.0, 4.0, 3.0]])
     for landing in range(3):
-        rng = ScriptedRng(coins=[0.0, 0.99], channels=[landing])
+        # user 0's channel draw lands on `landing`; user 1's is never read
+        rng = ScriptedRng(coins=[0.0, 0.99], channels=[(landing + 0.5) / 3, 0.0])
         picks = collaborative_joint_selection(values, 0.5, rng)
         assert picks[0] == landing
         if picks[0] == 1:
@@ -259,17 +260,18 @@ def test_collaborative_saturated_claims_fall_back():
 
 def test_baseline_actions():
     rng = np.random.default_rng(2)
-    picks = {baseline_action("random", S0, 4, rng) for _ in range(100)}
+    picks = set(baseline_action("random", S0, 100, 4, rng).tolist())
     assert picks == {0, 1, 2, 3}
     # sensing never repeats the last observed jammed channel
     for i in range(100):
-        a = baseline_action("sensing", S1, 4, np.random.default_rng(i))
-        assert a != 1
+        a = baseline_action("sensing", S1, 1, 4, np.random.default_rng(i))
+        assert a[0] != 1
+    assert 1 not in baseline_action("sensing", S1, 100, 4, rng)
     # without an observation sensing is plain uniform
-    picks = {baseline_action("sensing", S0, 4, rng) for _ in range(100)}
+    picks = set(baseline_action("sensing", S0, 100, 4, rng).tolist())
     assert picks == {0, 1, 2, 3}
     with pytest.raises(ConfigError):
-        baseline_action("psychic", S0, 4, rng)
+        baseline_action("psychic", S0, 1, 4, rng)
 
 
 def hierarchical(num_users, num_channels, params, r_max):

@@ -17,6 +17,7 @@ from antijam.games import run_best_response
 from antijam.hypergraph import InterferenceHypergraph
 from antijam.metrics import (detect_convergence, mean_ci, network_rate,
                              normalized_capacity)
+from antijam.runner import _slot_metrics
 
 
 def slot(rates, active=None):
@@ -39,18 +40,24 @@ def small_game(rng, n, m):
                     params=RadioParams(num_channels=m), hypergraph=hg)
 
 
+def rate_sum_and_mean_active(rates, active):
+    """The slot loop's rate_sum and rate_mean_active, both read from the one
+    network_rate sum."""
+    choices = np.zeros(rates.size, dtype=np.int64)
+    no_jam = np.zeros(1, dtype=bool)
+    return _slot_metrics(choices, no_jam, active, rates, r_max=1.0)[:2]
+
+
 def test_network_rate_modes():
     s = slot([1.0, 2.0, 5.0], active=[True, True, False])
-    assert network_rate(*s, "sum") == pytest.approx(3.0)
-    assert network_rate(*s, "mean-active") == pytest.approx(1.5)
-    with pytest.raises(ConfigError):
-        network_rate(*s, "median")
+    assert network_rate(*s) == pytest.approx(3.0)
+    assert rate_sum_and_mean_active(*s) == pytest.approx((3.0, 1.5))
 
 
 def test_network_rate_all_silent():
     s = slot([0.0, 0.0], active=[False, False])
-    assert network_rate(*s, "sum") == 0.0
-    assert network_rate(*s, "mean-active") == 0.0
+    assert network_rate(*s) == 0.0
+    assert rate_sum_and_mean_active(*s) == (0.0, 0.0)
 
 
 def test_normalized_capacity_definition():

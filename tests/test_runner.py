@@ -16,13 +16,17 @@ import time
 import types
 
 import numpy as np
+import pytest
 
 import antijam
 from antijam import load_config
 from antijam.cli import main
+from antijam.config import ALGORITHMS
+from antijam.env import RateModel, max_single_user_rate
 from antijam.metrics import mean_ci
 from antijam.presets import get_preset
-from antijam.runner import METRICS, run_scenario, trial_generator
+from antijam.runner import (METRICS, run_scenario, simulate_trial,
+                            trial_generator)
 
 
 def tiny_markov(**overrides):
@@ -186,6 +190,79 @@ def test_trial_generator_streams_are_distinct():
     # and reproducible
     again = tuple(trial_generator(7, 2, 1).integers(0, 10 ** 9, size=4))
     assert draws[(2, 1)] == again
+
+
+class RecordingRng:
+    """A Generator proxy: notes the name of every method called on it and
+    counts the doubles random() hands out."""
+
+    def __init__(self, seed):
+        self._rng = trial_generator(seed, 0, 0)
+        self.called = set()
+        self.doubles = 0
+
+    def __getattr__(self, name):
+        self.called.add(name)
+        return getattr(self._rng, name)
+
+    def random(self, size=None):
+        self.called.add("random")
+        out = self._rng.random(size)
+        self.doubles += np.size(out)
+        return out
+
+
+def drawn_per_slot(config, algo):
+    """One trial's per-slot metrics and the doubles each slot drew, read off
+    at each slot's rate-model call, which follows the slot's last draw."""
+    model = RateModel(config.build_geometry(), config.radio)
+    rng = RecordingRng(config.seed)
+    rates_fn, marks = model.rates, []
+
+    def marking(choices, jammed, active):
+        marks.append(rng.doubles)
+        return rates_fn(choices, jammed, active)
+
+    model.rates = marking
+    per_slot, _ = simulate_trial(config, algo, rng, model,
+                                 max_single_user_rate(model))
+    assert rng.called == {"random"}, f"{algo} called {sorted(rng.called)}"
+    return per_slot, np.diff(marks[:config.slots], prepend=0)
+
+
+JAMMER_LISTS = ([{"kind": "fixed", "fixed_channel": 1}], [{"kind": "random"}],
+                [{"kind": "sweep", "dwell": 2}],
+                [{"kind": "comb", "comb_set": [0, 2]}], [{"kind": "reactive"}],
+                [{"kind": "random"}, {"kind": "reactive"}])
+
+# uniforms a slot's users draw, per user: one channel draw, or a coin and one
+USER_DRAWS = {"hierarchical": 1, "hypergraph_sla": 1, "graph_sla": 1,
+              "random": 1, "sensing": 1, "collaborative": 2, "independent_q": 2}
+
+
+@pytest.mark.parametrize("scenario,algo", [
+    (scenario, algo) for scenario, algos in ALGORITHMS.items() for algo in algos])
+def test_every_slot_draws_one_fixed_row_of_uniforms(scenario, algo):
+    """Stream layout v2: whatever the state, every slot draws the same count
+    of doubles through random() alone (the jammer side's, the users', then
+    one activity draw per user), so a shorter run is a prefix of a longer."""
+    if scenario == "stackelberg":
+        base = dict(small_stackelberg(), learning={"window_slots": 7})
+        cases = [(base, 2)]
+    else:
+        base = dict(tiny_markov(scenario=scenario, num_users=3, num_channels=4),
+                    seed=5)
+        cases = [(dict(base, jammers=jammers),
+                  sum(j["kind"] in ("random", "reactive") for j in jammers))
+                 for jammers in JAMMER_LISTS]
+    n = base["num_users"]
+    for doc, jammer_draws in cases:
+        for p in (0.0, 0.5, 1.0):
+            run = dict(doc, active_probability=p, algorithms=[algo])
+            long, drawn = drawn_per_slot(load_config(dict(run, slots=45)), algo)
+            assert set(drawn) == {jammer_draws + USER_DRAWS[algo] * n + n}, run
+            short, _ = drawn_per_slot(load_config(dict(run, slots=17)), algo)
+            assert short.tobytes() == long[:17].tobytes()
 
 
 def test_oracle_rows_present_only_for_the_leader_game():
@@ -367,56 +444,89 @@ CONFIG_CASES = {
 # sha256 of (per_slot.csv, summary.csv, metadata.json) at --trials 2 --slots 200
 PINNED_DIGESTS = {
     "fig3-stackelberg": (
-        "cf01a288e2094acd7b2a83bd44a546c7e9af7f5fd0b2a958261f50b790c4f543",
-        "6220c17e67b6f8f79622cdd7847d21895b15aab6f471e6b23af4d5e439aea9d2",
-        "37c78e712a6a214e74165b2f995224e2a08726db432e2b5b9af61dcdd37e43d0"),
+        "d063ecacb6cffcfc228fc064cebc06d0b6ca9c577fa3a9b9407e3c482f2b281a",
+        "ae58a8a556cd6c55c45fa39078e909ffca4690bade9f2a51ae21bf3bd9e67564",
+        "be5a896db84014641d4fdbadb9beda0aaf624bad07fa504c63efc182dd917076"),
     "fig4-sweep": (
-        "5e7b87bdd92f331c5a1a1b27bbd11663e9d7a8a00854c1688f637de8019e0029",
-        "0defc4d206d5db69780c2213c252f0fa41cead069401514e80280f414197a828",
-        "78f0cd565946d9371f5d756dd54e91c60e1a153746703a1b2230b821a40ce197"),
+        "82b126eb28707ac49206de37282cffae87268d88eb1f6d155ce8c3f3ba9ea1a6",
+        "00249f8454c1082539f78c4894a57fe2407ade91a3300de3afcd72afcc352dd4",
+        "69ca6b245590760a2945ba251d6215423ffbea0783d37d1712ad5a76c25cffa1"),
     "fig4-comb": (
-        "85e207d1c33776d2e8bed582055eb4ddce32f97cd5deab3224db862ce2b30eb8",
-        "f47bec480299736d948b551b7791696d91c8e5ce274fa65d64fa12da77697831",
-        "ea038df406040768011c1e7c3446a47a34a821c622b328ffc674735dfaa4a7d7"),
+        "12f6c3eccc4cdc5cc19c4da6cc8baa3c2dfe424e5b4e9330e0726e285ef3be44",
+        "f71f75350e63f2a75ab8527b0dbfda0d45f1f5a1f7763f66fe4a775ef54e740b",
+        "9e809519185e2f8862fec1edceb541d6b15cf5f522c53fc3099250ac8ebf8b6f"),
     "fig5-hypergraph": (
-        "cd22bd6b990a3d7e79a8f4428fc3be353eccd1243de8bb77e1e64e3aa9a322d1",
-        "03b33b0af98889c1c05c6507dfb26c5b52de32b352c4ef17207fcd0bc0f12a35",
-        "d44947406bdf2d1e65a01c20e3b2a3393d37f389af4e1b976f91b915e05fc803"),
+        "1ff32171717675f6993db845fc409ce763a6c79c643154db7ff9a01c3d0b8e8c",
+        "1aa0a7596c56665646193ad46f04069baec4a69f81a1937927effe13f3250113",
+        "fdae5e765844787b797349c7ed7205d02a7dab2c35bc043a2d4a835c88534778"),
     "random-reactive": (
-        "4ef50b0bdf15df4ae7253d0d139ee6aab6ef86f61540b39c60042876cc8363de",
-        "61c283ac76882afcfab7ff805fca8549afd2989f3bb659e30d0088e12e53be4b",
-        "d10e593156775fbeacb6edaf435f2813e3d2c69094d9843d6b1349df8d2468cf"),
+        "8bc19911b4800117676d9ed4d3dc68d9be3813e9df04225b6b9072ab355a6535",
+        "b03893b3a3df3b85fe43d98a93b3ab08e505272445a0dbcbfee9df2a4e18b1a1",
+        "e8ea08e3222ebb0d4dafcc8c12df3f8e6d8776a48edc8cd7a8ad8fda3a9f505e"),
     "fig5-random-p07": (
-        "416963442030ca5fbc812455f68a11179d5d7e02e55c4419042b9f3115e954d7",
-        "02bd70e65d41ea304b0e707866b8e90cd2ac5e0caf6d09391ef3aa91ac646d31",
-        "757759b0704f6b25a56e9ce1c6ea40a613aa832e4f71c09d7b07f0866b2f7a68"),
+        "712bf817a4836568fd58dad350ae52c970fa1d004fd1b3f5c026a8bef01fc612",
+        "5486ec7051992a96d75de41a6b9364bbc44ef638ac14fb8a53d5f486d05a838c",
+        "60acb646fb7e5d54fa23eddc67894c0f80cc50413e08346511ef09d97d32c4e8"),
     "fig3-p08": (
-        "4de8fad2d91e22d5d6f9c11a417b0ec6055f90f60abc0875f375161155ae833d",
-        "932f1513f18e57684f9f4c29afbcb1c4bde2a6b1aabd608e0b7a6f9ea8343f87",
-        "f2c1715bd057c11e69aa33647c72217a102a4721ada1b91a60cad916a59a7ad1"),
+        "6b5401e00a1f10ad819265b0a276aa165507cf0e9e7941852a5d2417ef66808e",
+        "13839177de83db28e0ac28b7060cfc136a324511f8c883b049885f9bb4447287",
+        "301973d67539fda2569fd4732073ea3fc7f39d7d21c673d20b783c13f4a838d6"),
     "fig5-comb-p07": (
-        "57b8ccf42d2b7e903399bd101ffade1bf61e64bef5bacb529c5a59f6777a69a0",
-        "0f3166753ab970789a06eaf7442ee46889b8a49f63ca688c24313a0623791a7a",
-        "404082645b9cf1f7d01cfb534926c7b156402350c5a2f8fe6a919515b3dfa1ad"),
+        "fe2161fddb5178d3f94e216ce101cabe2ae2d4e76448b92a139ba3f14efb6544",
+        "c43108eeeb43e2e7defc066815032cb1dcf75326ea6d169f1b5479cdab0ad968",
+        "b57ae4cf0aea2e7ca3039292c21a0743fcc98c179b5975f51afb014161fcd922"),
 }
+
+
+def _run_pinned_case(name, tmp_path):
+    """The named preset or CONFIG_CASES run at --trials 2 --slots 200."""
+    source = ["--preset", name]
+    if name in CONFIG_CASES:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(CONFIG_CASES[name]))
+        source = ["--config", str(path)]
+    out = tmp_path / name
+    assert main(["run", *source, "--trials", "2", "--slots", "200",
+                 "--out", str(out)]) == 0
+    return out
 
 
 def test_run_outputs_match_pinned_digests(tmp_path):
     """Every output byte is pinned across commits, not only between two runs
     of one checkout: a refactor of the slot loop, the learners or the jammers
-    must leave these digests unchanged. Stream layout v2 (ROADMAP item 2)
-    changes the per-trial draws, so it re-pins them on purpose."""
+    must leave these digests unchanged. They were re-pinned on purpose for
+    stream layout v2, which changed the per-trial draws."""
     got = {}
     for name in PINNED_DIGESTS:
-        source = ["--preset", name]
-        if name in CONFIG_CASES:
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(CONFIG_CASES[name]))
-            source = ["--config", str(path)]
-        out = tmp_path / name
-        assert main(["run", *source, "--trials", "2", "--slots", "200",
-                     "--out", str(out)]) == 0
+        out = _run_pinned_case(name, tmp_path)
         got[name] = tuple(
             hashlib.sha256((out / f).read_bytes()).hexdigest()
             for f in ("per_slot.csv", "summary.csv", "metadata.json"))
     assert got == PINNED_DIGESTS
+
+
+# sha256 of each SLA algorithm's rows of per_slot.csv at --trials 2 --slots 200
+SLA_ROW_DIGESTS = {
+    ("fig5-hypergraph", "hypergraph_sla"):
+        "d9bb07bc6e76aeb1d087f099fef27d7e5b9cbaaae7abf5293e40f608b2fb11f8",
+    ("fig5-hypergraph", "graph_sla"):
+        "968f36866bbbd276c6e09b6d1d3e911ae80fdf472438094a74e540b01fd4096c",
+    ("fig5-comb-p07", "hypergraph_sla"):
+        "129a4998d8247d80df73825370ea4c49c55c87503c6ef5889b4dc0daa1d7904f",
+    ("fig5-comb-p07", "graph_sla"):
+        "73c3d38ff5958267023c1276e939a9cc6b6201453e0bbc703536512b2dfd6238",
+}
+
+
+def test_sla_rows_keep_their_pinned_digests(tmp_path):
+    """The SLA users draw N uniforms a slot, the activity N more, and fixed
+    and comb jammers none, so these rows hold across the stream layouts: they
+    are the same under layout v1 and v2."""
+    got = {}
+    for name in ("fig5-hypergraph", "fig5-comb-p07"):
+        lines = read_lines(_run_pinned_case(name, tmp_path) / "per_slot.csv")
+        for algo in ("hypergraph_sla", "graph_sla"):
+            rows = "".join(line + "\n" for line in lines
+                           if line.split(",")[1] == algo)
+            got[(name, algo)] = hashlib.sha256(rows.encode()).hexdigest()
+    assert got == SLA_ROW_DIGESTS
