@@ -12,8 +12,9 @@ are exact on small instances and are the ground truth the learners are tested
 against. They share one batched kernel, _deviation_utilities, which values
 every unilateral deviation of a block of profiles as a (K, N, M) tensor:
 enumeration walks the M^N profiles in lexicographic blocks, and best response
-sweeps many starts in lockstep. user_utility stays the scalar definition the
-kernel reproduces, bit for bit for rates and exactly for hypergraph counts.
+sweeps many starts in lockstep. user_utility values one cell: the kernel
+reproduces it bit for bit for rates, and both read hypergraph.py's one
+conflict count. The scalar oracle they replaced is the tests' reference.
 
 Every entry point takes the jammed channels as a channel set or an (M,) bool
 mask and checks them once, through env.jam_mask.
@@ -27,8 +28,8 @@ import numpy as np
 
 from .env import NodeGeometry, RadioParams, RateModel, jam_mask
 from .errors import ConfigError, InstanceTooLargeError, UnsupportedOperationError
-from .hypergraph import (InterferenceHypergraph, incidence, marginal_interference,
-                         total_generalized_interference)
+from .hypergraph import (InterferenceHypergraph, deviation_interference,
+                         marginal_interference, total_generalized_interference)
 
 KINDS = ("stackelberg", "hypergraph")
 
@@ -102,26 +103,18 @@ def _as_mask(active_mask, num_users: int) -> np.ndarray:
     return mask
 
 
-def _jammed_set(game: GameSpec, jammed_channels) -> frozenset:
-    """The jammed channels, checked by jam_mask, as the channel set the scalar
-    hypergraph counts read."""
-    mask = jam_mask(jammed_channels, game.num_channels)
-    return frozenset(np.flatnonzero(mask).tolist())
-
-
 def user_utility(game: GameSpec, n: int, choices, jammed_channels=_NO_JAM,
                  active_mask=None) -> float:
     """Utility of user n at the joint assignment; 0 by convention if inactive."""
     choices = _as_choices(game, choices)
     active = _as_mask(active_mask, game.num_users)
-    jammed = _jammed_set(game, jammed_channels)
+    jammed = jam_mask(jammed_channels, game.num_channels)
     if not active[n]:
         return 0.0
     if game.kind == "hypergraph":
-        return -float(marginal_interference(game.hypergraph, n, choices, active,
-                                            jammed))
-    rates = game.rate_model.rates(choices, jammed, active)
-    return float(rates[n])
+        return -float(marginal_interference(game.hypergraph, choices, active,
+                                            jammed)[n])
+    return float(game.rate_model.rates(choices, jammed, active)[n])
 
 
 def potential_value(game: GameSpec, choices, jammed_channels=_NO_JAM,
@@ -133,7 +126,7 @@ def potential_value(game: GameSpec, choices, jammed_channels=_NO_JAM,
     choices = _as_choices(game, choices)
     active = _as_mask(active_mask, game.num_users)
     return -float(total_generalized_interference(
-        game.hypergraph, choices, active, _jammed_set(game, jammed_channels)))
+        game.hypergraph, choices, active, jam_mask(jammed_channels, game.num_channels)))
 
 
 def lexicographic_profiles(num_users: int, num_channels: int, start: int,
@@ -166,18 +159,7 @@ def _deviation_utilities(game: GameSpec, profiles: np.ndarray, jammed_channels,
     m = game.num_channels
     jam = jam_mask(jammed_channels, m)
     if game.kind == "hypergraph":
-        hg = game.hypergraph
-        adjacency, membership = incidence(hg)
-        thr = hg.activation_threshold
-        on = (profiles[:, :, None] == np.arange(m)) & active[:, None]
-        count = on.astype(np.int64)
-        # on_edge[k, e, c]: active members of hyperedge e on channel c. n
-        # fires e on c when exactly thr - 1 others are there, so thr members
-        # counting n where it already is, thr - 1 where it would move to.
-        on_edge = membership.T @ count
-        fires = np.where(on, membership @ (on_edge == thr),
-                         membership @ (on_edge == thr - 1))
-        hits = adjacency @ count + jam + fires
+        hits = deviation_interference(game.hypergraph, profiles, active, jam)
         return np.where(active[:, None], -hits.astype(np.float64), 0.0)
     model, p = game.rate_model, game.params
     gain = model.gain.copy()
@@ -254,17 +236,6 @@ def _respond(game: GameSpec, profiles: np.ndarray, n: int, jammed, active) -> np
     moved = own < row.max(axis=1) - 1e-12
     profiles[moved, n] = row[moved].argmax(axis=1)
     return moved
-
-
-def best_response_step(game: GameSpec, choices, n: int, jammed_channels=_NO_JAM,
-                       active_mask=None) -> np.ndarray:
-    """Best response for user n with inertia; other users untouched."""
-    new = _as_choices(game, choices).copy()
-    active = _as_mask(active_mask, game.num_users)
-    jammed = jam_mask(jammed_channels, game.num_channels)
-    if active[n]:
-        _respond(game, new[None], n, jammed, active)
-    return new
 
 
 def best_response_lockstep(game: GameSpec, starts, jammed_channels=_NO_JAM,

@@ -3,13 +3,17 @@
 A strong edge fires when its two endpoints are active on the same channel. A
 weak hyperedge fires on a channel when at least activation_threshold of its
 active members picked that channel; below the threshold the group produces no
-interference at all.
+interference at all. Every active user on a jammed channel adds one more.
+
+deviation_interference is the one count of these conflicts: the marginal
+counts, the total, the slot reward and the exact oracles read it or its
+channel occupancy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,10 +23,16 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class InterferenceHypergraph:
+    """Strong edges and weak hyperedges, with the int64 0/1 arrays every
+    conflict count reads, built once: adjacency[u, v] marks a strong edge
+    between u and v, membership[u, e] that u is in the e-th weak hyperedge."""
+
     num_users: int
     strong_edges: tuple = ()
     weak_hyperedges: tuple = ()
     activation_threshold: int = 3
+    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
+    membership: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         strong = tuple(sorted(tuple(sorted(int(u) for u in e)) for e in self.strong_edges))
@@ -47,6 +57,15 @@ class InterferenceHypergraph:
                 raise ConfigError(f"weak hyperedge {h}: member out of range")
         if len(set(strong)) != len(strong) or len(set(weak)) != len(weak):
             raise ConfigError("hypergraph: duplicate edges")
+        adjacency = np.zeros((self.num_users, self.num_users), dtype=np.int64)
+        for u, v in strong:
+            adjacency[u, v] = adjacency[v, u] = 1
+        membership = np.zeros((self.num_users, len(weak)), dtype=np.int64)
+        for e, h in enumerate(weak):
+            membership[list(h), e] = 1
+        adjacency.flags.writeable = membership.flags.writeable = False
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "membership", membership)
 
     def without_weak_edges(self) -> "InterferenceHypergraph":
         """Plain-graph view: the baseline model that ignores weak accumulation."""
@@ -103,71 +122,48 @@ def build_hypergraph(geometry: NodeGeometry, strong_radius: float, weak_radius: 
     )
 
 
-def incidence(hypergraph: InterferenceHypergraph) -> tuple:
-    """(adjacency, membership) as int64 0/1 arrays: adjacency[u, v] marks a
-    strong edge between u and v, membership[u, e] that u belongs to the e-th
-    weak hyperedge. Conflicts are counted from these, in the slot reward and
-    in the exact oracle alike."""
-    n = hypergraph.num_users
-    adjacency = np.zeros((n, n), dtype=np.int64)
-    for u, v in hypergraph.strong_edges:
-        adjacency[u, v] = adjacency[v, u] = 1
-    membership = np.zeros((n, len(hypergraph.weak_hyperedges)), dtype=np.int64)
-    for e, h in enumerate(hypergraph.weak_hyperedges):
-        membership[list(h), e] = 1
-    return adjacency, membership
+def _occupancy(hypergraph: InterferenceHypergraph, profiles, active, jammed):
+    """(on, count, on_edge) of profiles (..., N) on the channels of the (M,)
+    jam mask: on[..., n, c] marks user n active on channel c, count is on as
+    int64, and on_edge[..., e, c] counts hyperedge e's active members on c."""
+    on = (profiles[..., None] == np.arange(len(jammed))) & active[:, None]
+    count = on.astype(np.int64)
+    return on, count, hypergraph.membership.T @ count
+
+
+def deviation_interference(hypergraph: InterferenceHypergraph, profiles, active,
+                           jammed) -> np.ndarray:
+    """(..., N, M) ints: [..., n, c] is the generalized interference user n
+    adds by being active on channel c while the others keep their choices,
+    under the (M,) bool jam mask jammed: the strong neighbours active on c,
+    n's hyperedges with exactly the threshold of active members on c once n
+    is there, and the jammer if c is jammed. What n hears on c does not
+    depend on n's own choice, so one pass values every channel at once.
+    """
+    on, count, on_edge = _occupancy(hypergraph, profiles, active, jammed)
+    thr = hypergraph.activation_threshold
+    # n fires e on c when exactly thr - 1 others are there: thr members
+    # counting n where it already is, thr - 1 where it would move to.
+    fires = np.where(on, hypergraph.membership @ (on_edge == thr).astype(np.int64),
+                     hypergraph.membership @ (on_edge == thr - 1).astype(np.int64))
+    return hypergraph.adjacency @ count + jammed + fires
+
+
+def marginal_interference(hypergraph: InterferenceHypergraph, choices, active,
+                          jammed) -> np.ndarray:
+    """(N,) ints: how much of the generalized interference disappears if each
+    user alone leaves, 0 for inactive users; deviation_interference at each
+    user's own channel."""
+    hits = deviation_interference(hypergraph, choices, active, jammed)
+    return np.where(active, hits[np.arange(len(choices)), choices], 0)
 
 
 def total_generalized_interference(hypergraph: InterferenceHypergraph, choices,
-                                   active_mask, jammed_channels) -> int:
-    """Active strong edges + (hyperedge, channel) activations + jammed active users."""
-    choices = np.asarray(choices, dtype=np.int64)
-    active = np.asarray(active_mask, dtype=bool)
-    total = 0
-    for u, v in hypergraph.strong_edges:
-        if active[u] and active[v] and choices[u] == choices[v]:
-            total += 1
-    thr = hypergraph.activation_threshold
-    for h in hypergraph.weak_hyperedges:
-        counts = {}
-        for u in h:
-            if active[u]:
-                c = int(choices[u])
-                counts[c] = counts.get(c, 0) + 1
-        total += sum(1 for k in counts.values() if k >= thr)
-    if jammed_channels:
-        for u in range(hypergraph.num_users):
-            if active[u] and int(choices[u]) in jammed_channels:
-                total += 1
-    return total
-
-
-def marginal_interference(hypergraph: InterferenceHypergraph, n: int, choices,
-                          active_mask, jammed_channels) -> int:
-    """How much of the generalized interference disappears if user n leaves.
-
-    Equals total_generalized_interference(a) minus the same total with n made
-    inactive, computed incrementally: only terms touching n's channel move.
-    """
-    choices = np.asarray(choices, dtype=np.int64)
-    active = np.asarray(active_mask, dtype=bool)
-    if not active[n]:
-        return 0
-    c = int(choices[n])
-    delta = 0
-    for u, v in hypergraph.strong_edges:
-        if n in (u, v):
-            other = v if u == n else u
-            if active[other] and int(choices[other]) == c:
-                delta += 1
-    thr = hypergraph.activation_threshold
-    for h in hypergraph.weak_hyperedges:
-        if n not in h:
-            continue
-        count = sum(1 for u in h if active[u] and int(choices[u]) == c)
-        # Removing n kills the activation on c only when n was the marginal member.
-        if count == thr:
-            delta += 1
-    if jammed_channels and c in jammed_channels:
-        delta += 1
-    return delta
+                                   active, jammed) -> int:
+    """Active strong edges + (hyperedge, channel) activations + jammed active
+    users, for one profile (N,) under the (M,) bool jam mask jammed."""
+    on, count, on_edge = _occupancy(hypergraph, choices, active, jammed)
+    # each active strong edge is seen from both of its ends
+    strong = int((count * (hypergraph.adjacency @ count)).sum()) // 2
+    return strong + int((on_edge >= hypergraph.activation_threshold).sum()) \
+        + int(on[:, jammed].sum())

@@ -8,7 +8,6 @@ remembers what a reactive pattern can observe.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +48,9 @@ def jammer_action(pattern: JammerPattern, t: int, num_channels: int,
 
     The random kind jams the uniform u's channel. The reactive kind jams the
     channel most used in last_assignment, the channels of the users that
-    transmitted in the previous slot (lowest index on ties). It falls back to
-    u's channel when it heard nobody: in the first slot, or after a slot in
+    transmitted in the previous slot (lowest index on ties); each heard entry
+    must be an integer channel in range(num_channels). It falls back to u's
+    channel when it heard nobody: in the first slot, or after a slot in
     which every user was silent.
     """
     if t < 0:
@@ -63,9 +63,12 @@ def jammer_action(pattern: JammerPattern, t: int, num_channels: int,
     if pattern.kind == "sweep":
         return frozenset({(pattern.start_channel + t // pattern.dwell) % num_channels})
     if pattern.kind == "reactive" and last_assignment is not None and len(last_assignment):
-        counts = Counter(int(c) for c in last_assignment)
-        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-        return frozenset({best[0]})
+        heard = np.asarray(last_assignment)
+        if heard.ndim != 1 or heard.dtype.kind not in "iu" \
+                or heard.min() < 0 or heard.max() >= num_channels:
+            raise ConfigError(f"jammer_action: heard channels {last_assignment!r} "
+                              f"are not channels in range({num_channels})")
+        return frozenset({int(np.bincount(heard, minlength=num_channels).argmax())})
     # random, or reactive with nobody heard
     if u is None:
         raise ConfigError(f"jammer_action: {pattern.kind} kind needs a uniform draw")

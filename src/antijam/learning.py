@@ -23,7 +23,7 @@ import numpy as np
 
 from .env import uniform_channels
 from .errors import ConfigError
-from .hypergraph import incidence
+from .hypergraph import marginal_interference
 
 
 def observe_jamming(jammed: np.ndarray) -> int | None:
@@ -167,27 +167,15 @@ def rate_reward(r_max: float):
 
 
 def interference_reward(hypergraph):
-    """Minus each user's marginal generalized interference, mapped from
-    [-D, 0] onto [0, 1]; D is the worst-case marginal contribution of any
-    single user (its incident edges plus the jammer).
-
-    All users are counted at once, in integers: an active user u hits each
-    strong neighbour active on its channel, each of its hyperedges with
-    exactly the threshold of active members (u included) on that channel,
-    and the jammer if its channel is jammed. That is exactly the scalar
-    marginal_interference of every user.
-    """
-    adjacency, membership = incidence(hypergraph)
-    thr = hypergraph.activation_threshold
-    d_norm = float((adjacency.sum(axis=1) + membership.sum(axis=1)).max() + 1)
+    """Minus each user's hypergraph.marginal_interference, mapped from [-D, 0]
+    onto [0, 1]; D is the worst-case marginal contribution of any single
+    user (its incident edges plus the jammer), so no reward leaves [0, 1]."""
+    d_norm = float((hypergraph.adjacency.sum(axis=1)
+                    + hypergraph.membership.sum(axis=1)).max() + 1)
 
     def reward(choices, active, rates, jammed):
-        # same[u, v]: v is active on u's channel
-        same = (choices[:, None] == choices) & active
-        on_edge = same @ membership
-        hits = ((adjacency * same).sum(axis=1)
-                + ((on_edge == thr) * membership).sum(axis=1) + jammed[choices])
-        return np.maximum(0.0, 1.0 - np.where(active, hits, 0) / d_norm)
+        return 1.0 - marginal_interference(hypergraph, choices, active,
+                                           jammed) / d_norm
     return reward
 
 

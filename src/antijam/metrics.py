@@ -74,35 +74,6 @@ def ne_bounds(game: GameSpec, jammed_channels=_NO_JAM, active_mask=None,
                     num_converged=num_trials - failed, num_failed=failed)
 
 
-def detect_convergence(series, window: int = 1, threshold: float = 0.99):
-    """First index where the series has settled, or None.
-
-    Two flavors share the scan: integer assignment vectors settle when they
-    stop changing for `window` consecutive slots; float strategy matrices
-    settle when every user's largest probability stays >= threshold over the
-    window.
-    """
-    if window < 1:
-        raise ConfigError("detect_convergence: window must be >= 1")
-    items = [np.asarray(x) for x in series]
-    if len(items) < window:
-        return None
-
-    if items[0].dtype.kind == "f":
-        def settled(i):
-            return all(float(np.min(np.max(np.atleast_2d(items[j]), axis=1))) >= threshold
-                       for j in range(i, i + window))
-    else:
-        def settled(i):
-            return all(np.array_equal(items[j], items[i])
-                       for j in range(i, i + window))
-
-    for i in range(len(items) - window + 1):
-        if settled(i):
-            return i
-    return None
-
-
 def mean_ci(values) -> tuple:
     """Mean and 95% half-width (1.96 * sample std / sqrt(n); 0 when n < 2)."""
     arr = np.asarray(values, dtype=np.float64)

@@ -13,17 +13,16 @@ import os
 import numpy as np
 import pytest
 
+import scalar_interference as scalar
 from antijam import (GameSpec, enumerate_pure_nash, load_config, ne_bounds,
                      stackelberg_solve)
 from antijam import games
 from antijam.env import NodeGeometry, RadioParams
 from antijam.errors import (ConfigError, InstanceTooLargeError,
                             UnsupportedOperationError)
-from antijam.games import (best_response_lockstep, best_response_step,
-                           is_pure_nash, potential_value, run_best_response,
-                           user_utility)
-from antijam.hypergraph import (InterferenceHypergraph,
-                                total_generalized_interference)
+from antijam.games import (best_response_lockstep, is_pure_nash,
+                           potential_value, run_best_response, user_utility)
+from antijam.hypergraph import InterferenceHypergraph
 
 
 def random_hyper_game(rng, n_max=6, m_max=4):
@@ -77,7 +76,8 @@ def test_potential_is_negative_total_interference():
     game, jammed, active = random_hyper_game(rng)
     choices = rng.integers(0, game.num_channels, size=game.num_users)
     assert potential_value(game, choices, jammed, active) == -float(
-        total_generalized_interference(game.hypergraph, choices, active, jammed))
+        scalar.total_generalized_interference(game.hypergraph, choices, active,
+                                              jammed))
 
 
 def test_potential_rejected_outside_hypergraph_games():
@@ -140,9 +140,10 @@ def test_enumerated_profiles_are_fixed_points():
         game, jammed, active = random_hyper_game(rng, n_max=4, m_max=3)
         for prof in enumerate_pure_nash(game, jammed, active):
             assert is_pure_nash(game, prof, jammed, active)
-            for u in range(game.num_users):
-                stepped = best_response_step(game, prof, u, jammed, active)
-                assert np.array_equal(stepped, prof)
+            # one sweep from an equilibrium moves nobody
+            final, converged, rounds = run_best_response(game, prof, jammed,
+                                                         active, max_rounds=1)
+            assert (final.tolist(), converged, rounds) == (prof.tolist(), True, 1)
 
 
 def test_best_response_terminates_at_a_nash():
@@ -160,16 +161,18 @@ def test_best_response_tie_rules():
     hg = InterferenceHypergraph(num_users=1)
     game = GameSpec(kind="hypergraph", geometry=line_geometry(1),
                     params=RadioParams(num_channels=3), hypergraph=hg)
+    # with one user, a single sweep is a single best-response step
     # all channels utility-equal: the current choice is already a best
     # response, so inertia holds the user in place (every profile here is an
     # equilibrium and equilibria must be fixpoints of the dynamics)
-    stepped = best_response_step(game, np.array([2]), 0, frozenset(),
-                                 np.array([True]))
-    assert stepped[0] == 2
-    # strictly bad current channel, two tied improvements: lowest index wins
-    stepped = best_response_step(game, np.array([0]), 0, frozenset({0}),
-                                 np.array([True]))
-    assert stepped[0] == 1
+    final, converged, rounds = run_best_response(
+        game, np.array([2]), frozenset(), np.array([True]), max_rounds=1)
+    assert (final.tolist(), converged, rounds) == ([2], True, 1)
+    # strictly bad current channel, two tied improvements: lowest index wins,
+    # and the sweep that moved it is not yet a converged one
+    final, converged, rounds = run_best_response(
+        game, np.array([0]), frozenset({0}), np.array([True]), max_rounds=1)
+    assert (final.tolist(), converged, rounds) == ([1], False, 1)
 
 
 def test_assignments_are_validated():
@@ -180,8 +183,6 @@ def test_assignments_are_validated():
     for bad in ([-1] + [0] * (n - 1), [m] + [0] * (n - 1), [0] * (n + 1)):
         with pytest.raises(ConfigError):
             is_pure_nash(game, bad, jammed, active)
-        with pytest.raises(ConfigError):
-            best_response_step(game, bad, 0, jammed, active)
         with pytest.raises(ConfigError):
             run_best_response(game, bad, jammed, active)
         with pytest.raises(ConfigError):

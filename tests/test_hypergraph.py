@@ -3,12 +3,18 @@
 The marginal/total consistency property is the backbone of the whole game
 layer: the per-user marginal must equal the difference of totals with that
 user present versus absent, for any assignment, activity pattern, and jam
-set. Everything else here is small hand-checked cases.
+mask, and both counts must equal the scalar loops of scalar_interference.
+Everything else here is small hand-checked cases.
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_interference as scalar
 from antijam.env import NodeGeometry
 from antijam.errors import ConfigError
 from antijam.hypergraph import (InterferenceHypergraph, build_hypergraph,
@@ -25,19 +31,34 @@ def small_hg():
     )
 
 
-def random_hg(rng, n, thr=3):
-    pairs = set()
-    for _ in range(rng.integers(0, n)):
-        u, v = rng.choice(n, size=2, replace=False)
-        pairs.add((min(u, v), max(u, v)))
-    hypers = set()
-    if n >= max(3, thr):
-        for _ in range(rng.integers(0, 3)):
-            size = int(rng.integers(max(3, thr), n + 1))
-            hypers.add(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
-    return InterferenceHypergraph(num_users=n, strong_edges=tuple(pairs),
-                                  weak_hyperedges=tuple(hypers),
-                                  activation_threshold=thr)
+def mask(channels, num_channels):
+    out = np.zeros(num_channels, dtype=bool)
+    out[list(channels)] = True
+    return out
+
+
+@st.composite
+def profiles(draw):
+    """(hypergraph, choices, active, jam mask): up to 7 users on 1-4
+    channels, thresholds 1-4, random strong edges and weak hyperedges."""
+    n = draw(st.integers(1, 7))
+    thr = draw(st.integers(1, 4))
+    pairs = list(itertools.combinations(range(n), 2))
+    strong = [e for e in pairs if draw(st.booleans())]
+    size = max(3, thr)
+    weak = []
+    if n >= size:
+        weak = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=size,
+                                     max_size=n).map(lambda h: tuple(sorted(h))),
+                             unique=True, max_size=3))
+    hg = InterferenceHypergraph(num_users=n, strong_edges=tuple(strong),
+                                weak_hyperedges=tuple(weak),
+                                activation_threshold=thr)
+    m = draw(st.integers(1, 4))
+    choices = np.array(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    active = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    jammed = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    return hg, choices, active, jammed
 
 
 def test_total_interference_hand_case():
@@ -45,54 +66,58 @@ def test_total_interference_hand_case():
     # strong (0,1) fires on channel 0; hyperedge count maxes at 2 < 3; two
     # users sit on the jammed channel 1
     total = total_generalized_interference(
-        hg, choices=[0, 0, 1, 1], active_mask=[True] * 4,
-        jammed_channels=frozenset({1}))
+        hg, np.array([0, 0, 1, 1]), np.ones(4, dtype=bool), mask({1}, 2))
     assert total == 1 + 0 + 2 == 3
 
 
 def test_threshold_activation_counts_per_channel():
     hg = InterferenceHypergraph(num_users=6, weak_hyperedges=((0, 1, 2, 3, 4, 5),),
                                 activation_threshold=3)
+    everyone = np.ones(6, dtype=bool)
     # six members all on channel 2: a single activation, not four
-    assert total_generalized_interference(hg, [2] * 6, [True] * 6, frozenset()) == 1
+    assert total_generalized_interference(hg, np.full(6, 2), everyone,
+                                          mask((), 3)) == 1
     # three on channel 0, three on channel 1: one activation per channel
-    assert total_generalized_interference(hg, [0, 0, 0, 1, 1, 1], [True] * 6,
-                                          frozenset()) == 2
+    assert total_generalized_interference(hg, np.array([0, 0, 0, 1, 1, 1]),
+                                          everyone, mask((), 2)) == 2
 
 
 def test_inactive_members_do_not_count():
     hg = small_hg()
     total = total_generalized_interference(
-        hg, choices=[0, 0, 1, 1], active_mask=[True, False, True, True],
-        jammed_channels=frozenset({1}))
+        hg, np.array([0, 0, 1, 1]), np.array([True, False, True, True]),
+        mask({1}, 2))
     # strong edge off (user 1 silent), hyperedge count 2 of 3, jam hits 2
     assert total == 2
 
 
-def test_marginal_equals_total_difference():
-    """marginal(n) == total(active) - total(active with n removed), fuzzed."""
-    rng = np.random.default_rng(42)
-    for _ in range(300):
-        n = int(rng.integers(3, 8))
-        hg = random_hg(rng, n)
-        m = int(rng.integers(2, 5))
-        choices = rng.integers(0, m, size=n)
-        active = rng.random(n) < 0.8
-        jammed = frozenset(int(c) for c in rng.integers(0, m, size=rng.integers(0, 3)))
-        total = total_generalized_interference(hg, choices, active, jammed)
-        for u in range(n):
-            without = active.copy()
-            without[u] = False
-            rest = total_generalized_interference(hg, choices, without, jammed)
-            got = marginal_interference(hg, u, choices, active, jammed)
-            assert got == total - rest, (
-                f"user {u}: marginal {got} != {total} - {rest}")
+@settings(max_examples=300)
+@given(profiles())
+def test_marginal_equals_total_difference(case):
+    """marginal(n) == total(active) - total(active with n removed) for every
+    user, and both counts equal the scalar loops exactly."""
+    hg, choices, active, jammed = case
+    total = total_generalized_interference(hg, choices, active, jammed)
+    assert total == scalar.total_generalized_interference(
+        hg, choices, active, scalar.channel_set(jammed))
+    got = marginal_interference(hg, choices, active, jammed)
+    want = [scalar.marginal_interference(hg, u, choices, active,
+                                         scalar.channel_set(jammed))
+            for u in range(hg.num_users)]
+    assert got.tolist() == want
+    for u in range(hg.num_users):
+        without = active.copy()
+        without[u] = False
+        rest = total_generalized_interference(hg, choices, without, jammed)
+        assert got[u] == total - rest, (
+            f"user {u}: marginal {got[u]} != {total} - {rest}")
 
 
 def test_marginal_of_inactive_user_is_zero():
     hg = small_hg()
-    assert marginal_interference(hg, 1, [0, 0, 0, 0], [True, False, True, True],
-                                 frozenset({0})) == 0
+    got = marginal_interference(hg, np.zeros(4, dtype=np.int64),
+                                np.array([True, False, True, True]), mask({0}, 1))
+    assert got[1] == 0
 
 
 def test_without_weak_edges_strips_only_hyperedges():
@@ -145,3 +170,8 @@ def test_edges_are_canonicalized():
                                 weak_hyperedges=((4, 2, 0),))
     assert hg.strong_edges == ((0, 2), (1, 3))
     assert hg.weak_hyperedges == ((0, 2, 4),)
+    # the incidence arrays follow the canonical edges and are read-only
+    assert np.argwhere(hg.adjacency).tolist() == [[0, 2], [1, 3], [2, 0], [3, 1]]
+    assert hg.membership[:, 0].tolist() == [1, 0, 1, 0, 1]
+    with pytest.raises(ValueError):
+        hg.adjacency[0, 1] = 1

@@ -6,8 +6,12 @@ deterministic; the random pick and the reactive fallback read the uniform
 they are handed and nothing else.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from antijam.errors import ConfigError
 from antijam.jammers import JammerPattern, jammer_action
@@ -61,6 +65,30 @@ def test_reactive_follows_the_crowd():
     # ties break toward the lowest channel index
     assert jammer_action(p, 1, 4, last_assignment=[0, 1, 0, 1]) == frozenset({0})
     assert jammer_action(p, 1, 4, last_assignment=[3, 3, 1, 1]) == frozenset({1})
+
+
+def counter_rule(heard):
+    """The most heard channel by a Counter, lowest index on ties."""
+    counts = Counter(int(c) for c in heard)
+    return max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+
+
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.integers(0, m - 1), min_size=1, max_size=9))))
+def test_reactive_pick_equals_the_counter_rule(case):
+    m, heard = case
+    p = JammerPattern(kind="reactive")
+    want = frozenset({counter_rule(heard)})
+    assert jammer_action(p, 1, m, last_assignment=heard) == want
+    assert jammer_action(p, 1, m, last_assignment=np.array(heard), u=0.5) == want
+
+
+def test_reactive_rejects_what_is_no_heard_channel():
+    p = JammerPattern(kind="reactive")
+    for heard in ([7], [4], [-1, -1, 2], np.array([True, False, True]),
+                  [1.5], np.array([[1, 2]])):
+        with pytest.raises(ConfigError):
+            jammer_action(p, 1, 4, last_assignment=heard, u=0.5)
 
 
 def test_reactive_fallback_before_any_observation():

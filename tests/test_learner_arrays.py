@@ -10,11 +10,11 @@ and exploration schedules, both must make the same choice on every slot,
 leave their generators in the same state, and hold bitwise-equal state.
 
 The library hands the jammed channels on as an (M,) bool mask; the reference
-reads them as a channel set, and the hypergraph reward as one scalar
-marginal_interference per user. Both follow stream layout v2: the Q users
-draw one flat row of N coins then N channel draws every slot, the window
-leader a coin and a channel every slot, read only at a window start, and a
-uniform u picks channel min(int(u*M), M-1).
+reads them as a channel set, and the hypergraph reward as one marginal per
+user from the scalar loops of scalar_interference. Both follow stream layout
+v2: the Q users draw one flat row of N coins then N channel draws every slot,
+the window leader a coin and a channel every slot, read only at a window
+start, and a uniform u picks channel min(int(u*M), M-1).
 """
 
 import dataclasses
@@ -24,8 +24,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+import scalar_interference as scalar
 from antijam.config import LearningParams
-from antijam.hypergraph import InterferenceHypergraph, marginal_interference
+from antijam.hypergraph import InterferenceHypergraph
 from antijam.learning import (AutomataUsers, QUsers, WindowLeader,
                               interference_reward, observe_jamming, rate_reward)
 
@@ -33,9 +34,7 @@ from antijam.learning import (AutomataUsers, QUsers, WindowLeader,
 # the scalar reference
 
 
-def channels(mask):
-    """The channel set of a jam mask."""
-    return frozenset(np.flatnonzero(mask).tolist())
+channels = scalar.channel_set
 
 
 @dataclass(frozen=True)
@@ -130,8 +129,8 @@ def ref_interference_reward(hypergraph):
     d_norm = float(max(incident))
 
     def reward(u, choices, active, rates, jammed):
-        utility = -marginal_interference(hypergraph, u, choices, active,
-                                         channels(jammed))
+        utility = -scalar.marginal_interference(hypergraph, u, choices, active,
+                                                channels(jammed))
         return max(0.0, 1.0 + utility / d_norm)
     return reward
 

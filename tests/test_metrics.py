@@ -15,8 +15,7 @@ from antijam.env import NodeGeometry, RadioParams
 from antijam.errors import ConfigError
 from antijam.games import run_best_response
 from antijam.hypergraph import InterferenceHypergraph
-from antijam.metrics import (detect_convergence, mean_ci, network_rate,
-                             normalized_capacity)
+from antijam.metrics import mean_ci, network_rate, normalized_capacity
 from antijam.runner import _slot_metrics
 
 
@@ -131,23 +130,6 @@ def test_ne_bounds_validation():
     game = small_game(rng, 2, 2)
     with pytest.raises(ConfigError):
         ne_bounds(game, num_trials=0)
-
-
-def test_detect_convergence_on_assignments():
-    series = [np.array([0, 1]), np.array([1, 1]), np.array([1, 1]),
-              np.array([1, 1]), np.array([1, 1])]
-    assert detect_convergence(series, window=3) == 1
-    assert detect_convergence(series, window=5) is None
-    wobble = [np.array([0, 1]), np.array([1, 1]), np.array([0, 1])]
-    assert detect_convergence(wobble, window=2) is None
-
-
-def test_detect_convergence_on_strategies():
-    flat = np.array([[0.5, 0.5], [0.5, 0.5]])
-    sharp = np.array([[0.995, 0.005], [0.005, 0.995]])
-    series = [flat, flat, sharp, sharp, sharp]
-    assert detect_convergence(series, window=2, threshold=0.99) == 2
-    assert detect_convergence([flat, flat], window=1, threshold=0.99) is None
 
 
 def test_mean_ci_hand_case():
