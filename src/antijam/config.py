@@ -8,10 +8,11 @@ silently fall back to a default mid-experiment.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .env import NodeGeometry, RadioParams
 from .errors import ConfigError
@@ -137,6 +138,10 @@ _TOP_KEYS = ("scenario", "name", "num_users", "num_channels", "slots", "trials",
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated run: its settings, the world built from them once (node
+    geometry, jammer patterns, and the hypergraph of a hypergraph scenario),
+    and the fully resolved document they came from."""
+
     scenario: str
     name: str
     num_users: int
@@ -146,61 +151,18 @@ class ScenarioConfig:
     seed: int
     active_probability: float
     radio: RadioParams
-    geometry_doc: dict
-    jammer_docs: tuple
     algorithms: tuple
     learning: LearningParams
-    hypergraph_doc: dict | None
     output_dir: str | None
-
-    def build_geometry(self) -> NodeGeometry:
-        return _build_geometry(self.geometry_doc, self.num_users)
-
-    def jammer_patterns(self) -> tuple:
-        return tuple(_build_jammer(doc) for doc in self.jammer_docs)
-
-    def build_hypergraph(self) -> InterferenceHypergraph | None:
-        if self.scenario != "hypergraph":
-            return None
-        doc = self.hypergraph_doc
-        if doc["source"] == "explicit":
-            return InterferenceHypergraph(
-                num_users=self.num_users,
-                strong_edges=tuple(tuple(e) for e in doc["strong_edges"]),
-                weak_hyperedges=tuple(tuple(h) for h in doc["weak_hyperedges"]),
-                activation_threshold=doc["activation_threshold"],
-            )
-        return build_hypergraph(self.build_geometry(), doc["strong_radius"],
-                                doc["weak_radius"], doc["activation_threshold"])
+    document: dict = field(repr=False)
+    geometry: NodeGeometry = field(repr=False, compare=False)
+    jammers: tuple = field(compare=False)
+    hypergraph: InterferenceHypergraph | None = field(repr=False, compare=False)
 
     def to_document(self) -> dict:
-        """Fully resolved document; load_config on it reproduces this config."""
-        doc = {
-            "scenario": self.scenario,
-            "name": self.name,
-            "num_users": self.num_users,
-            "num_channels": self.num_channels,
-            "slots": self.slots,
-            "trials": self.trials,
-            "seed": self.seed,
-            "active_probability": self.active_probability,
-            "radio": {
-                "tx_power": self.radio.tx_power,
-                "jam_power": self.radio.jam_power,
-                "noise_floor": self.radio.noise_floor,
-                "pathloss_exponent": self.radio.pathloss_exponent,
-                "min_distance": self.radio.min_distance,
-            },
-            "geometry": self.geometry_doc,
-            "algorithms": list(self.algorithms),
-            "learning": self.learning.to_document(),
-            "output_dir": self.output_dir,
-        }
-        if self.jammer_docs:
-            doc["jammers"] = [dict(d) for d in self.jammer_docs]
-        if self.hypergraph_doc is not None:
-            doc["hypergraph"] = self.hypergraph_doc
-        return doc
+        """Fully resolved document, the caller's own copy; load_config on it
+        reproduces this config."""
+        return copy.deepcopy(self.document)
 
 
 def _build_geometry(doc: dict, num_users: int) -> NodeGeometry:
@@ -218,6 +180,16 @@ def _build_geometry(doc: dict, num_users: int) -> NodeGeometry:
         rx = ((radius + link) * math.cos(angle), (radius + link) * math.sin(angle))
         pairs.append((tx, rx))
     return NodeGeometry(pairs, jammers)
+
+
+def _build_hypergraph(doc: dict, num_users: int,
+                      geometry: NodeGeometry) -> InterferenceHypergraph:
+    if doc["source"] == "explicit":
+        return InterferenceHypergraph(num_users, doc["strong_edges"],
+                                      doc["weak_hyperedges"],
+                                      doc["activation_threshold"])
+    return build_hypergraph(geometry, doc["strong_radius"], doc["weak_radius"],
+                            doc["activation_threshold"])
 
 
 def _resolve_geometry(doc, num_users: int, num_jammers: int) -> dict:
@@ -254,12 +226,6 @@ def _resolve_geometry(doc, num_users: int, num_jammers: int) -> dict:
     return resolved
 
 
-def _build_jammer(doc: dict) -> JammerPattern:
-    return JammerPattern(kind=doc["kind"], fixed_channel=doc["fixed_channel"],
-                         comb_set=tuple(doc["comb_set"]), dwell=doc["dwell"],
-                         start_channel=doc["start_channel"])
-
-
 def _resolve_jammer(doc, num_channels: int, where: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: must be a JSON object")
@@ -281,7 +247,7 @@ def _resolve_jammer(doc, num_channels: int, where: str) -> dict:
                                          hi=num_channels - 1, integer=True, default=0),
     }
     try:
-        _build_jammer(resolved).validate_channels(num_channels)
+        JammerPattern(**resolved).validate_channels(num_channels)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return resolved
@@ -376,6 +342,7 @@ def load_config(document: dict) -> ScenarioConfig:
 
     geometry_doc = _resolve_geometry(document.get("geometry", {}), num_users,
                                      num_jammers)
+    geometry = _build_geometry(geometry_doc, num_users)
 
     algos = document.get("algorithms", list(ALGORITHMS[scenario]))
     if not isinstance(algos, list) or not algos \
@@ -396,23 +363,32 @@ def load_config(document: dict) -> ScenarioConfig:
                              integer=key == "window_slots")
         for key in learning_doc})
 
+    resolved = {
+        "scenario": scenario, "name": name, "num_users": num_users,
+        "num_channels": num_channels, "slots": slots, "trials": trials,
+        "seed": seed, "active_probability": p,
+        "radio": {key: getattr(radio, key) for key in _RADIO_KEYS},
+        "geometry": geometry_doc, "algorithms": list(algos),
+        "learning": learning.to_document(), "output_dir": output_dir,
+    }
+    if jammer_docs:
+        resolved["jammers"] = list(jammer_docs)
+    hypergraph = None
     if scenario == "hypergraph":
-        hypergraph_doc = _resolve_hypergraph(document.get("hypergraph", {}), num_users)
+        resolved["hypergraph"] = _resolve_hypergraph(document.get("hypergraph", {}),
+                                                     num_users)
+        hypergraph = _build_hypergraph(resolved["hypergraph"], num_users, geometry)
     elif "hypergraph" in document:
         raise ConfigError("hypergraph: only allowed in the hypergraph scenario")
-    else:
-        hypergraph_doc = None
 
-    config = ScenarioConfig(
+    return ScenarioConfig(
         scenario=scenario, name=name, num_users=num_users,
         num_channels=num_channels, slots=slots, trials=trials, seed=seed,
-        active_probability=p, radio=radio, geometry_doc=geometry_doc,
-        jammer_docs=jammer_docs, algorithms=tuple(algos), learning=learning,
-        hypergraph_doc=hypergraph_doc, output_dir=output_dir,
+        active_probability=p, radio=radio, algorithms=tuple(algos),
+        learning=learning, output_dir=output_dir, document=resolved,
+        geometry=geometry, hypergraph=hypergraph,
+        jammers=tuple(JammerPattern(**doc) for doc in jammer_docs),
     )
-    config.build_geometry()
-    config.build_hypergraph()
-    return config
 
 
 def _default_jammer_doc(scenario: str) -> dict:

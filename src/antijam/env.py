@@ -95,6 +95,37 @@ def jam_mask(jammed, num_channels: int) -> np.ndarray:
     return mask
 
 
+def _as_choices(choices, num_users: int, num_channels: int,
+                ndim: int = 1) -> np.ndarray:
+    """Channel choices as int64: ndim axes, the last one entry per user, each
+    an integer in range(num_channels). Anything else is a ConfigError: a
+    fraction is no channel, nor is a bool, even in a list of ints that numpy
+    would read as one."""
+    arr = np.asarray(choices)
+    if arr.dtype.kind not in "iu" or not isinstance(choices, np.ndarray) and any(
+            isinstance(c, (bool, np.bool_))
+            for c in np.asarray(choices, dtype=object).flat):
+        raise ConfigError(f"assignment: entries must be integer channels, got "
+                          f"{choices!r}")
+    if arr.ndim != ndim or arr.shape[-1] != num_users:
+        raise ConfigError(f"assignment: expected {num_users} entries per "
+                          f"profile, got shape {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= num_channels):
+        raise ConfigError("assignment: channel index out of range")
+    return arr.astype(np.int64, copy=False)
+
+
+def _as_mask(active_mask, num_users: int) -> np.ndarray:
+    """The (N,) bool activity mask; None means every user is active."""
+    if active_mask is None:
+        return np.ones(num_users, dtype=bool)
+    mask = np.asarray(active_mask, dtype=bool)
+    if mask.shape != (num_users,):
+        raise ConfigError(f"active_mask: expected {num_users} entries, got shape "
+                          f"{mask.shape}")
+    return mask
+
+
 def uniform_channels(u, num_channels: int):
     """The channel each uniform u in [0, 1) picks: min(int(u*M), M-1)."""
     return np.minimum((np.asarray(u) * num_channels).astype(np.int64), num_channels - 1)
@@ -129,6 +160,12 @@ class RateModel:
                 self.jam_gain[k, j] = link_gain(geometry.jammers[k], geometry.rx[j], params)
         # Total jam power arriving at each receiver when its channel is jammed.
         self.jam_at_rx = params.jam_power * self.jam_gain.sum(axis=0)
+        # a receiver's own transmitter is no interference to it
+        self._cross_gain = self.gain.copy()
+        np.fill_diagonal(self._cross_gain, 0.0)
+        self._channels = np.arange(params.num_channels)[:, None]
+        self._users = np.arange(n)
+        self._signal = params.tx_power * self.own_gain[:, None]
 
     @property
     def num_users(self) -> int:
@@ -139,25 +176,28 @@ class RateModel:
 
         Inactive users radiate nothing and receive a rate of 0. A user hears
         jamming power iff its own channel is jammed; jammed_channels is a
-        channel set or an (M,) bool mask (see jam_mask).
+        channel set or an (M,) bool mask (see jam_mask). These are
+        deviation_rates read at each user's own channel.
         """
-        p = self.params
-        choices = np.asarray(choices, dtype=np.int64)
-        active = np.asarray(active_mask, dtype=bool)
-        n = self.num_users
-        if choices.shape[0] != n or active.shape[0] != n:
-            raise ConfigError("rates: choices/active_mask length must equal num_users")
-        if choices.size and (choices.min() < 0 or choices.max() >= p.num_channels):
-            raise ConfigError("rates: channel index out of range")
+        m = self.params.num_channels
+        choices = _as_choices(choices, self.num_users, m)
+        active = _as_mask(active_mask, self.num_users)
+        rates = self.deviation_rates(choices, active, jam_mask(jammed_channels, m))
+        return rates[self._users, choices]
 
-        co = (choices[:, None] == choices[None, :]) & active[:, None] & active[None, :]
-        np.fill_diagonal(co, False)
-        # interference[j] = sum over co-channel active transmitters m of p_tx * gain[m, j]
-        interference = p.tx_power * np.einsum("mj,mj->j", co, self.gain)
-        jammed = jam_mask(jammed_channels, p.num_channels)[choices]
-        denom = p.noise_floor + interference + np.where(jammed, self.jam_at_rx, 0.0)
-        sinr = p.tx_power * self.own_gain / denom
-        return np.where(active, np.log2(1.0 + sinr), 0.0)
+    def deviation_rates(self, profiles, active, jammed) -> np.ndarray:
+        """(..., N, M): [..., n, c] is user n's rate if it alone moves to
+        channel c in the int64 profiles (..., N), 0 if n is inactive in the
+        (N,) bool mask active, under the (M,) bool jam mask jammed. einsum
+        adds the transmitters one at a time in order, as the tests' scalar
+        rates do; a BLAS product may not, and would round differently."""
+        p = self.params
+        on = ((profiles[..., None, :] == self._channels) & active).astype(float)
+        heard = np.einsum("...ct,tn->...nc", on, self._cross_gain)
+        denom = (p.noise_floor + p.tx_power * heard
+                 + np.where(jammed, self.jam_at_rx[:, None], 0.0))
+        sinr = self._signal / denom
+        return np.where(active[:, None], np.log2(1.0 + sinr), 0.0)
 
 
 def max_single_user_rate(model: RateModel) -> float:

@@ -12,9 +12,10 @@ are exact on small instances and are the ground truth the learners are tested
 against. They share one batched kernel, _deviation_utilities, which values
 every unilateral deviation of a block of profiles as a (K, N, M) tensor:
 enumeration walks the M^N profiles in lexicographic blocks, and best response
-sweeps many starts in lockstep. user_utility values one cell: the kernel
-reproduces it bit for bit for rates, and both read hypergraph.py's one
-conflict count. The scalar oracle they replaced is the tests' reference.
+sweeps many starts in lockstep. user_utility values one cell. Both read the
+one SINR formula, RateModel.deviation_rates, and hypergraph.py's one conflict
+count, so the kernel gives user_utility's values bit for bit. The scalar
+oracle they replaced is the tests' reference.
 
 Every entry point takes the jammed channels as a channel set or an (M,) bool
 mask and checks them once, through env.jam_mask.
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import NodeGeometry, RadioParams, RateModel, jam_mask
+from .env import (NodeGeometry, RadioParams, RateModel, _as_choices, _as_mask,
+                  jam_mask)
 from .errors import ConfigError, InstanceTooLargeError, UnsupportedOperationError
 from .hypergraph import (InterferenceHypergraph, deviation_interference,
                          marginal_interference, total_generalized_interference)
@@ -83,30 +85,10 @@ class GameSpec:
         return self._model
 
 
-def _as_choices(game: GameSpec, choices, ndim: int = 1) -> np.ndarray:
-    """Channel choices as int64 with a last axis of one entry per user."""
-    arr = np.asarray(choices, dtype=np.int64)
-    if arr.ndim != ndim or arr.shape[-1] != game.num_users:
-        raise ConfigError(f"assignment: expected {game.num_users} entries per "
-                          f"profile, got shape {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= game.num_channels):
-        raise ConfigError("assignment: channel index out of range")
-    return arr
-
-
-def _as_mask(active_mask, num_users: int) -> np.ndarray:
-    if active_mask is None:
-        return np.ones(num_users, dtype=bool)
-    mask = np.asarray(active_mask, dtype=bool)
-    if mask.shape != (num_users,):
-        raise ConfigError(f"active_mask: expected {num_users} entries, got shape {mask.shape}")
-    return mask
-
-
 def user_utility(game: GameSpec, n: int, choices, jammed_channels=_NO_JAM,
                  active_mask=None) -> float:
     """Utility of user n at the joint assignment; 0 by convention if inactive."""
-    choices = _as_choices(game, choices)
+    choices = _as_choices(choices, game.num_users, game.num_channels)
     active = _as_mask(active_mask, game.num_users)
     jammed = jam_mask(jammed_channels, game.num_channels)
     if not active[n]:
@@ -123,7 +105,7 @@ def potential_value(game: GameSpec, choices, jammed_channels=_NO_JAM,
     if game.kind != "hypergraph":
         raise UnsupportedOperationError(
             f"potential_value: defined for hypergraph games, not {game.kind!r}")
-    choices = _as_choices(game, choices)
+    choices = _as_choices(choices, game.num_users, game.num_channels)
     active = _as_mask(active_mask, game.num_users)
     return -float(total_generalized_interference(
         game.hypergraph, choices, active, jam_mask(jammed_channels, game.num_channels)))
@@ -152,29 +134,14 @@ def _deviation_utilities(game: GameSpec, profiles: np.ndarray, jammed_channels,
     """(K, N, M) tensor: [k, n, c] is user n's utility if it alone moves to
     channel c in profile k (0 for inactive users).
 
-    Each entry equals user_utility at the deviated profile exactly. What a
-    user hears on channel c does not depend on its own choice, so one pass
-    over the other users' choices values every deviation at once.
+    Each entry equals user_utility at the deviated profile exactly: both
+    read RateModel.deviation_rates or hypergraph.deviation_interference.
     """
-    m = game.num_channels
-    jam = jam_mask(jammed_channels, m)
+    jam = jam_mask(jammed_channels, game.num_channels)
     if game.kind == "hypergraph":
         hits = deviation_interference(game.hypergraph, profiles, active, jam)
         return np.where(active[:, None], -hits.astype(np.float64), 0.0)
-    model, p = game.rate_model, game.params
-    gain = model.gain.copy()
-    np.fill_diagonal(gain, 0.0)
-    # Each active transmitter adds its gains on its own channel, one at a
-    # time in RateModel.rates' order, so every entry is bitwise the rate that
-    # rates() gives the deviated profile (the zero terms it skips change no bit).
-    heard = np.zeros((len(profiles), game.num_users, m))
-    rows = np.arange(len(profiles))
-    for t in np.flatnonzero(active):
-        heard[rows, :, profiles[:, t]] += gain[t]
-    denom = (p.noise_floor + p.tx_power * heard
-             + np.where(jam, model.jam_at_rx[:, None], 0.0))
-    sinr = p.tx_power * model.own_gain[:, None] / denom
-    return np.where(active[:, None], np.log2(1.0 + sinr), 0.0)
+    return game.rate_model.deviation_rates(profiles, active, jam)
 
 
 def _nash_rows(game: GameSpec, profiles: np.ndarray, jammed, active):
@@ -207,7 +174,7 @@ def _nash_blocks(game: GameSpec, jammed, active):
 def is_pure_nash(game: GameSpec, choices, jammed_channels=_NO_JAM,
                  active_mask=None) -> bool:
     """True iff no active user has a strictly improving unilateral deviation."""
-    choices = _as_choices(game, choices)
+    choices = _as_choices(choices, game.num_users, game.num_channels)
     active = _as_mask(active_mask, game.num_users)
     nash, _ = _nash_rows(game, choices[None], jammed_channels, active)
     return bool(nash[0])
@@ -246,7 +213,8 @@ def best_response_lockstep(game: GameSpec, starts, jammed_channels=_NO_JAM,
     each exactly what run_best_response returns for that start. Starts are
     swept in blocks; a start leaves its block as soon as it converges.
     """
-    finals = _as_choices(game, starts, ndim=2).copy()
+    finals = _as_choices(starts, game.num_users, game.num_channels,
+                         ndim=2).copy()
     active = _as_mask(active_mask, game.num_users)
     jammed = jam_mask(jammed_channels, game.num_channels)
     converged = np.zeros(len(finals), dtype=bool)
@@ -276,7 +244,7 @@ def run_best_response(game: GameSpec, start, jammed_channels=_NO_JAM,
     (exact potential); rate games may cycle, in which case converged is False
     after max_rounds sweeps.
     """
-    start = _as_choices(game, start)
+    start = _as_choices(start, game.num_users, game.num_channels)
     finals, converged, rounds = best_response_lockstep(
         game, start[None], jammed_channels, active_mask, max_rounds)
     return finals[0], bool(converged[0]), int(rounds[0])

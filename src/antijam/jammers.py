@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import uniform_channels
+from .env import _as_choices, uniform_channels
 from .errors import ConfigError
 
 KINDS = ("fixed", "random", "sweep", "comb", "reactive")
@@ -63,11 +63,7 @@ def jammer_action(pattern: JammerPattern, t: int, num_channels: int,
     if pattern.kind == "sweep":
         return frozenset({(pattern.start_channel + t // pattern.dwell) % num_channels})
     if pattern.kind == "reactive" and last_assignment is not None and len(last_assignment):
-        heard = np.asarray(last_assignment)
-        if heard.ndim != 1 or heard.dtype.kind not in "iu" \
-                or heard.min() < 0 or heard.max() >= num_channels:
-            raise ConfigError(f"jammer_action: heard channels {last_assignment!r} "
-                              f"are not channels in range({num_channels})")
+        heard = _as_choices(last_assignment, len(last_assignment), num_channels)
         return frozenset({int(np.bincount(heard, minlength=num_channels).argmax())})
     # random, or reactive with nobody heard
     if u is None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import jam_mask
+from .env import _as_mask, jam_mask
 from .errors import ConfigError
 from .games import GameSpec, best_response_lockstep, lexicographic_profiles
 
@@ -53,8 +53,7 @@ def ne_bounds(game: GameSpec, jammed_channels=_NO_JAM, active_mask=None,
     if rng is None:
         rng = np.random.default_rng(0)
     n, m = game.num_users, game.num_channels
-    active = np.ones(n, dtype=bool) if active_mask is None \
-        else np.asarray(active_mask, dtype=bool)
+    active = _as_mask(active_mask, n)
     jammed = jam_mask(jammed_channels, m)
     starts = []
     if m ** n <= num_trials:

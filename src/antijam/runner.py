@@ -73,11 +73,11 @@ def _controller(config: ScenarioConfig, algo: str,
     if config.scenario == "stackelberg":
         leader = WindowLeader(m, lp)
     else:
-        leader = ScriptedJammers(config.jammer_patterns(), m)
+        leader = ScriptedJammers(config.jammers, m)
     if algo == "hierarchical":
         users = AutomataUsers(n, m, lp.step_size, rate_reward(r_max))
     elif algo in ("hypergraph_sla", "graph_sla"):
-        hg = config.build_hypergraph()
+        hg = config.hypergraph
         if algo == "graph_sla":
             hg = hg.without_weak_edges()
         users = AutomataUsers(n, m, lp.step_size, interference_reward(hg))
@@ -114,10 +114,10 @@ def simulate_trial(config: ScenarioConfig, algo: str, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # full runs
 
-def _oracle_values(config: ScenarioConfig, model: RateModel) -> dict:
+def _oracle_values(config: ScenarioConfig) -> dict:
     if config.scenario != "stackelberg":
         return {}
-    game = GameSpec("stackelberg", config.build_geometry(), config.radio)
+    game = GameSpec("stackelberg", config.geometry, config.radio)
     solution = stackelberg_solve(game)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 999983)))
     bounds = ne_bounds(game, frozenset({solution.leader_channel}),
@@ -145,7 +145,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
         slot_file = open(os.path.join(out, "per_slot.csv"), "w",
                          encoding="utf-8", newline="\n")
 
-    model = RateModel(config.build_geometry(), config.radio)
+    model = RateModel(config.geometry, config.radio)
     r_max = max_single_user_rate(model)
     tail = max(1, config.slots // 10)
 
@@ -179,7 +179,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
                 summary_rows.append((config.name, algo, key, mean, half,
                                      config.trials))
 
-        oracle = _oracle_values(config, model)
+        oracle = _oracle_values(config)
         for key in sorted(oracle):
             trials = NE_BOUND_TRIALS if key.endswith("ne_rate") else 1
             summary_rows.append((config.name, "oracle", key, oracle[key], 0.0,

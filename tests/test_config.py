@@ -60,6 +60,22 @@ def test_document_round_trip():
         assert cfg2.to_document() == doc
 
 
+def test_config_keeps_its_own_copy_of_the_document():
+    """Neither the document a config was loaded from nor the one it hands
+    out can reach into its built world; two loads of one document are equal."""
+    doc = get_preset("fig5-hypergraph")
+    cfg = load_config(doc)
+    assert load_config(doc) == cfg
+    tx, resolved = cfg.geometry.tx.copy(), cfg.to_document()
+    doc["geometry"]["user_pairs"][0][0] = [60.0, 60.0]
+    out = cfg.to_document()
+    out["geometry"]["user_pairs"][0][0] = [50.0, 50.0]
+    out["hypergraph"]["strong_edges"].append([0, 7])
+    assert np.array_equal(cfg.geometry.tx, tx)
+    assert cfg.hypergraph.strong_edges == ((1, 2),)
+    assert cfg.to_document() == resolved
+
+
 def test_defaults_fill_in():
     cfg = load_config(minimal_markov())
     assert cfg.num_users == 2
@@ -67,8 +83,8 @@ def test_defaults_fill_in():
     assert cfg.algorithms == ALGORITHMS["markov"]
     assert cfg.radio.num_channels == 3
     # default markov jammer is a sweep
-    assert cfg.jammer_patterns()[0].kind == "sweep"
-    geo = cfg.build_geometry()
+    assert cfg.jammers[0].kind == "sweep"
+    geo = cfg.geometry
     assert geo.num_users == 2
     assert geo.num_jammers == 1
 
@@ -162,7 +178,7 @@ def test_comb_default_covers_every_other_channel():
     doc["num_channels"] = 6
     doc["jammer"] = {"kind": "comb"}
     cfg = load_config(doc)
-    assert cfg.jammer_patterns()[0].comb_set == (0, 2, 4)
+    assert cfg.jammers[0].comb_set == (0, 2, 4)
 
 
 def test_multiple_jammers_allowed_outside_stackelberg():
@@ -172,8 +188,8 @@ def test_multiple_jammers_allowed_outside_stackelberg():
     doc["jammers"] = [{"kind": "fixed", "fixed_channel": 0},
                       {"kind": "sweep", "dwell": 2}]
     cfg = load_config(doc)
-    assert len(cfg.jammer_patterns()) == 2
-    assert cfg.build_geometry().num_jammers == 2
+    assert len(cfg.jammers) == 2
+    assert cfg.geometry.num_jammers == 2
     # pattern count must match jammer position count
     doc["jammers"] = [{"kind": "fixed"}]
     with pytest.raises(ConfigError):
@@ -184,7 +200,7 @@ def test_ring_geometry_layout():
     doc = minimal_markov()
     doc["num_users"] = 4
     doc["geometry"] = {"layout": "ring", "radius": 10.0, "link_distance": 1.0}
-    geo = load_config(doc).build_geometry()
+    geo = load_config(doc).geometry
     d_tx = np.linalg.norm(geo.tx, axis=1)
     d_rx = np.linalg.norm(geo.rx, axis=1)
     assert np.allclose(d_tx, 10.0)
@@ -203,7 +219,7 @@ def test_explicit_geometry_length_checked():
 def test_hypergraph_scenario_explicit_and_geometric():
     doc = get_preset("fig5-hypergraph")
     cfg = load_config(doc)
-    hg = cfg.build_hypergraph()
+    hg = cfg.hypergraph
     assert hg.num_users == 8
     assert hg.strong_edges == ((1, 2),)
     assert len(hg.weak_hyperedges) == 6
@@ -212,7 +228,7 @@ def test_hypergraph_scenario_explicit_and_geometric():
     doc["hypergraph"] = {"source": "geometric", "strong_radius": 2.0,
                          "weak_radius": 6.0, "activation_threshold": 3}
     cfg = load_config(doc)
-    assert cfg.build_hypergraph().num_users == 8
+    assert cfg.hypergraph.num_users == 8
 
 
 def test_learning_params_round_trip():

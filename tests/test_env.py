@@ -40,7 +40,7 @@ def record_slots(doc):
     """Run one trial of doc's first algorithm and return what the runner
     handed the rate model each slot: (choices, jam mask, active mask, rates)."""
     config = load_config(doc)
-    model = RateModel(config.build_geometry(), config.radio)
+    model = RateModel(config.geometry, config.radio)
     rates_fn = model.rates
     seen = []
 
@@ -187,8 +187,8 @@ def test_multiple_jammers_union():
                for _, jammed, _, _ in record_slots(doc))
     # a jammed receiver hears the power of every jammer
     config = load_config(doc)
-    model = RateModel(config.build_geometry(), config.radio)
-    rx = config.build_geometry().rx
+    model = RateModel(config.geometry, config.radio)
+    rx = config.geometry.rx
     for n in range(2):
         expected = sum(link_gain(pos, rx[n], config.radio)
                        for pos in ([1.0, 1.0], [-2.0, 0.5]))

@@ -176,17 +176,30 @@ def test_best_response_tie_rules():
 
 
 def test_assignments_are_validated():
-    """A channel outside range(M) is a ConfigError, not a wrapped index."""
+    """A channel outside range(M), a fraction, a bool or a profile of the
+    wrong shape is a ConfigError, never a wrapped, truncated or broadcast
+    index, and so is an activity mask of the wrong shape."""
     rng = np.random.default_rng(3)
     game, jammed, active = random_hyper_game(rng, n_max=3, m_max=3)
     n, m = game.num_users, game.num_channels
-    for bad in ([-1] + [0] * (n - 1), [m] + [0] * (n - 1), [0] * (n + 1)):
+    ok = [0] * n
+    for bad in ([-1] + ok[1:], [m] + ok[1:], ok + [0], [0.7] + ok[1:], [1.9] * n,
+                [True] + ok[1:], np.zeros((n, 2), dtype=np.int64)):
         with pytest.raises(ConfigError):
             is_pure_nash(game, bad, jammed, active)
         with pytest.raises(ConfigError):
             run_best_response(game, bad, jammed, active)
         with pytest.raises(ConfigError):
             best_response_lockstep(game, [bad], jammed, active)
+        with pytest.raises(ConfigError):
+            user_utility(game, 0, bad, jammed, active)
+        with pytest.raises(ConfigError):
+            game.rate_model.rates(bad, jammed, active)
+    for bad in (np.ones((n, 2), dtype=bool), [True] * (n + 1)):
+        with pytest.raises(ConfigError):
+            user_utility(game, 0, ok, jammed, bad)
+        with pytest.raises(ConfigError):
+            game.rate_model.rates(ok, jammed, bad)
 
 
 def test_enumeration_cap_enforced(monkeypatch):
@@ -278,7 +291,7 @@ def benchmark_oracle_game():
     spec.loader.exec_module(module)
     doc = module.WORKLOADS["stackelberg-oracle"].document(7, "full")
     config = load_config(doc)
-    return GameSpec("stackelberg", config.build_geometry(), config.radio)
+    return GameSpec("stackelberg", config.geometry, config.radio)
 
 
 def test_oracle_values_pinned_at_the_benchmark_instance():

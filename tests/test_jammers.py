@@ -86,7 +86,7 @@ def test_reactive_pick_equals_the_counter_rule(case):
 def test_reactive_rejects_what_is_no_heard_channel():
     p = JammerPattern(kind="reactive")
     for heard in ([7], [4], [-1, -1, 2], np.array([True, False, True]),
-                  [1.5], np.array([[1, 2]])):
+                  [True, 2], [1.5], np.array([[1, 2]])):
         with pytest.raises(ConfigError):
             jammer_action(p, 1, 4, last_assignment=heard, u=0.5)
 

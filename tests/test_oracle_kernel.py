@@ -3,9 +3,10 @@
 games values every unilateral deviation of a block of profiles in one
 (K, N, M) tensor. The scalar oracle it replaced lives here as the reference:
 one utility per (profile, user, channel) cell, a per-profile NE filter and
-one best-response run per start. A cell is RateModel.rates for rate games
-and the scalar marginal loop of scalar_interference for hypergraph games,
-never the library's own conflict count. Rate games must agree bit for bit,
+one best-response run per start. A cell is the co-channel mask of
+scalar_rates for rate games and the scalar marginal loop of
+scalar_interference for hypergraph games, never the library's own rate
+kernel or conflict count. Rate games must agree bit for bit,
 hypergraph games exactly, on random small games with random activity and
 jam sets. The block size is also forced down, so enumeration and
 lockstep best response cross many block boundaries.
@@ -19,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scalar_interference as scalar
+import scalar_rates
 from antijam import games
 from antijam.env import NodeGeometry, RadioParams
 from antijam.games import (GameSpec, best_response_lockstep,
@@ -45,7 +47,8 @@ def reference_utility_row(game, n, choices, jammed, active):
             out[c] = -float(scalar.marginal_interference(
                 game.hypergraph, n, work, active, jammed))
         else:
-            out[c] = float(game.rate_model.rates(work, jammed, active)[n])
+            out[c] = float(scalar_rates.rates(game.rate_model, work, jammed,
+                                              active)[n])
     return out
 
 
@@ -71,7 +74,7 @@ def reference_leader_solve(game, active):
     for channel in range(game.num_channels):
         jam = frozenset({channel})
         equilibria = reference_enumeration(game, jam, active)
-        totals = [float(game.rate_model.rates(np.array(eq), jam, active).sum())
+        totals = [float(scalar_rates.rates(game.rate_model, eq, jam, active).sum())
                   for eq in equilibria]
         if not totals:
             audit.append((channel, False, None, None))
@@ -218,8 +221,9 @@ def test_lexicographic_profiles_follow_itertools_order():
 
 def test_rate_tensor_is_bitwise_beyond_five_users():
     """With many co-channel transmitters, a sum taken in another order
-    rounds differently: the tensor must add them in rates()' order, and a
-    profile's own utilities must total as rates().sum() does."""
+    rounds differently: the kernel must add them in the scalar reference's
+    order, a profile's own utilities must total as its rates do, and a block
+    of profiles must give bitwise what its rows give one at a time."""
     rng = np.random.default_rng(2024)
     for _ in range(60):
         n, m = int(rng.integers(8, 17)), int(rng.integers(2, 5))
@@ -227,18 +231,26 @@ def test_rate_tensor_is_bitwise_beyond_five_users():
                                 jammer_positions=rng.uniform(-10, 10, size=(1, 2)))
         game = GameSpec("stackelberg", geometry,
                         RadioParams(num_channels=m, noise_floor=1e-3))
+        model = game.rate_model
         jammed = frozenset({int(rng.integers(0, m))})
+        mask = np.arange(m) == min(jammed)
         active = rng.random(n) < 0.9
         profiles = rng.integers(0, m, size=(4, n))
         got = games._deviation_utilities(game, profiles, jammed, active)
+        block = model.deviation_rates(profiles, active, mask)
+        assert block.tobytes() == got.tobytes()
+        assert block.tobytes() == np.stack(
+            [model.deviation_rates(p, active, mask) for p in profiles]).tobytes()
         for k, profile in enumerate(profiles):
             for u in range(n):
                 want = reference_utility_row(game, u, profile, jammed, active)
                 assert got[k, u].tobytes() == want.tobytes()
+            want = scalar_rates.rates(model, profile, jammed, active)
+            assert model.rates(profile, jammed, active).tobytes() == want.tobytes()
         # the leader solve totals an equilibrium as the sum of own utilities
         own = np.take_along_axis(got, profiles[:, :, None], axis=2)[:, :, 0]
         for k, profile in enumerate(profiles):
-            rates = game.rate_model.rates(profile, jammed, active)
+            rates = scalar_rates.rates(model, profile, jammed, active)
             assert float(own[k].sum()) == float(rates.sum())
         if m == 2:
             try:
@@ -247,6 +259,6 @@ def test_rate_tensor_is_bitwise_beyond_five_users():
                 continue
             for action in solution.per_action:
                 if action.has_equilibrium:
-                    rates = game.rate_model.rates(action.follower_assignment,
-                                                  {action.channel}, active)
+                    rates = scalar_rates.rates(model, action.follower_assignment,
+                                               {action.channel}, active)
                     assert action.total_rate == float(rates.sum())

@@ -215,7 +215,7 @@ class RecordingRng:
 def drawn_per_slot(config, algo):
     """One trial's per-slot metrics and the doubles each slot drew, read off
     at each slot's rate-model call, which follows the slot's last draw."""
-    model = RateModel(config.build_geometry(), config.radio)
+    model = RateModel(config.geometry, config.radio)
     rng = RecordingRng(config.seed)
     rates_fn, marks = model.rates, []
 
