@@ -140,7 +140,7 @@ _TOP_KEYS = ("scenario", "name", "num_users", "num_channels", "slots", "trials",
 class ScenarioConfig:
     """A validated run: its settings, the world built from them once (node
     geometry, jammer patterns, and the hypergraph of a hypergraph scenario),
-    and the fully resolved document they came from."""
+    and the resolved document, private: to_document() hands out copies."""
 
     scenario: str
     name: str
@@ -154,7 +154,7 @@ class ScenarioConfig:
     algorithms: tuple
     learning: LearningParams
     output_dir: str | None
-    document: dict = field(repr=False)
+    _document: dict = field(repr=False)
     geometry: NodeGeometry = field(repr=False, compare=False)
     jammers: tuple = field(compare=False)
     hypergraph: InterferenceHypergraph | None = field(repr=False, compare=False)
@@ -162,7 +162,7 @@ class ScenarioConfig:
     def to_document(self) -> dict:
         """Fully resolved document, the caller's own copy; load_config on it
         reproduces this config."""
-        return copy.deepcopy(self.document)
+        return copy.deepcopy(self._document)
 
 
 def _build_geometry(doc: dict, num_users: int) -> NodeGeometry:
@@ -385,7 +385,7 @@ def load_config(document: dict) -> ScenarioConfig:
         scenario=scenario, name=name, num_users=num_users,
         num_channels=num_channels, slots=slots, trials=trials, seed=seed,
         active_probability=p, radio=radio, algorithms=tuple(algos),
-        learning=learning, output_dir=output_dir, document=resolved,
+        learning=learning, output_dir=output_dir, _document=resolved,
         geometry=geometry, hypergraph=hypergraph,
         jammers=tuple(JammerPattern(**doc) for doc in jammer_docs),
     )

@@ -95,23 +95,23 @@ def jam_mask(jammed, num_channels: int) -> np.ndarray:
     return mask
 
 
-def _as_choices(choices, num_users: int, num_channels: int,
-                ndim: int = 1) -> np.ndarray:
+def _as_choices(choices, num_users: int, num_channels: int, ndim: int = 1,
+                where: str = "assignment") -> np.ndarray:
     """Channel choices as int64: ndim axes, the last one entry per user, each
-    an integer in range(num_channels). Anything else is a ConfigError: a
-    fraction is no channel, nor is a bool, even in a list of ints that numpy
-    would read as one."""
+    an integer in range(num_channels); anything else is a ConfigError that
+    names where. A fraction is no channel, nor is a bool, even in a list of
+    ints that numpy would read as one."""
     arr = np.asarray(choices)
     if arr.dtype.kind not in "iu" or not isinstance(choices, np.ndarray) and any(
             isinstance(c, (bool, np.bool_))
             for c in np.asarray(choices, dtype=object).flat):
-        raise ConfigError(f"assignment: entries must be integer channels, got "
+        raise ConfigError(f"{where}: entries must be integer channels, got "
                           f"{choices!r}")
     if arr.ndim != ndim or arr.shape[-1] != num_users:
-        raise ConfigError(f"assignment: expected {num_users} entries per "
+        raise ConfigError(f"{where}: expected {num_users} entries per "
                           f"profile, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= num_channels):
-        raise ConfigError("assignment: channel index out of range")
+        raise ConfigError(f"{where}: channel index out of range")
     return arr.astype(np.int64, copy=False)
 
 

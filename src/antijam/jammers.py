@@ -63,7 +63,8 @@ def jammer_action(pattern: JammerPattern, t: int, num_channels: int,
     if pattern.kind == "sweep":
         return frozenset({(pattern.start_channel + t // pattern.dwell) % num_channels})
     if pattern.kind == "reactive" and last_assignment is not None and len(last_assignment):
-        heard = _as_choices(last_assignment, len(last_assignment), num_channels)
+        heard = _as_choices(last_assignment, len(last_assignment), num_channels,
+                            where="jammer_action: heard channels")
         return frozenset({int(np.bincount(heard, minlength=num_channels).argmax())})
     # random, or reactive with nobody heard
     if u is None:

@@ -114,10 +114,9 @@ def simulate_trial(config: ScenarioConfig, algo: str, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # full runs
 
-def _oracle_values(config: ScenarioConfig) -> dict:
+def _oracle_values(config: ScenarioConfig, game: GameSpec) -> dict:
     if config.scenario != "stackelberg":
         return {}
-    game = GameSpec("stackelberg", config.geometry, config.radio)
     solution = stackelberg_solve(game)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 999983)))
     bounds = ne_bounds(game, frozenset({solution.leader_channel}),
@@ -145,7 +144,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
         slot_file = open(os.path.join(out, "per_slot.csv"), "w",
                          encoding="utf-8", newline="\n")
 
-    model = RateModel(config.geometry, config.radio)
+    game = GameSpec("stackelberg", config.geometry, config.radio)  # the rate game
+    model = game.rate_model  # one link budget: the slot loop's and the oracle's
     r_max = max_single_user_rate(model)
     tail = max(1, config.slots // 10)
 
@@ -179,7 +179,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
                 summary_rows.append((config.name, algo, key, mean, half,
                                      config.trials))
 
-        oracle = _oracle_values(config)
+        oracle = _oracle_values(config, game)
         for key in sorted(oracle):
             trials = NE_BOUND_TRIALS if key.endswith("ne_rate") else 1
             summary_rows.append((config.name, "oracle", key, oracle[key], 0.0,

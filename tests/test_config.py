@@ -74,6 +74,7 @@ def test_config_keeps_its_own_copy_of_the_document():
     assert np.array_equal(cfg.geometry.tx, tx)
     assert cfg.hypergraph.strong_edges == ((1, 2),)
     assert cfg.to_document() == resolved
+    assert not hasattr(cfg, "document")  # to_document() is the only way in
 
 
 def test_defaults_fill_in():

@@ -87,7 +87,7 @@ def test_reactive_rejects_what_is_no_heard_channel():
     p = JammerPattern(kind="reactive")
     for heard in ([7], [4], [-1, -1, 2], np.array([True, False, True]),
                   [True, 2], [1.5], np.array([[1, 2]])):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="jammer_action: heard channels"):
             jammer_action(p, 1, 4, last_assignment=heard, u=0.5)
 
 

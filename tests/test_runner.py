@@ -282,6 +282,15 @@ def test_oracle_rows_present_only_for_the_leader_game():
     assert "converged_greedy_rate" in result.trial_values["hierarchical"]
 
 
+def test_a_leader_game_run_builds_its_link_budget_once(monkeypatch):
+    built = []
+    init = RateModel.__init__
+    monkeypatch.setattr(RateModel, "__init__",
+                        lambda self, *a: (built.append(1), init(self, *a))[1])
+    run_scenario(load_config(small_stackelberg(trials=1, slots=5)))
+    assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # command line
 

@@ -1,6 +1,6 @@
 """Print the size of the antijam package: its line count and its public names.
 
-    python3 tools/size.py [package_dir]
+    python3 tools/size.py
 
 A public name is a module-level `def`, `class` or assignment target, read
 from the AST, whose name does not start with `_`. Imports are not counted,
@@ -25,9 +25,8 @@ def public_names(source: str) -> list:
     return [name for name in names if not name.startswith("_")]
 
 
-def main(argv) -> int:
-    package = Path(argv[1]) if len(argv) > 1 else \
-        Path(__file__).resolve().parent.parent / "src" / "antijam"
+def main() -> int:
+    package = Path(__file__).resolve().parent.parent / "src" / "antijam"
     lines, total = 0, 0
     for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
@@ -41,4 +40,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
