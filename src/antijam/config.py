@@ -8,6 +8,7 @@ silently fall back to a default mid-experiment.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import json
@@ -18,7 +19,6 @@ from .env import NodeGeometry, RadioParams
 from .errors import ConfigError
 from .games import MAX_ORACLE_CELLS, oracle_cells
 from .hypergraph import InterferenceHypergraph, build_hypergraph
-from .jammers import KINDS as JAMMER_KINDS
 from .jammers import JammerPattern
 
 SCENARIOS = ("stackelberg", "markov", "hypergraph")
@@ -82,6 +82,37 @@ def _list(doc, key, where: str, default) -> list:
     return value
 
 
+@contextlib.contextmanager
+def _section_errors(where: str):
+    """Prefix where to a ConfigError raised inside, as a value object knows no section."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _section(cls, doc, where: str, **given):
+    """The dataclass cls built from its JSON object doc, with the fields in
+    given set by the caller. Every other field may be a key of doc, whose
+    value must be a finite number, integral where the field's default is an
+    int; cls fills in the defaults and checks the ranges."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.name not in given}
+    _check_keys(doc, defaults, where)
+    values = {key: _require_number(doc, key, where,
+                                   integer=isinstance(defaults[key], int))
+              for key in doc}
+    with _section_errors(where):
+        return cls(**given, **values)
+
+
+def _section_document(obj) -> dict:
+    """The resolved JSON object of a section built by _section."""
+    doc = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+           if f.name != "num_channels"}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
+
+
 @dataclass(frozen=True)
 class LearningParams:
     """Hyperparameters shared by every learner; all config-exposed."""
@@ -96,40 +127,32 @@ class LearningParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.step_size < 1.0:
-            raise ConfigError("learning.step_size: must be in (0, 1)")
+            raise ConfigError("step_size: must be in (0, 1)")
         if not 0.0 < self.learning_rate <= 1.0:
-            raise ConfigError("learning.learning_rate: must be in (0, 1]")
+            raise ConfigError("learning_rate: must be in (0, 1]")
         if not 0.0 <= self.discount < 1.0:
-            raise ConfigError("learning.discount: must be in [0, 1)")
+            raise ConfigError("discount: must be in [0, 1)")
         for name in ("epsilon_start", "epsilon_floor"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"learning.{name}: must be in [0, 1]")
+                raise ConfigError(f"{name}: must be in [0, 1]")
         if self.epsilon_floor > self.epsilon_start:
-            raise ConfigError("learning.epsilon_floor: must be <= epsilon_start")
+            raise ConfigError("epsilon_floor: must be <= epsilon_start")
         for name in ("epsilon_decay", "leader_epsilon_decay"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
-                raise ConfigError(f"learning.{name}: must be in (0, 1]")
+                raise ConfigError(f"{name}: must be in (0, 1]")
         if self.window_slots < 1:
-            raise ConfigError("learning.window_slots: must be >= 1")
+            raise ConfigError("window_slots: must be >= 1")
 
-    def to_document(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-_LEARNING_KEYS = set(LearningParams().to_document())
-
-_RADIO_KEYS = ("tx_power", "jam_power", "noise_floor", "pathloss_exponent",
-               "min_distance")
 
 _GEOMETRY_KEYS = ("layout", "radius", "link_distance", "user_pairs",
                   "jammer_positions")
 
-_JAMMER_KEYS = ("kind", "fixed_channel", "comb_set", "dwell", "start_channel")
-
 _HYPERGRAPH_KEYS = ("source", "strong_edges", "weak_hyperedges",
                     "activation_threshold", "strong_radius", "weak_radius")
+
+_DEFAULT_JAMMER = {"markov": "sweep", "hypergraph": "fixed"}
 
 _TOP_KEYS = ("scenario", "name", "num_users", "num_channels", "slots", "trials",
              "seed", "active_probability", "radio", "geometry", "jammer",
@@ -165,34 +188,8 @@ class ScenarioConfig:
         return copy.deepcopy(self._document)
 
 
-def _build_geometry(doc: dict, num_users: int) -> NodeGeometry:
-    jammers = [tuple(p) for p in doc["jammer_positions"]]
-    if doc["layout"] == "explicit":
-        pairs = [((p[0][0], p[0][1]), (p[1][0], p[1][1])) for p in doc["user_pairs"]]
-        return NodeGeometry(pairs, jammers)
-    # ring: transmitters on a circle, each receiver radially outward.
-    radius = doc["radius"]
-    link = doc["link_distance"]
-    pairs = []
-    for i in range(num_users):
-        angle = 2.0 * math.pi * i / num_users
-        tx = (radius * math.cos(angle), radius * math.sin(angle))
-        rx = ((radius + link) * math.cos(angle), (radius + link) * math.sin(angle))
-        pairs.append((tx, rx))
-    return NodeGeometry(pairs, jammers)
-
-
-def _build_hypergraph(doc: dict, num_users: int,
-                      geometry: NodeGeometry) -> InterferenceHypergraph:
-    if doc["source"] == "explicit":
-        return InterferenceHypergraph(num_users, doc["strong_edges"],
-                                      doc["weak_hyperedges"],
-                                      doc["activation_threshold"])
-    return build_hypergraph(geometry, doc["strong_radius"], doc["weak_radius"],
-                            doc["activation_threshold"])
-
-
-def _resolve_geometry(doc, num_users: int, num_jammers: int) -> dict:
+def _resolve_geometry(doc, num_users: int, num_jammers: int) -> tuple:
+    """(resolved document, NodeGeometry) of the geometry section."""
     _check_keys(doc, _GEOMETRY_KEYS, "geometry")
     layout = doc.get("layout", "ring")
     if layout not in ("ring", "explicit"):
@@ -216,50 +213,40 @@ def _resolve_geometry(doc, num_users: int, num_jammers: int) -> dict:
     else:
         if "user_pairs" in doc:
             raise ConfigError("geometry.user_pairs: not allowed for ring layout")
-        resolved = {
-            "layout": "ring",
-            "radius": _require_number(doc, "radius", "geometry", lo=0.0, default=10.0),
-            "link_distance": _require_number(doc, "link_distance", "geometry",
-                                             lo=0.0, default=1.0),
-            "jammer_positions": jam_pos,
-        }
-    return resolved
+        radius = _require_number(doc, "radius", "geometry", lo=0.0, default=10.0)
+        link = _require_number(doc, "link_distance", "geometry", lo=0.0, default=1.0)
+        # ring: transmitters on a circle, each receiver radially outward.
+        pairs = []
+        for i in range(num_users):
+            angle = 2.0 * math.pi * i / num_users
+            tx = (radius * math.cos(angle), radius * math.sin(angle))
+            rx = ((radius + link) * math.cos(angle), (radius + link) * math.sin(angle))
+            pairs.append((tx, rx))
+        resolved = {"layout": "ring", "radius": radius, "link_distance": link,
+                    "jammer_positions": jam_pos}
+    return resolved, NodeGeometry(pairs, jam_pos)
 
 
-def _resolve_jammer(doc, num_channels: int, where: str) -> dict:
+def _jammer(doc, num_channels: int, where: str) -> JammerPattern:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: must be a JSON object")
-    _check_keys(doc, _JAMMER_KEYS, where)
-    kind = doc.get("kind")
-    if kind not in JAMMER_KINDS:
-        raise ConfigError(f"{where}.kind: must be one of {JAMMER_KINDS}")
-    comb = doc.get("comb_set")
-    if comb is None:
-        # default comb occupies every other channel, floor(M/2) teeth
-        comb = list(range(0, num_channels, 2))[: num_channels // 2] if kind == "comb" else []
-    resolved = {
-        "kind": kind,
-        "fixed_channel": _require_number(doc, "fixed_channel", where, lo=0,
-                                         hi=num_channels - 1, integer=True, default=0),
-        "comb_set": _index_list(comb, f"{where}.comb_set"),
-        "dwell": _require_number(doc, "dwell", where, lo=1, integer=True, default=1),
-        "start_channel": _require_number(doc, "start_channel", where, lo=0,
-                                         hi=num_channels - 1, integer=True, default=0),
-    }
-    try:
-        JammerPattern(**resolved).validate_channels(num_channels)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    return resolved
+    comb = doc.get("comb_set")  # None leaves the default to JammerPattern
+    if comb is not None:
+        comb = _index_list(comb, f"{where}.comb_set")
+    numbers = {k: v for k, v in doc.items() if k not in ("kind", "comb_set")}
+    return _section(JammerPattern, numbers, where, kind=doc.get("kind"),
+                    num_channels=num_channels, comb_set=comb)
 
 
-def _resolve_hypergraph(doc, num_users: int, where: str = "hypergraph") -> dict:
+def _resolve_hypergraph(doc, num_users: int, geometry: NodeGeometry,
+                        where: str = "hypergraph") -> tuple:
+    """(resolved document, InterferenceHypergraph) of the hypergraph section."""
     _check_keys(doc, _HYPERGRAPH_KEYS, where)
     source = doc.get("source", "geometric")
     if source not in ("geometric", "explicit"):
         raise ConfigError(f"{where}.source: must be 'geometric' or 'explicit'")
-    threshold = _require_number(doc, "activation_threshold", where, lo=1,
-                                integer=True, default=3)
+    threshold = _require_number(doc, "activation_threshold", where, integer=True,
+                                default=InterferenceHypergraph.activation_threshold)
     if source == "explicit":
         resolved = {
             "source": "explicit",
@@ -269,13 +256,17 @@ def _resolve_hypergraph(doc, num_users: int, where: str = "hypergraph") -> dict:
                                 for h in _list(doc, "weak_hyperedges", where, [])],
             "activation_threshold": threshold,
         }
-        return resolved
-    strong_radius = _require_number(doc, "strong_radius", where, lo=0.0, default=2.0)
-    weak_radius = _require_number(doc, "weak_radius", where, lo=0.0, default=6.0)
-    if weak_radius < strong_radius or strong_radius <= 0:
-        raise ConfigError(f"{where}: need weak_radius >= strong_radius > 0")
-    return {"source": "geometric", "strong_radius": strong_radius,
-            "weak_radius": weak_radius, "activation_threshold": threshold}
+        with _section_errors(where):
+            return resolved, InterferenceHypergraph(
+                num_users, resolved["strong_edges"], resolved["weak_hyperedges"],
+                threshold)
+    strong_radius = _require_number(doc, "strong_radius", where, default=2.0)
+    weak_radius = _require_number(doc, "weak_radius", where, default=6.0)
+    resolved = {"source": "geometric", "strong_radius": strong_radius,
+                "weak_radius": weak_radius, "activation_threshold": threshold}
+    with _section_errors(where):
+        return resolved, build_hypergraph(geometry, strong_radius, weak_radius,
+                                          threshold)
 
 
 def load_config(document: dict) -> ScenarioConfig:
@@ -304,17 +295,8 @@ def load_config(document: dict) -> ScenarioConfig:
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir: must be a string or null")
 
-    radio_doc = document.get("radio", {})
-    _check_keys(radio_doc, _RADIO_KEYS, "radio")
-    radio = RadioParams(
-        num_channels=num_channels,
-        tx_power=_require_number(radio_doc, "tx_power", "radio", default=1.0),
-        jam_power=_require_number(radio_doc, "jam_power", "radio", lo=0.0, default=1.0),
-        noise_floor=_require_number(radio_doc, "noise_floor", "radio", default=0.01),
-        pathloss_exponent=_require_number(radio_doc, "pathloss_exponent", "radio",
-                                          lo=0.0, default=2.0),
-        min_distance=_require_number(radio_doc, "min_distance", "radio", default=1.0),
-    )
+    radio = _section(RadioParams, document.get("radio", {}), "radio",
+                     num_channels=num_channels)
 
     if "jammer" in document and "jammers" in document:
         raise ConfigError("config: give either 'jammer' or 'jammers', not both")
@@ -328,21 +310,18 @@ def load_config(document: dict) -> ScenarioConfig:
             raise ConfigError(f"config: the leader oracle cannot value "
                               f"{num_channels}^{num_users + 2} x {num_users} "
                               f"deviation cells (cap {MAX_ORACLE_CELLS})")
-        jammer_docs = ()
-        num_jammers = 1
+        jammers = ()
     else:
         raw = document.get("jammers")
         if raw is None:
-            raw = [document.get("jammer", _default_jammer_doc(scenario))]
+            raw = [document.get("jammer", {"kind": _DEFAULT_JAMMER[scenario]})]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("jammers: must be a non-empty list")
-        jammer_docs = tuple(_resolve_jammer(d, num_channels, f"jammers[{i}]")
-                            for i, d in enumerate(raw))
-        num_jammers = len(jammer_docs)
+        jammers = tuple(_jammer(d, num_channels, f"jammers[{i}]")
+                        for i, d in enumerate(raw))
 
-    geometry_doc = _resolve_geometry(document.get("geometry", {}), num_users,
-                                     num_jammers)
-    geometry = _build_geometry(geometry_doc, num_users)
+    geometry_doc, geometry = _resolve_geometry(document.get("geometry", {}),
+                                               num_users, len(jammers) or 1)
 
     algos = document.get("algorithms", list(ALGORITHMS[scenario]))
     if not isinstance(algos, list) or not algos \
@@ -356,28 +335,22 @@ def load_config(document: dict) -> ScenarioConfig:
                 f"algorithms: {algo!r} not available in scenario {scenario!r} "
                 f"(choose from {ALGORITHMS[scenario]})")
 
-    learning_doc = document.get("learning", {})
-    _check_keys(learning_doc, _LEARNING_KEYS, "learning")
-    learning = LearningParams(**{
-        key: _require_number(learning_doc, key, "learning",
-                             integer=key == "window_slots")
-        for key in learning_doc})
+    learning = _section(LearningParams, document.get("learning", {}), "learning")
 
     resolved = {
         "scenario": scenario, "name": name, "num_users": num_users,
         "num_channels": num_channels, "slots": slots, "trials": trials,
         "seed": seed, "active_probability": p,
-        "radio": {key: getattr(radio, key) for key in _RADIO_KEYS},
+        "radio": _section_document(radio),
         "geometry": geometry_doc, "algorithms": list(algos),
-        "learning": learning.to_document(), "output_dir": output_dir,
+        "learning": _section_document(learning), "output_dir": output_dir,
     }
-    if jammer_docs:
-        resolved["jammers"] = list(jammer_docs)
+    if jammers:
+        resolved["jammers"] = [_section_document(j) for j in jammers]
     hypergraph = None
     if scenario == "hypergraph":
-        resolved["hypergraph"] = _resolve_hypergraph(document.get("hypergraph", {}),
-                                                     num_users)
-        hypergraph = _build_hypergraph(resolved["hypergraph"], num_users, geometry)
+        resolved["hypergraph"], hypergraph = _resolve_hypergraph(
+            document.get("hypergraph", {}), num_users, geometry)
     elif "hypergraph" in document:
         raise ConfigError("hypergraph: only allowed in the hypergraph scenario")
 
@@ -386,15 +359,8 @@ def load_config(document: dict) -> ScenarioConfig:
         num_channels=num_channels, slots=slots, trials=trials, seed=seed,
         active_probability=p, radio=radio, algorithms=tuple(algos),
         learning=learning, output_dir=output_dir, _document=resolved,
-        geometry=geometry, hypergraph=hypergraph,
-        jammers=tuple(JammerPattern(**doc) for doc in jammer_docs),
+        geometry=geometry, hypergraph=hypergraph, jammers=jammers,
     )
-
-
-def _default_jammer_doc(scenario: str) -> dict:
-    if scenario == "markov":
-        return {"kind": "sweep"}
-    return {"kind": "fixed"}
 
 
 def read_document(path) -> dict:

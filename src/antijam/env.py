@@ -95,13 +95,21 @@ def jam_mask(jammed, num_channels: int) -> np.ndarray:
     return mask
 
 
+def _as_array(value, where: str) -> np.ndarray:
+    """np.asarray(value), with a ragged nesting a ConfigError that names where."""
+    try:
+        return np.asarray(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: ragged entries, got {value!r}") from exc
+
+
 def _as_choices(choices, num_users: int, num_channels: int, ndim: int = 1,
                 where: str = "assignment") -> np.ndarray:
     """Channel choices as int64: ndim axes, the last one entry per user, each
     an integer in range(num_channels); anything else is a ConfigError that
     names where. A fraction is no channel, nor is a bool, even in a list of
     ints that numpy would read as one."""
-    arr = np.asarray(choices)
+    arr = _as_array(choices, where)
     if arr.dtype.kind not in "iu" or not isinstance(choices, np.ndarray) and any(
             isinstance(c, (bool, np.bool_))
             for c in np.asarray(choices, dtype=object).flat):
@@ -116,13 +124,13 @@ def _as_choices(choices, num_users: int, num_channels: int, ndim: int = 1,
 
 
 def _as_mask(active_mask, num_users: int) -> np.ndarray:
-    """The (N,) bool activity mask; None means every user is active."""
+    """The (N,) bool activity mask, bools only; None means all are active."""
     if active_mask is None:
         return np.ones(num_users, dtype=bool)
-    mask = np.asarray(active_mask, dtype=bool)
-    if mask.shape != (num_users,):
-        raise ConfigError(f"active_mask: expected {num_users} entries, got shape "
-                          f"{mask.shape}")
+    mask = _as_array(active_mask, "active_mask")
+    if mask.dtype != bool or mask.shape != (num_users,):
+        raise ConfigError(f"active_mask: expected {num_users} bools, got "
+                          f"{mask.dtype} {mask.shape}")
     return mask
 
 

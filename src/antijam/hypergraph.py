@@ -78,7 +78,7 @@ class InterferenceHypergraph:
 
 
 def build_hypergraph(geometry: NodeGeometry, strong_radius: float, weak_radius: float,
-                     activation_threshold: int = 3) -> InterferenceHypergraph:
+                     activation_threshold: int) -> InterferenceHypergraph:
     """Construct the hypergraph from transmitter proximity.
 
     Any pair of transmitters within strong_radius gets a strong edge. Each

@@ -12,9 +12,12 @@ import pytest
 
 from antijam import get_preset, load_config
 from antijam.cli import main
-from antijam.config import ALGORITHMS, SCENARIOS, load_config_file
+from antijam.config import (ALGORITHMS, SCENARIOS, LearningParams,
+                            load_config_file)
+from antijam.env import RadioParams
 from antijam.errors import ConfigError
 from antijam.games import MAX_ORACLE_CELLS, oracle_cells
+from antijam.jammers import JammerPattern
 from antijam.presets import preset_description, preset_names
 
 
@@ -83,8 +86,12 @@ def test_defaults_fill_in():
     assert cfg.active_probability == 1.0
     assert cfg.algorithms == ALGORITHMS["markov"]
     assert cfg.radio.num_channels == 3
+    # the value objects own the defaults: config.py repeats none of them
+    assert cfg.radio == RadioParams(num_channels=3)
+    assert cfg.learning == LearningParams()
     # default markov jammer is a sweep
     assert cfg.jammers[0].kind == "sweep"
+    assert cfg.jammers == (JammerPattern("sweep", 3),)
     geo = cfg.geometry
     assert geo.num_users == 2
     assert geo.num_jammers == 1
@@ -104,34 +111,55 @@ def test_unknown_keys_rejected_everywhere():
             load_config(doc)
 
 
-def test_type_and_range_errors():
+def test_type_and_range_errors(tmp_path):
+    """Each error names its section, whether load_config or the value object
+    the section builds catches it, and `antijam validate` exits 2 on it."""
     bad = [
-        {"num_users": 0},
-        {"num_users": 2.5},
-        {"num_channels": 1},
-        {"slots": 0},
-        {"trials": 0},
-        {"seed": -1},
-        {"active_probability": 1.5},
-        {"active_probability": -0.1},
-        {"active_probability": float("nan")},
-        {"slots": float("inf")},
-        {"scenario": "quantum"},
-        {"algorithms": ["collaborative", "alphago"]},
-        {"algorithms": []},
-        {"radio": {"noise_floor": 0.0}},
-        {"radio": {"pathloss_exponent": -2.0}},
-        {"learning": {"step_size": 1.0}},
-        {"learning": {"discount": 1.0}},
-        {"learning": {"window_slots": 2.5}},
-        {"jammer": {"kind": "comb", "comb_set": [0, 9]}},
-        {"jammer": {"kind": "comb", "comb_set": []}},
+        ({"num_users": 0}, "config"),
+        ({"num_users": 2.5}, "config"),
+        ({"num_channels": 1}, "config"),
+        ({"slots": 0}, "config"),
+        ({"trials": 0}, "config"),
+        ({"seed": -1}, "config"),
+        ({"active_probability": 1.5}, "config"),
+        ({"active_probability": -0.1}, "config"),
+        ({"active_probability": float("nan")}, "config"),
+        ({"slots": float("inf")}, "config"),
+        ({"scenario": "quantum"}, "scenario"),
+        ({"algorithms": ["collaborative", "alphago"]}, "algorithms"),
+        ({"algorithms": []}, "algorithms"),
+        ({"radio": {"noise_floor": 0.0}}, "radio"),
+        ({"radio": {"pathloss_exponent": -2.0}}, "radio"),
+        ({"radio": {"tx_power": 0}}, "radio"),
+        ({"radio": {"jam_power": -1}}, "radio"),
+        ({"radio": {"min_distance": 0}}, "radio"),
+        ({"learning": {"step_size": 1.0}}, "learning"),
+        ({"learning": {"discount": 1.0}}, "learning"),
+        ({"learning": {"window_slots": 2.5}}, "learning"),
+        ({"jammer": {"kind": "comb", "comb_set": [0, 9]}}, "jammers[0]"),
+        ({"jammer": {"kind": "comb", "comb_set": []}}, "jammers[0]"),
+        ({"jammer": {"kind": "fixed", "fixed_channel": 3}}, "jammers[0]"),
+        ({"jammer": {"kind": "sweep", "start_channel": -1}}, "jammers[0]"),
+        ({"jammer": {"kind": "sweep", "dwell": 0}}, "jammers[0]"),
+        ({"jammer": {"kind": "barrage"}}, "jammers[0]"),
     ]
-    for patch in bad:
+    explicit = {"source": "explicit", "strong_edges": [[0, 1]]}
+    bad += [({"scenario": "hypergraph", "num_users": 6, "hypergraph": section},
+             "hypergraph") for section in (
+        dict(explicit, activation_threshold=0),
+        {"source": "geometric", "activation_threshold": 0},
+        {"strong_radius": 3.0, "weak_radius": 2.0},
+        {"strong_radius": 0},
+    )]
+    path = tmp_path / "bad.json"
+    for patch, section in bad:
         doc = minimal_markov()
         doc.update(patch)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as caught:
             load_config(doc)
+        assert str(caught.value).startswith(f"{section}:"), (patch, caught.value)
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == 2
 
 
 def test_missing_required_keys():

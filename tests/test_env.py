@@ -14,7 +14,7 @@ from antijam import jammers, load_config, ne_bounds
 from antijam.env import (NodeGeometry, RadioParams, RateModel, jam_mask,
                          link_gain, max_single_user_rate)
 from antijam.errors import ConfigError
-from antijam.games import GameSpec, is_pure_nash
+from antijam.games import GameSpec, is_pure_nash, user_utility
 from antijam.jammers import jammer_action
 from antijam.runner import simulate_trial, trial_generator
 
@@ -239,6 +239,26 @@ def test_jammed_channels_are_validated_at_the_boundary(jammed):
         ne_bounds(game, jammed, num_trials=4)
 
 
+@pytest.mark.parametrize("choices, active", [
+    ([[0, 1], [0]], [True, True]),
+    ([0, 1], [[True], [True, False]]),
+    ([0, 1], [0.5, 2]),
+    ([0, 1], [1, 0]),
+    ([0, 1], ["x", ""]),
+], ids=["ragged-profile", "ragged-activity", "fraction-activity",
+        "int-activity", "string-activity"])
+def test_profiles_and_activity_are_validated_at_the_boundary(choices, active):
+    """A ragged profile or activity list, or an activity entry that is not a
+    bool, is a ConfigError in the slot model and the oracle alike: neither
+    lets numpy's ValueError out, nor reads 0.5 or "x" as an active user."""
+    geo, _ = two_user_setup()
+    game = GameSpec("stackelberg", geo, RadioParams(num_channels=4))
+    with pytest.raises(ConfigError):
+        game.rate_model.rates(choices, set(), active)
+    with pytest.raises(ConfigError):
+        user_utility(game, 0, choices, set(), active)
+
+
 def test_numpy_integer_channels_are_accepted():
     geo, _ = two_user_setup()
     model = RateModel(geo, RadioParams(num_channels=4))
@@ -253,9 +273,9 @@ def test_reactive_jammer_hears_only_active_users(monkeypatch, scenario):
     of the previous slot's active users, and nothing after an all-silent slot."""
     heard = []
 
-    def spy(pattern, t, num_channels, last_assignment=None, u=None):
+    def spy(pattern, t, last_assignment=None, u=None):
         heard.append(None if last_assignment is None else list(last_assignment))
-        return jammer_action(pattern, t, num_channels, last_assignment, u)
+        return jammer_action(pattern, t, last_assignment, u)
 
     monkeypatch.setattr(jammers, "jammer_action", spy)
     doc = tiny_markov(scenario=scenario, num_users=3, slots=200,

@@ -139,13 +139,15 @@ def test_build_from_geometry():
     # the triangle is a complete strong clique, so no hyperedge for it
     assert hg.weak_hyperedges == ()
 
-    hg2 = build_hypergraph(geo, strong_radius=0.95, weak_radius=3.0)
+    hg2 = build_hypergraph(geo, strong_radius=0.95, weak_radius=3.0,
+                           activation_threshold=3)
     # now (0,1) is weak-only, the triangle is not a full strong clique
     assert (0, 1) not in hg2.strong_edges
     assert hg2.weak_hyperedges == ((0, 1, 2),)
 
     with pytest.raises(ConfigError):
-        build_hypergraph(geo, strong_radius=2.0, weak_radius=1.0)
+        build_hypergraph(geo, strong_radius=2.0, weak_radius=1.0,
+                         activation_threshold=3)
 
 
 def test_hypergraph_validation():

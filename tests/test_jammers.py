@@ -18,53 +18,53 @@ from antijam.jammers import JammerPattern, jammer_action
 
 
 def test_fixed_jams_one_channel_forever():
-    p = JammerPattern(kind="fixed", fixed_channel=2)
+    p = JammerPattern(kind="fixed", num_channels=4, fixed_channel=2)
     for t in (0, 1, 17, 999):
-        assert jammer_action(p, t, 4) == frozenset({2})
+        assert jammer_action(p, t) == frozenset({2})
 
 
 def test_comb_jams_its_whole_set():
-    p = JammerPattern(kind="comb", comb_set=(3, 0))
+    p = JammerPattern(kind="comb", num_channels=4, comb_set=(3, 0))
     assert p.comb_set == (0, 3)  # stored sorted
     for t in range(5):
-        assert jammer_action(p, t, 4) == frozenset({0, 3})
+        assert jammer_action(p, t) == frozenset({0, 3})
 
 
 def test_sweep_schedule_hand_checked():
     # dwell 2, M=3, start 1: two slots per channel, wrapping at the top
-    p = JammerPattern(kind="sweep", dwell=2, start_channel=1)
-    got = [jammer_action(p, t, 3) for t in range(8)]
+    p = JammerPattern(kind="sweep", num_channels=3, dwell=2, start_channel=1)
+    got = [jammer_action(p, t) for t in range(8)]
     want = [1, 1, 2, 2, 0, 0, 1, 1]
     assert got == [frozenset({c}) for c in want]
 
 
 def test_sweep_dwell_one_cycles_every_slot():
-    p = JammerPattern(kind="sweep", dwell=1, start_channel=0)
-    seen = [next(iter(jammer_action(p, t, 4))) for t in range(12)]
+    p = JammerPattern(kind="sweep", num_channels=4, dwell=1, start_channel=0)
+    seen = [next(iter(jammer_action(p, t))) for t in range(12)]
     assert seen == [t % 4 for t in range(12)]
 
 
 def test_random_is_seeded_and_in_range():
-    p = JammerPattern(kind="random")
-    a = [jammer_action(p, t, 5, u=np.random.default_rng(3).random())
+    p = JammerPattern(kind="random", num_channels=5)
+    a = [jammer_action(p, t, u=np.random.default_rng(3).random())
          for t in range(20)]
-    b = [jammer_action(p, t, 5, u=np.random.default_rng(3).random())
+    b = [jammer_action(p, t, u=np.random.default_rng(3).random())
          for t in range(20)]
     assert a == b
     assert all(0 <= next(iter(s)) < 5 for s in a)
     # a uniform's channel is min(int(u*M), M-1), the top edge included
-    assert [jammer_action(p, 0, 5, u=u) for u in (0.0, 0.39, 0.4, 1.0)] \
+    assert [jammer_action(p, 0, u=u) for u in (0.0, 0.39, 0.4, 1.0)] \
         == [frozenset({c}) for c in (0, 1, 2, 4)]
     with pytest.raises(ConfigError):
-        jammer_action(p, 0, 5)  # no uniform supplied
+        jammer_action(p, 0)  # no uniform supplied
 
 
 def test_reactive_follows_the_crowd():
-    p = JammerPattern(kind="reactive")
-    assert jammer_action(p, 1, 4, last_assignment=[2, 0, 2, 1]) == frozenset({2})
+    p = JammerPattern(kind="reactive", num_channels=4)
+    assert jammer_action(p, 1, last_assignment=[2, 0, 2, 1]) == frozenset({2})
     # ties break toward the lowest channel index
-    assert jammer_action(p, 1, 4, last_assignment=[0, 1, 0, 1]) == frozenset({0})
-    assert jammer_action(p, 1, 4, last_assignment=[3, 3, 1, 1]) == frozenset({1})
+    assert jammer_action(p, 1, last_assignment=[0, 1, 0, 1]) == frozenset({0})
+    assert jammer_action(p, 1, last_assignment=[3, 3, 1, 1]) == frozenset({1})
 
 
 def counter_rule(heard):
@@ -77,55 +77,55 @@ def counter_rule(heard):
     st.just(m), st.lists(st.integers(0, m - 1), min_size=1, max_size=9))))
 def test_reactive_pick_equals_the_counter_rule(case):
     m, heard = case
-    p = JammerPattern(kind="reactive")
+    p = JammerPattern(kind="reactive", num_channels=m)
     want = frozenset({counter_rule(heard)})
-    assert jammer_action(p, 1, m, last_assignment=heard) == want
-    assert jammer_action(p, 1, m, last_assignment=np.array(heard), u=0.5) == want
+    assert jammer_action(p, 1, last_assignment=heard) == want
+    assert jammer_action(p, 1, last_assignment=np.array(heard), u=0.5) == want
 
 
 def test_reactive_rejects_what_is_no_heard_channel():
-    p = JammerPattern(kind="reactive")
+    p = JammerPattern(kind="reactive", num_channels=4)
     for heard in ([7], [4], [-1, -1, 2], np.array([True, False, True]),
                   [True, 2], [1.5], np.array([[1, 2]])):
         with pytest.raises(ConfigError, match="jammer_action: heard channels"):
-            jammer_action(p, 1, 4, last_assignment=heard, u=0.5)
+            jammer_action(p, 1, last_assignment=heard, u=0.5)
 
 
 def test_reactive_fallback_before_any_observation():
-    p = JammerPattern(kind="reactive")
-    out = jammer_action(p, 0, 4, last_assignment=None,
+    p = JammerPattern(kind="reactive", num_channels=4)
+    out = jammer_action(p, 0, last_assignment=None,
                         u=np.random.default_rng(0).random())
     assert len(out) == 1 and 0 <= next(iter(out)) < 4
     # it hears the crowd whenever there is one, whatever the uniform
-    assert jammer_action(p, 1, 4, last_assignment=[3], u=0.0) == frozenset({3})
+    assert jammer_action(p, 1, last_assignment=[3], u=0.0) == frozenset({3})
     with pytest.raises(ConfigError):
-        jammer_action(p, 0, 4, last_assignment=[])
+        jammer_action(p, 0, last_assignment=[])
 
 
 def test_pattern_validation():
     with pytest.raises(ConfigError):
-        JammerPattern(kind="barrage")
+        JammerPattern(kind="barrage", num_channels=4)
     with pytest.raises(ConfigError):
-        JammerPattern(kind="comb", comb_set=())
+        JammerPattern(kind="comb", num_channels=4, comb_set=())
     with pytest.raises(ConfigError):
-        JammerPattern(kind="sweep", dwell=0)
+        JammerPattern(kind="sweep", num_channels=4, dwell=0)
     with pytest.raises(ConfigError):
-        jammer_action(JammerPattern(kind="fixed", fixed_channel=7), 0, 4)
+        JammerPattern(kind="fixed", num_channels=4, fixed_channel=7)
     with pytest.raises(ConfigError):
-        jammer_action(JammerPattern(kind="fixed"), -1, 4)
+        jammer_action(JammerPattern(kind="fixed", num_channels=4), -1)
 
 
 def test_every_kind_emits_a_subset_of_channels():
     rng = np.random.default_rng(11)
     patterns = [
-        JammerPattern(kind="fixed", fixed_channel=1),
-        JammerPattern(kind="comb", comb_set=(0, 2)),
-        JammerPattern(kind="sweep", dwell=3, start_channel=2),
-        JammerPattern(kind="random"),
-        JammerPattern(kind="reactive"),
+        JammerPattern(kind="fixed", num_channels=3, fixed_channel=1),
+        JammerPattern(kind="comb", num_channels=3, comb_set=(0, 2)),
+        JammerPattern(kind="sweep", num_channels=3, dwell=3, start_channel=2),
+        JammerPattern(kind="random", num_channels=3),
+        JammerPattern(kind="reactive", num_channels=3),
     ]
     for t in range(30):
         last = rng.integers(0, 3, size=4)
         for p in patterns:
-            out = jammer_action(p, t, 3, last_assignment=last, u=rng.random())
+            out = jammer_action(p, t, last_assignment=last, u=rng.random())
             assert out and all(0 <= c < 3 for c in out)

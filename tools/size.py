@@ -1,4 +1,5 @@
-"""Print the size of the antijam package: its line count and its public names.
+"""Print the size of the antijam package: per module, its line count and its
+public names, then the totals.
 
     python3 tools/size.py
 
@@ -31,9 +32,10 @@ def main() -> int:
     for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         names = public_names(source)
-        lines += len(source.splitlines())
+        count = len(source.splitlines())
+        lines += count
         total += len(names)
-        print(f"{path.name:<16s} {len(names):3d}  {' '.join(names)}")
+        print(f"{path.name:<16s} {count:4d} lines {len(names):3d}  {' '.join(names)}")
     print(f"lines {lines}")
     print(f"public names {total}")
     return 0
