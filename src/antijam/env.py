@@ -71,17 +71,19 @@ class NodeGeometry:
         return self.jammers.shape[0]
 
 
-def jam_mask(jammed, num_channels: int) -> np.ndarray:
-    """The jammed channels as an (M,) bool mask.
+def jam_mask(jammed, num_channels: int, trials: tuple = ()) -> np.ndarray:
+    """The jammed channels as a bool mask over the last axis.
 
     A numpy array is taken to be a mask already and passes through once its
-    dtype and shape are checked; any other collection is a set of channel
-    indices, each an integer in range(num_channels), and becomes a mask.
+    dtype and its shape, trials + (M,), are checked; any other collection is
+    one set of channel indices, each an integer in range(num_channels), and
+    becomes an (M,) mask that holds for every trial.
     """
     if isinstance(jammed, np.ndarray):
-        if jammed.dtype != bool or jammed.shape != (num_channels,):
+        shape = (*trials, num_channels)
+        if jammed.dtype != bool or jammed.shape != shape:
             raise ConfigError(f"jammed channels: a mask must be a bool array of "
-                              f"shape ({num_channels},), got {jammed.dtype} "
+                              f"shape {shape}, got {jammed.dtype} "
                               f"{jammed.shape}")
         return jammed
     mask = np.zeros(num_channels, dtype=bool)
@@ -103,19 +105,20 @@ def _as_array(value, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: ragged entries, got {value!r}") from exc
 
 
-def _as_choices(choices, num_users: int, num_channels: int, ndim: int = 1,
+def _as_choices(choices, num_users: int, num_channels: int, ndim: int | None = 1,
                 where: str = "assignment") -> np.ndarray:
-    """Channel choices as int64: ndim axes, the last one entry per user, each
-    an integer in range(num_channels); anything else is a ConfigError that
-    names where. A fraction is no channel, nor is a bool, even in a list of
-    ints that numpy would read as one."""
+    """Channel choices as int64: ndim axes (None: one or more), the last one
+    entry per user, each an integer in range(num_channels); anything else is
+    a ConfigError that names where. A fraction is no channel, nor is a bool,
+    even in a list of ints that numpy would read as one."""
     arr = _as_array(choices, where)
     if arr.dtype.kind not in "iu" or not isinstance(choices, np.ndarray) and any(
             isinstance(c, (bool, np.bool_))
             for c in np.asarray(choices, dtype=object).flat):
         raise ConfigError(f"{where}: entries must be integer channels, got "
                           f"{choices!r}")
-    if arr.ndim != ndim or arr.shape[-1] != num_users:
+    if (arr.ndim < 1 if ndim is None else arr.ndim != ndim) \
+            or arr.shape[-1] != num_users:
         raise ConfigError(f"{where}: expected {num_users} entries per "
                           f"profile, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= num_channels):
@@ -123,15 +126,23 @@ def _as_choices(choices, num_users: int, num_channels: int, ndim: int = 1,
     return arr.astype(np.int64, copy=False)
 
 
-def _as_mask(active_mask, num_users: int) -> np.ndarray:
-    """The (N,) bool activity mask, bools only; None means all are active."""
+def _as_mask(active_mask, num_users: int, trials: tuple = ()) -> np.ndarray:
+    """The trials + (N,) bool activity mask, bools only; None means all are
+    active."""
+    shape = (*trials, num_users)
     if active_mask is None:
-        return np.ones(num_users, dtype=bool)
+        return np.ones(shape, dtype=bool)
     mask = _as_array(active_mask, "active_mask")
-    if mask.dtype != bool or mask.shape != (num_users,):
-        raise ConfigError(f"active_mask: expected {num_users} bools, got "
+    if mask.dtype != bool or mask.shape != shape:
+        raise ConfigError(f"active_mask: expected bools of shape {shape}, got "
                           f"{mask.dtype} {mask.shape}")
     return mask
+
+
+def _at_own_channel(values, choices) -> np.ndarray:
+    """values (..., N, K) read at each user's entry of choices (..., N)."""
+    rows = values.reshape(-1, values.shape[-1])
+    return rows[np.arange(len(rows)), choices.reshape(-1)].reshape(choices.shape)
 
 
 def uniform_channels(u, num_channels: int):
@@ -172,7 +183,6 @@ class RateModel:
         self._cross_gain = self.gain.copy()
         np.fill_diagonal(self._cross_gain, 0.0)
         self._channels = np.arange(params.num_channels)[:, None]
-        self._users = np.arange(n)
         self._signal = params.tx_power * self.own_gain[:, None]
 
     @property
@@ -180,32 +190,40 @@ class RateModel:
         return self.geometry.num_users
 
     def rates(self, choices, jammed_channels, active_mask) -> np.ndarray:
-        """Per-user achievable rates for one slot.
+        """Per-user achievable rates for one slot of one or more trials.
 
-        Inactive users radiate nothing and receive a rate of 0. A user hears
-        jamming power iff its own channel is jammed; jammed_channels is a
-        channel set or an (M,) bool mask (see jam_mask). These are
-        deviation_rates read at each user's own channel.
+        choices are (..., N) channels, with the same leading trial axes as
+        active_mask and a jam mask; each input is checked once per call,
+        whatever the number of trials. Inactive users radiate nothing and
+        receive a rate of 0. A user hears jamming power iff its own channel
+        is jammed; jammed_channels is a channel set or a (..., M) bool mask
+        (see jam_mask). These are deviation_rates read at each user's own
+        channel.
         """
         m = self.params.num_channels
-        choices = _as_choices(choices, self.num_users, m)
-        active = _as_mask(active_mask, self.num_users)
-        rates = self.deviation_rates(choices, active, jam_mask(jammed_channels, m))
-        return rates[self._users, choices]
+        choices = _as_choices(choices, self.num_users, m, ndim=None)
+        trials = choices.shape[:-1]
+        active = _as_mask(active_mask, self.num_users, trials)
+        rates = self.deviation_rates(choices, active,
+                                     jam_mask(jammed_channels, m, trials))
+        return _at_own_channel(rates, choices)
 
     def deviation_rates(self, profiles, active, jammed) -> np.ndarray:
         """(..., N, M): [..., n, c] is user n's rate if it alone moves to
         channel c in the int64 profiles (..., N), 0 if n is inactive in the
-        (N,) bool mask active, under the (M,) bool jam mask jammed. einsum
-        adds the transmitters one at a time in order, as the tests' scalar
-        rates do; a BLAS product may not, and would round differently."""
+        bool mask active, under the bool jam mask jammed; active (N,) or
+        (..., N) and jammed (M,) or (..., M) hold for every profile or for
+        each. einsum adds the transmitters one at a time in order, as the
+        tests' scalar rates do; a BLAS product may not, and would round
+        differently."""
         p = self.params
-        on = ((profiles[..., None, :] == self._channels) & active).astype(float)
+        on = ((profiles[..., None, :] == self._channels)
+              & active[..., None, :]).astype(float)
         heard = np.einsum("...ct,tn->...nc", on, self._cross_gain)
         denom = (p.noise_floor + p.tx_power * heard
-                 + np.where(jammed, self.jam_at_rx[:, None], 0.0))
+                 + np.where(jammed[..., None, :], self.jam_at_rx[:, None], 0.0))
         sinr = self._signal / denom
-        return np.where(active[:, None], np.log2(1.0 + sinr), 0.0)
+        return np.where(active[..., None], np.log2(1.0 + sinr), 0.0)
 
 
 def max_single_user_rate(model: RateModel) -> float:

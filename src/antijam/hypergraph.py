@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import NodeGeometry
+from .env import NodeGeometry, _at_own_channel
 from .errors import ConfigError
 
 
@@ -123,10 +123,11 @@ def build_hypergraph(geometry: NodeGeometry, strong_radius: float, weak_radius: 
 
 
 def _occupancy(hypergraph: InterferenceHypergraph, profiles, active, jammed):
-    """(on, count, on_edge) of profiles (..., N) on the channels of the (M,)
-    jam mask: on[..., n, c] marks user n active on channel c, count is on as
-    int64, and on_edge[..., e, c] counts hyperedge e's active members on c."""
-    on = (profiles[..., None] == np.arange(len(jammed))) & active[:, None]
+    """(on, count, on_edge) of profiles (..., N) on the channels of the jam
+    mask (..., M): on[..., n, c] marks user n active on channel c, count is
+    on as int64, and on_edge[..., e, c] counts hyperedge e's active members
+    on c. active is (N,) or (..., N)."""
+    on = (profiles[..., None] == np.arange(jammed.shape[-1])) & active[..., None]
     count = on.astype(np.int64)
     return on, count, hypergraph.membership.T @ count
 
@@ -135,7 +136,8 @@ def deviation_interference(hypergraph: InterferenceHypergraph, profiles, active,
                            jammed) -> np.ndarray:
     """(..., N, M) ints: [..., n, c] is the generalized interference user n
     adds by being active on channel c while the others keep their choices,
-    under the (M,) bool jam mask jammed: the strong neighbours active on c,
+    under the bool jam mask jammed, (M,) or (..., M): the strong neighbours
+    active on c,
     n's hyperedges with exactly the threshold of active members on c once n
     is there, and the jammer if c is jammed. What n hears on c does not
     depend on n's own choice, so one pass values every channel at once.
@@ -146,16 +148,16 @@ def deviation_interference(hypergraph: InterferenceHypergraph, profiles, active,
     # counting n where it already is, thr - 1 where it would move to.
     fires = np.where(on, hypergraph.membership @ (on_edge == thr).astype(np.int64),
                      hypergraph.membership @ (on_edge == thr - 1).astype(np.int64))
-    return hypergraph.adjacency @ count + jammed + fires
+    return hypergraph.adjacency @ count + jammed[..., None, :] + fires
 
 
 def marginal_interference(hypergraph: InterferenceHypergraph, choices, active,
                           jammed) -> np.ndarray:
-    """(N,) ints: how much of the generalized interference disappears if each
-    user alone leaves, 0 for inactive users; deviation_interference at each
-    user's own channel."""
+    """(..., N) ints: how much of the generalized interference disappears if
+    each user alone leaves, 0 for inactive users; deviation_interference at
+    each user's own channel, for the profiles (..., N) of one or more trials."""
     hits = deviation_interference(hypergraph, choices, active, jammed)
-    return np.where(active, hits[np.arange(len(choices)), choices], 0)
+    return np.where(active, _at_own_channel(hits, choices), 0)
 
 
 def total_generalized_interference(hypergraph: InterferenceHypergraph, choices,

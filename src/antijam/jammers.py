@@ -1,13 +1,18 @@
 """Jammer behaviors: fixed, random, sweep, comb, and reactive channel patterns.
 
-A pattern checks its channels once, when built; jammer_action emits its set
-of jammed channels per slot. ScriptedJammers is the jammer side of a markov or
-hypergraph run: it plays several patterns together, jams the union of their
-sets as one (M,) bool channel mask, and remembers what a reactive pattern hears.
+A pattern checks its channels once, when built; jammer_action is its scalar
+definition, the set of channels it jams in one slot. ScriptedJammers is the
+jammer side of a markov or hypergraph run, a per-run schedule for a block of
+trials: the fixed, comb and sweep patterns depend on the slot alone, so their
+union is one (period, M) bool table built once from jammer_action and read
+at t % period; the random and reactive patterns add one channel per trial
+each slot, from a uniform or from what the pattern heard. The slot's union is
+one (T, M) bool channel mask.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,24 +80,48 @@ def jammer_action(pattern: JammerPattern, t: int, last_assignment=None,
 
 
 class ScriptedJammers:
-    """Scripted patterns as one slot-loop leader: act(t, rng) masks the union
-    of the patterns' sets, drawing one uniform for each random or reactive
-    pattern every slot, read or not, and observe keeps the channels of the
-    users that transmitted, all a reactive pattern hears."""
+    """Scripted patterns as one slot-loop leader for num_trials trials.
 
-    def __init__(self, patterns, num_channels: int):
-        self.patterns = tuple(patterns)
-        self.num_channels = num_channels
-        self.last_heard = None
-        self._draws = sum(p.kind in _DRAWING_KINDS for p in self.patterns)
+    act(t, u) masks the static patterns' table row t % period, the period
+    being the lcm of the sweeps' M x dwell (no rows past the run's slots),
+    plus one channel per trial for each random or reactive pattern, from
+    one uniform of u each, read or not. A reactive pattern jams the channel
+    most used by the active users its trial heard in the previous slot,
+    lowest index on ties, or the uniform's when it heard nobody.
+    """
 
-    def act(self, t: int, rng: np.random.Generator) -> np.ndarray:
-        mask = np.zeros(self.num_channels, dtype=bool)
-        draws = iter(rng.random(self._draws))
-        for p in self.patterns:
-            u = next(draws) if p.kind in _DRAWING_KINDS else None
-            mask[list(jammer_action(p, t, self.last_heard, u))] = True
+    def __init__(self, patterns, num_trials: int, num_channels: int, slots: int):
+        static = [p for p in patterns if p.kind not in _DRAWING_KINDS]
+        self.period = math.lcm(*(p.num_channels * p.dwell for p in static
+                                 if p.kind == "sweep"))
+        table = np.zeros((min(self.period, slots), num_channels), dtype=bool)
+        for t, row in enumerate(table):
+            for p in static:
+                row[list(jammer_action(p, t))] = True
+        # each row holds for every trial
+        self.table = np.broadcast_to(table[:, None], (len(table), num_trials,
+                                                      num_channels))
+        self._drawing = [p.kind for p in patterns if p.kind in _DRAWING_KINDS]
+        self.draws = len(self._drawing)
+        self.heard = np.zeros((num_trials, num_channels), dtype=np.int64)
+        self._trials = np.arange(num_trials)
+
+    def act(self, t: int, u) -> np.ndarray:
+        mask = self.table[t % self.period]
+        if not self.draws:
+            return mask
+        mask = mask.copy()
+        heard_any = self.heard.any(axis=-1)
+        for j, kind in enumerate(self._drawing):
+            pick = uniform_channels(u[:, j], mask.shape[-1])
+            if kind == "reactive":
+                pick = np.where(heard_any, self.heard.argmax(axis=-1), pick)
+            mask[self._trials, pick] = True
         return mask
 
     def observe(self, choices, active, rates) -> None:
-        self.last_heard = choices[active]
+        """Count each trial's active users on each channel, if anyone hears."""
+        if "reactive" in self._drawing:
+            on = (choices[..., None] == np.arange(self.heard.shape[-1])) \
+                & active[..., None]
+            self.heard = on.sum(axis=-2)

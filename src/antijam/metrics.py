@@ -13,16 +13,28 @@ from .games import GameSpec, best_response_lockstep, lexicographic_profiles
 _NO_JAM = frozenset()
 
 
-def network_rate(rates, active) -> float:
-    """Sum of the active users' rates."""
-    return float(rates[active].sum())
+def network_rate(rates, active) -> np.ndarray:
+    """Sum of the active users' rates, per trial for rates (..., N).
+
+    Each trial's sum adds its active rates in user order, as
+    rates[active].sum() adds them: numpy splits a sum by its length, so a
+    row that still holds its silent users' zeros would round differently.
+    Where every user is active the rows are those sums already.
+    """
+    rates, active = np.asarray(rates, dtype=np.float64), np.asarray(active)
+    if active.all():
+        return rates.sum(axis=-1)
+    n = rates.shape[-1]
+    sums = [r[a].sum() for r, a in zip(rates.reshape(-1, n), active.reshape(-1, n))]
+    return np.array(sums).reshape(rates.shape[:-1])[()]
 
 
-def normalized_capacity(rates, active, r_max: float) -> float:
-    """Network sum rate over the jam-free, interference-free ceiling N*r_max."""
+def normalized_capacity(rate_sum, num_users: int, r_max: float):
+    """A network sum rate (per trial) over the jam-free, interference-free
+    ceiling num_users * r_max."""
     if r_max <= 0:
         raise ConfigError("normalized_capacity: r_max must be > 0")
-    return float(rates[active].sum()) / (rates.size * r_max)
+    return rate_sum / (num_users * r_max)
 
 
 @dataclass(frozen=True)

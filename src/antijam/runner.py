@@ -5,15 +5,21 @@ pair gets its own generator derived from SeedSequence((seed, algorithm_index,
 trial_index)), so single trials can be reproduced in isolation and the whole
 run is byte-deterministic.
 
-Every algorithm runs through the one slot loop in simulate_trial: a
-HierarchicalController pairs the jammer side (WindowLeader in stackelberg,
-ScriptedJammers otherwise) with the users' rule. Stream layout v2: each slot
-draws a fixed row of uniforms whatever the state (the jammer side's, the
-users', then N for activity), so extending `slots` keeps earlier slots.
+Every algorithm runs through the one slot loop in simulate_trial, which
+advances a block of up to BLOCK_TRIALS trials together along a leading
+trial axis: a HierarchicalController pairs the jammer side (WindowLeader in
+stackelberg, ScriptedJammers' per-run schedule otherwise) with the users'
+rule. Stream layout v2: each slot of each trial reads a fixed row of
+uniforms whatever the state (the jammer side's, the users', then N for
+activity), so extending `slots` keeps earlier slots. Each trial draws its rows
+from its own generator BLOCK_SLOTS slots at a time, which yields the same
+numbers as one row per slot, so neither block size changes a result; the
+block's per-slot metrics are taken once it has run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -31,6 +37,13 @@ from .metrics import mean_ci, ne_bounds, network_rate, normalized_capacity
 METRICS = ("rate_sum", "rate_mean_active", "normalized_capacity", "any_user_jammed")
 
 NE_BOUND_TRIALS = 200
+
+# Trials one slot loop advances together; it bounds a block's arrays to this
+# many trials' worth, however many trials a run has.
+BLOCK_TRIALS = 32
+
+# Slots of uniforms each trial draws at a time.
+BLOCK_SLOTS = 256
 
 SEED_DERIVATION = ("layout v2: per-trial generator: numpy default_rng(SeedSequence("
                    "(seed, algorithm_index, trial_index))), one fixed row of uniforms "
@@ -56,59 +69,80 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _slot_metrics(choices, jammed, active, rates, r_max: float) -> tuple:
-    total, count = network_rate(rates, active), int(active.sum())
-    return (total, total / count if count else 0.0,
-            normalized_capacity(rates, active, r_max),
-            float(jammed[choices[active]].any()))
+def _slot_rows(prefix: str, per_slot) -> str:
+    """per_slot.csv's rows of one trial, from its (slots, METRICS) values."""
+    return "".join([f"{prefix},{t},{name},{value!r}\n"
+                    for t, row in enumerate(per_slot.tolist())
+                    for name, value in zip(METRICS, row)])
+
+
+def _slot_metrics(choices, jammed, active, rates, r_max: float) -> np.ndarray:
+    """(..., 4) METRICS of slots of trials (any leading axes), from the one
+    per-slot sum of the active users' rates; a slot without active users has
+    a sum of 0, and so a mean of 0."""
+    total = network_rate(rates, active)
+    hit = np.take_along_axis(jammed, choices, axis=-1) & active
+    return np.stack([total, total / np.maximum(active.sum(axis=-1), 1),
+                     normalized_capacity(total, rates.shape[-1], r_max),
+                     hit.any(axis=-1)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
-# per-trial simulation
+# the slot loop
 
-def _controller(config: ScenarioConfig, algo: str,
-                r_max: float) -> HierarchicalController:
+def _controller(config: ScenarioConfig, algo: str, r_max: float,
+                trials: int) -> HierarchicalController:
     n, m = config.num_users, config.num_channels
     lp = config.learning
     if config.scenario == "stackelberg":
-        leader = WindowLeader(m, lp)
+        leader = WindowLeader(trials, m, lp)
     else:
-        leader = ScriptedJammers(config.jammers, m)
+        leader = ScriptedJammers(config.jammers, trials, m, config.slots)
     if algo == "hierarchical":
-        users = AutomataUsers(n, m, lp.step_size, rate_reward(r_max))
+        users = AutomataUsers(trials, n, m, lp.step_size, rate_reward(r_max))
     elif algo in ("hypergraph_sla", "graph_sla"):
         hg = config.hypergraph
         if algo == "graph_sla":
             hg = hg.without_weak_edges()
-        users = AutomataUsers(n, m, lp.step_size, interference_reward(hg))
+        users = AutomataUsers(trials, n, m, lp.step_size, interference_reward(hg))
     elif algo in ("collaborative", "independent_q"):
-        users = QUsers(n, m, lp, rate_reward(r_max),
+        users = QUsers(trials, n, m, lp, rate_reward(r_max),
                        collaborative=algo == "collaborative")
     else:
-        users = BaselineUsers(algo, n, m)
+        users = BaselineUsers(algo, trials, n, m)
     return HierarchicalController(leader, users)
 
 
-def simulate_trial(config: ScenarioConfig, algo: str, rng: np.random.Generator,
-                   model: RateModel, r_max: float):
-    """One seeded trial; returns (slots x metrics array, extras dict)."""
-    n, p = config.num_users, config.active_probability
-    ctl = _controller(config, algo, r_max)
-    per_slot = np.empty((config.slots, len(METRICS)))
-    for t in range(config.slots):
-        jammed, choices = ctl.begin_slot(t, rng)
-        active = rng.random(n) < p
-        rates = model.rates(choices, jammed, active)
-        ctl.end_slot(rates, active)
-        per_slot[t] = _slot_metrics(choices, jammed, active, rates, r_max)
+def simulate_trial(config: ScenarioConfig, algo: str, rngs, model: RateModel,
+                   r_max: float):
+    """A block of seeded trials of one algorithm, one generator each in
+    rngs, advanced together; returns (trials x slots x metrics array,
+    extras dict of per-trial arrays)."""
+    n, m, trials = config.num_users, config.num_channels, len(rngs)
+    ctl = _controller(config, algo, r_max, trials)
+    per_slot = np.empty((trials, config.slots, len(METRICS)))
+    for first in range(0, config.slots, BLOCK_SLOTS):
+        size = min(BLOCK_SLOTS, config.slots - first)
+        # (slot, trial, row) uniforms, and what each slot of the block gave
+        u = np.stack([rng.random((size, ctl.draws + n)) for rng in rngs], axis=1)
+        active = u[..., -n:] < config.active_probability
+        choices = np.empty((size, trials, n), dtype=np.int64)
+        jammed = np.empty((size, trials, m), dtype=bool)
+        rates = np.empty((size, trials, n))
+        for k in range(size):
+            jammed[k], choices[k] = ctl.begin_slot(first + k, u[k, :, :-n])
+            rates[k] = model.rates(choices[k], jammed[k], active[k])
+            ctl.end_slot(rates[k], active[k])
+        per_slot[:, first:first + size] = _slot_metrics(
+            choices, jammed, active, rates, r_max).swapaxes(0, 1)
     if algo != "hierarchical":
         return per_slot, {}
     # exploration-free snapshot: the leader's greedy channel against each
     # follower's most likely channel, every user active
-    greedy_rates = model.rates(ctl.followers.greedy(),
-                               frozenset({ctl.leader.greedy()}),
-                               np.ones(n, dtype=bool))
-    return per_slot, {"converged_greedy_rate": float(greedy_rates.sum())}
+    leader = np.arange(config.num_channels) == ctl.leader.greedy()[:, None]
+    greedy_rates = model.rates(ctl.followers.greedy(), leader,
+                               np.ones((trials, n), dtype=bool))
+    return per_slot, {"converged_greedy_rate": greedy_rates.sum(axis=-1)}
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +168,22 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     """Execute every algorithm x trial and aggregate.
 
     When out_dir (or config.output_dir) is set, writes per_slot.csv,
-    summary.csv, and metadata.json there; the directory is created first so an
-    unwritable path fails before any simulation work happens.
+    summary.csv, and metadata.json there. The directory is created and any
+    earlier run's outputs removed first, so an unwritable path fails before
+    any simulation work happens; per_slot.csv is written under a temporary
+    name and renamed into place last, so a run that fails leaves no output
+    that looks complete.
     """
     out = out_dir if out_dir is not None else config.output_dir
     slot_file = None
     if out is not None:
         os.makedirs(out, exist_ok=True)
-        slot_file = open(os.path.join(out, "per_slot.csv"), "w",
-                         encoding="utf-8", newline="\n")
+        for name in ("per_slot.csv", "summary.csv", "metadata.json"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out, name))
+        slot_path = os.path.join(out, "per_slot.csv")
+        partial = slot_path + ".partial"
+        slot_file = open(partial, "w", encoding="utf-8", newline="\n")
 
     game = GameSpec("stackelberg", config.geometry, config.radio)  # the rate game
     model = game.rate_model  # one link budget: the slot loop's and the oracle's
@@ -155,26 +196,26 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
         if slot_file is not None:
             slot_file.write("scenario,algorithm,trial,slot,metric,value\n")
         for ai, algo in enumerate(config.algorithms):
-            per_trial = {f"final10_{name}": np.empty(config.trials)
-                         for name in METRICS}
-            extra_lists = {}
-            for ti in range(config.trials):
-                rng = trial_generator(config.seed, ai, ti)
-                per_slot, extras = simulate_trial(config, algo, rng, model, r_max)
-                for mi, name in enumerate(METRICS):
-                    per_trial[f"final10_{name}"][ti] = per_slot[-tail:, mi].mean()
-                for key, value in extras.items():
-                    extra_lists.setdefault(key, []).append(value)
-                if slot_file is not None:
-                    prefix = f"{config.name},{algo},{ti}"
-                    for t in range(config.slots):
-                        for mi, name in enumerate(METRICS):
-                            slot_file.write(
-                                f"{prefix},{t},{name},{_fmt(per_slot[t, mi])}\n")
-            for key, values in extra_lists.items():
-                per_trial[key] = np.asarray(values, dtype=np.float64)
+            finals = np.empty((config.trials, len(METRICS)))
+            extras = {}
+            for first in range(0, config.trials, BLOCK_TRIALS):
+                block = range(first, min(first + BLOCK_TRIALS, config.trials))
+                per_slot, block_extras = simulate_trial(
+                    config, algo, [trial_generator(config.seed, ai, ti) for ti in block],
+                    model, r_max)
+                for key, values in block_extras.items():
+                    extras.setdefault(key, []).append(values)
+                for ti, trial_slots in zip(block, per_slot):
+                    finals[ti] = [column[-tail:].mean() for column in trial_slots.T]
+                    if slot_file is not None:
+                        slot_file.write(_slot_rows(f"{config.name},{algo},{ti}",
+                                                   trial_slots))
+            per_trial = {f"final10_{name}": finals[:, mi].copy()
+                         for mi, name in enumerate(METRICS)}
+            for key in sorted(extras):
+                per_trial[key] = np.concatenate(extras[key])
             trial_values[algo] = per_trial
-            for key in [f"final10_{name}" for name in METRICS] + sorted(extra_lists):
+            for key in per_trial:
                 mean, half = mean_ci(per_trial[key])
                 summary_rows.append((config.name, algo, key, mean, half,
                                      config.trials))
@@ -184,11 +225,14 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
             trials = NE_BOUND_TRIALS if key.endswith("ne_rate") else 1
             summary_rows.append((config.name, "oracle", key, oracle[key], 0.0,
                                  trials))
-    finally:
+    except BaseException:
         if slot_file is not None:
             slot_file.close()
+            os.remove(partial)
+        raise
 
     if out is not None:
+        slot_file.close()
         with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8",
                   newline="\n") as fh:
             fh.write("scenario,algorithm,metric,mean,ci_half_width,trials\n")
@@ -206,6 +250,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
                   newline="\n") as fh:
             json.dump(metadata, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        os.replace(partial, slot_path)
 
     return RunResult(config=config, trial_values=trial_values, oracle=oracle,
                      summary_rows=summary_rows, output_dir=out)

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from antijam import jammers, load_config, ne_bounds
 from antijam.env import (NodeGeometry, RadioParams, RateModel, jam_mask,
-                         link_gain, max_single_user_rate)
+                         link_gain, max_single_user_rate, uniform_channels)
 from antijam.errors import ConfigError
 from antijam.games import GameSpec, is_pure_nash, user_utility
-from antijam.jammers import jammer_action
 from antijam.runner import simulate_trial, trial_generator
 
 
@@ -38,7 +37,8 @@ def tiny_markov(**overrides):
 
 def record_slots(doc):
     """Run one trial of doc's first algorithm and return what the runner
-    handed the rate model each slot: (choices, jam mask, active mask, rates)."""
+    handed the rate model each slot: (choices, jam mask, active mask, rates),
+    the trial's rows of the one-trial block."""
     config = load_config(doc)
     model = RateModel(config.geometry, config.radio)
     rates_fn = model.rates
@@ -46,12 +46,15 @@ def record_slots(doc):
 
     def recording(choices, jammed, active):
         rates = rates_fn(choices, jammed, active)
-        seen.append((np.array(choices), jammed, np.array(active), rates))
+        assert choices.shape == active.shape == rates.shape == (1, config.num_users)
+        assert jammed.shape == (1, config.num_channels)
+        seen.append((np.array(choices[0]), np.array(jammed[0]),
+                     np.array(active[0]), rates[0]))
         return rates
 
     model.rates = recording
     simulate_trial(config, config.algorithms[0],
-                   trial_generator(config.seed, 0, 0), model,
+                   [trial_generator(config.seed, 0, 0)], model,
                    max_single_user_rate(model))
     return seen
 
@@ -270,23 +273,31 @@ def test_numpy_integer_channels_are_accepted():
 @pytest.mark.parametrize("scenario", ["markov", "hypergraph"])
 def test_reactive_jammer_hears_only_active_users(monkeypatch, scenario):
     """A silent user cannot be observed: the reactive jammer sees the channels
-    of the previous slot's active users, and nothing after an all-silent slot."""
-    heard = []
+    of the previous slot's active users, and nothing after an all-silent slot,
+    when it falls back to its uniform's channel."""
+    heard, draws = [], []
+    act = jammers.ScriptedJammers.act
 
-    def spy(pattern, t, last_assignment=None, u=None):
-        heard.append(None if last_assignment is None else list(last_assignment))
-        return jammer_action(pattern, t, last_assignment, u)
+    def spy(self, t, u):
+        heard.append(self.heard[0].copy())
+        draws.append(float(u[0, 0]))
+        return act(self, t, u)
 
-    monkeypatch.setattr(jammers, "jammer_action", spy)
+    monkeypatch.setattr(jammers.ScriptedJammers, "act", spy)
     doc = tiny_markov(scenario=scenario, num_users=3, slots=200,
                       active_probability=0.5, jammer={"kind": "reactive"},
                       algorithms=["random"])
     seen = record_slots(doc)
     assert any(not a.any() for _, _, a, _ in seen), "no all-silent slot drawn"
-    assert heard[0] is None
-    for t in range(1, len(seen)):
-        choices, _, active, _ = seen[t - 1]
-        assert heard[t] == list(choices[active])
+    assert not heard[0].any()
+    for t in range(len(seen)):
+        if t:
+            choices, _, active, _ = seen[t - 1]
+            assert heard[t].tolist() == np.bincount(choices[active],
+                                                    minlength=3).tolist()
+        want = heard[t].argmax() if heard[t].any() \
+            else uniform_channels(draws[t], 3)
+        assert np.flatnonzero(seen[t][1]).tolist() == [want]
 
 
 def test_radio_params_validation():

@@ -3,7 +3,8 @@
 The sweep schedule is the only stateful-looking pattern, but it is a pure
 function of the slot index, which makes the whole module trivially
 deterministic; the random pick and the reactive fallback read the uniform
-they are handed and nothing else.
+they are handed and nothing else. jammer_action is the scalar definition the
+slot loop's schedule, ScriptedJammers, is checked against.
 """
 
 from collections import Counter
@@ -14,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from antijam.errors import ConfigError
-from antijam.jammers import JammerPattern, jammer_action
+from antijam.jammers import KINDS, JammerPattern, ScriptedJammers, jammer_action
 
 
 def test_fixed_jams_one_channel_forever():
@@ -129,3 +130,47 @@ def test_every_kind_emits_a_subset_of_channels():
         for p in patterns:
             out = jammer_action(p, t, last_assignment=last, u=rng.random())
             assert out and all(0 <= c < 3 for c in out)
+
+
+@st.composite
+def pattern_lists(draw):
+    """One to three patterns of any kinds on up to 5 channels."""
+    m = draw(st.integers(1, 5))
+    channel = st.integers(0, m - 1)
+    patterns = []
+    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3)):
+        comb = tuple(draw(st.sets(channel, min_size=1))) if kind == "comb" else None
+        patterns.append(JammerPattern(
+            kind=kind, num_channels=m, fixed_channel=draw(channel),
+            comb_set=comb, dwell=draw(st.integers(1, 3)),
+            start_channel=draw(channel)))
+    return m, patterns
+
+
+@given(pattern_lists(), st.integers(1, 4), st.integers(1, 70),
+       st.integers(0, 2 ** 32 - 1))
+def test_schedule_jams_the_union_of_the_patterns_sets(case, trials, slots, seed):
+    """Slot by slot and trial by trial, ScriptedJammers jams the union of
+    jammer_action's sets: the static patterns from the table, whose period
+    may be longer or shorter than the run, and each random or reactive
+    pattern from its own uniform, a reactive one hearing the channels of its
+    trial's active users in the previous slot."""
+    m, patterns = case
+    jam = ScriptedJammers(patterns, trials, m, slots)
+    rng = np.random.default_rng(seed)
+    heard = [None] * trials
+    for t in range(slots):
+        u = rng.random((trials, jam.draws))
+        mask = jam.act(t, u)
+        assert mask.dtype == bool and mask.shape == (trials, m)
+        for i in range(trials):
+            draws = iter(u[i])
+            want = set()
+            for p in patterns:
+                drawn = next(draws) if p.kind in ("random", "reactive") else None
+                want |= jammer_action(p, t, heard[i], drawn)
+            assert set(np.flatnonzero(mask[i]).tolist()) == want
+        choices = rng.integers(0, m, size=(trials, 4))
+        active = rng.random((trials, 4)) < 0.5
+        jam.observe(choices, active, None)
+        heard = [c[a] for c, a in zip(choices, active)]

@@ -1,13 +1,15 @@
 """The array learners against their scalar reference.
 
-learning keeps every user's state in one array and steps all users at once.
-The per-user learners it replaced live here as the reference: a frozen
-QTable dict per user with a functional q_update, one MixedStrategy vector
-per user with a functional sla_update, per-user epsilon-greedy picks and
-decay, and the claiming pick walked in an explicit order. Driven from
-generators with the same seed, on random activity, rewards, jammed channels
-and exploration schedules, both must make the same choice on every slot,
-leave their generators in the same state, and hold bitwise-equal state.
+learning keeps every user's state of a block of trials in one array and
+steps all trials and users at once. The per-user learners it replaced live
+here as the reference, one set per trial: a frozen QTable dict per user with
+a functional q_update, one MixedStrategy vector per user with a functional
+sla_update, per-user epsilon-greedy picks and decay, and the claiming pick
+walked in an explicit order. Each trial's reference draws from its own
+generator, and the block reads the same uniforms from a copy of it. On random
+activity, rewards, jammed channels and exploration schedules, both must make
+the same choice on every slot of every trial, leave the generators in the
+same state, and hold bitwise-equal state.
 
 The library hands the jammed channels on as an (M,) bool mask; the reference
 reads them as a channel set, and the hypergraph reward as one marginal per
@@ -237,6 +239,7 @@ def schedules(draw):
     """Sizes, exploration schedule and a seed for the drive's draws."""
     start = draw(st.floats(0.0, 1.0))
     return dict(
+        trials=draw(st.integers(1, 4)),
         n=draw(st.integers(1, 6)),
         m=draw(st.integers(1, 5)),
         p_active=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
@@ -254,83 +257,110 @@ def schedules(draw):
 
 
 def slot_inputs(env, n, m, p_active):
-    """One slot's activity, rates, per-user rewards and jam mask."""
+    """One slot's activity, rates, per-user rewards and jam mask; n may be a
+    shape, one entry per user of each trial."""
     active = env.random(n) < p_active
     rates = np.where(active, env.uniform(0.0, 3.0, size=n), 0.0)
     rewards = env.random(n)
     # some users get the reward range's end points exactly
     rewards[env.random(n) < 0.2] = env.choice([0.0, 1.0])
-    jammed = env.random(m) < 0.4
+    jammed = env.random(np.shape(active)[:-1] + (m,)) < 0.4
     return active, rates, rewards, jammed
 
 
-def drive_users(new, ref, box, s, compare, slots=25):
-    """Run a rule and its reference on the same draws, comparing every slot."""
-    rng_new = np.random.default_rng(s["seed"])
-    rng_ref = np.random.default_rng(s["seed"])
+def generators(s):
+    """Each trial's generator, for the block and for the reference."""
+    seeds = [(s["seed"], i) for i in range(s["trials"])]
+    return ([np.random.default_rng(x) for x in seeds],
+            [np.random.default_rng(x) for x in seeds])
+
+
+def slot_row(rngs, draws):
+    """One slot's (T, draws) uniforms, each trial's row from its generator."""
+    return np.stack([rng.random(draws) for rng in rngs])
+
+
+def drive_users(new, refs, box, s, compare, slots=25):
+    """Run a rule's block of trials and one reference per trial on the same
+    draws, comparing every slot."""
+    rngs_new, rngs_ref = generators(s)
     env = np.random.default_rng(s["seed"] + 1)
     for _ in range(slots):
-        choices = new.select(rng_new)
-        assert np.array_equal(choices, ref.select(rng_ref))
+        choices = new.select(slot_row(rngs_new, new.draws))
+        assert choices.shape == (s["trials"], s["n"])
+        for ref, rng, got in zip(refs, rngs_ref, choices):
+            assert np.array_equal(got, ref.select(rng))
         active, rates, box["rewards"], jammed = slot_inputs(
-            env, s["n"], s["m"], s["p_active"])
+            env, (s["trials"], s["n"]), s["m"], s["p_active"])
         new.learn(choices, active, rates, jammed)
-        ref.learn(choices, active, rates, jammed)
+        for i, ref in enumerate(refs):
+            ref.learn(choices[i], active[i], rates[i], jammed[i])
         compare()
-    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    for a, b in zip(rngs_new, rngs_ref):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def trial_rewards(box, i):
+    """Trial i's reference reward: user u's entry of the slot's rewards."""
+    return lambda u, *_: float(box["rewards"][i][u])
 
 
 @given(schedules())
 def test_automata_users_match_the_scalar_reference(s):
     box = {}
-    new = AutomataUsers(s["n"], s["m"], s["params"].step_size,
+    new = AutomataUsers(s["trials"], s["n"], s["m"], s["params"].step_size,
                         lambda choices, active, rates, jammed: box["rewards"])
-    ref = RefAutomataUsers(s["n"], s["m"], s["params"].step_size,
-                           lambda u, *_: float(box["rewards"][u]))
+    refs = [RefAutomataUsers(s["n"], s["m"], s["params"].step_size,
+                             trial_rewards(box, i)) for i in range(s["trials"])]
 
     def compare():
-        assert same_bits(new.strategy.probs,
-                         np.stack([r.probs for r in ref.strategies]))
-        assert np.array_equal(new.greedy(), ref.greedy())
-    drive_users(new, ref, box, s, compare)
+        assert same_bits(new.strategy.probs, np.stack(
+            [[r.probs for r in ref.strategies] for ref in refs]))
+        assert np.array_equal(new.greedy(), np.stack([r.greedy() for r in refs]))
+    drive_users(new, refs, box, s, compare)
 
 
 @given(schedules(), st.booleans())
 def test_q_users_match_the_scalar_reference(s, collaborative):
     box = {}
-    new = QUsers(s["n"], s["m"], s["params"],
+    new = QUsers(s["trials"], s["n"], s["m"], s["params"],
                  lambda choices, active, rates, jammed: box["rewards"],
                  collaborative)
-    ref = RefQUsers(s["n"], s["m"], s["params"],
-                    lambda u, *_: float(box["rewards"][u]), collaborative)
+    refs = [RefQUsers(s["n"], s["m"], s["params"], trial_rewards(box, i),
+                      collaborative) for i in range(s["trials"])]
 
     def compare():
-        assert same_bits(new.q, q_array(ref.tables))
-        assert all(t.epsilon == new.epsilon for t in ref.tables)
-        assert (ref.state is None and new.state == s["m"]) \
-            or new.state == ref.state
-    drive_users(new, ref, box, s, compare)
+        assert same_bits(new.q, np.stack([q_array(r.tables) for r in refs]))
+        assert all(t.epsilon == new.epsilon for r in refs for t in r.tables)
+        # state M stands for nothing sensed yet
+        assert new.state.tolist() == [s["m"] if r.state is None else r.state
+                                      for r in refs]
+    drive_users(new, refs, box, s, compare)
 
 
 @given(schedules())
 def test_window_leader_matches_the_scalar_reference(s):
-    new = WindowLeader(s["m"], s["params"])
-    ref = RefWindowLeader(s["m"], s["params"])
-    rng_new = np.random.default_rng(s["seed"])
-    rng_ref = np.random.default_rng(s["seed"])
+    new = WindowLeader(s["trials"], s["m"], s["params"])
+    refs = [RefWindowLeader(s["m"], s["params"]) for _ in range(s["trials"])]
+    rngs_new, rngs_ref = generators(s)
     env = np.random.default_rng(s["seed"] + 1)
+    shape = (s["trials"], s["n"])
     for t in range(30):
-        jammed = new.act(t, rng_new)
-        assert jammed.dtype == bool and jammed.shape == (s["m"],)
-        assert channels(jammed) == ref.act(t, rng_ref)
-        choices = env.integers(0, s["m"], size=s["n"])
-        active, rates, _, _ = slot_inputs(env, s["n"], s["m"], s["p_active"])
+        jammed = new.act(t, slot_row(rngs_new, new.draws))
+        assert jammed.dtype == bool and jammed.shape == (s["trials"], s["m"])
+        for ref, rng, mask in zip(refs, rngs_ref, jammed):
+            assert channels(mask) == ref.act(t, rng)
+        choices = env.integers(0, s["m"], size=shape)
+        active, rates, _, _ = slot_inputs(env, shape, s["m"], s["p_active"])
         new.observe(choices, active, rates)
-        ref.observe(choices, active, rates)
-        assert same_bits(new.values, ref.table.action_values(None))
-        assert new.epsilon == ref.table.epsilon
-        assert new.greedy() == ref.greedy()
-    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        for i, ref in enumerate(refs):
+            ref.observe(choices[i], active[i], rates[i])
+        assert same_bits(new.values, np.stack(
+            [r.table.action_values(None) for r in refs]))
+        assert all(new.epsilon == r.table.epsilon for r in refs)
+        assert new.greedy().tolist() == [r.greedy() for r in refs]
+    for a, b in zip(rngs_new, rngs_ref):
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 @st.composite
@@ -357,24 +387,36 @@ def hypergraphs(draw):
        st.integers(0, 2 ** 32 - 1))
 def test_reward_rules_match_the_scalar_reference(hg, m, p_active, seed):
     """Every user's reward, silent users' included, on jam masks that may
-    be empty or cover several channels."""
+    be empty or cover several channels; the slots once alone and once as
+    the trials of one block."""
     env = np.random.default_rng(seed)
     n = hg.num_users
     r_max = float(env.uniform(0.5, 3.0))
+    rules = ((rate_reward(r_max), ref_rate_reward(r_max)),
+             (interference_reward(hg), ref_interference_reward(hg)))
+    slots = []
     for _ in range(10):
         # few channels, so users crowd onto one and fire the hyperedges
         choices = env.integers(0, min(m, 2), size=n) if env.random() < 0.5 \
             else env.integers(0, m, size=n)
         active, rates, _, jammed = slot_inputs(env, n, m, p_active)
         rates[env.random(n) < 0.2] = 4.0          # above r_max, clipped to 1
-        for new, ref in ((rate_reward(r_max), ref_rate_reward(r_max)),
-                         (interference_reward(hg), ref_interference_reward(hg))):
+        slots.append((choices, active, rates, jammed))
+        for new, ref in rules:
             got = new(choices, active, rates, jammed)
             want = [ref(u, choices, active, rates, jammed) for u in range(n)]
             assert same_bits(got, want)
+    block = [np.stack(column) for column in zip(*slots)]
+    for new, ref in rules:
+        want = [[ref(u, *slot) for u in range(n)] for slot in slots]
+        assert same_bits(new(*block), want)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=5))
 def test_observe_jamming_reads_the_lowest_masked_channel(bits):
     mask = np.array(bits)
-    assert observe_jamming(mask) == min(channels(mask), default=None)
+    assert observe_jamming(mask) == min(channels(mask), default=len(bits))
+    # one state per trial of a block
+    block = np.stack([mask, ~mask])
+    assert observe_jamming(block).tolist() == [
+        min(channels(row), default=len(bits)) for row in block]

@@ -16,8 +16,9 @@ from antijam.learning import (AutomataUsers, HierarchicalController,
                               epsilon_greedy, observe_jamming, q_update,
                               rate_reward, sla_update)
 
-# states: the last channel sensed as jammed, or None before any observation
-S0 = None
+# states on the 4 channels of these tests: the last channel sensed as
+# jammed, or M = 4 before any observation
+S0 = 4
 S1 = 1
 
 ONE = np.zeros(1, dtype=np.int64)   # the index array of a lone learner
@@ -40,20 +41,19 @@ def step(s, chosen, reward, step_size):
     return s
 
 
-class ScriptedRng:
-    """Stands in for a Generator: random(size) replays one scripted row of
-    uniforms, every coin then every channel draw."""
+def scripted(coins, channels):
+    """One scripted row of uniforms, every coin then every channel draw."""
+    return np.array([*coins, *channels], dtype=np.float64)
 
-    def __init__(self, coins, channels):
-        self.row = np.array([*coins, *channels], dtype=np.float64)
 
-    def random(self, size):
-        assert np.prod(size) == self.row.size
-        return self.row.reshape(size)
+def draws(seed, size):
+    """size uniforms from a generator seeded with seed."""
+    return np.random.default_rng(seed).random(size)
 
 
 def test_observe_jamming_picks_lowest_or_none():
-    assert observe_jamming(jam()) is None
+    # none sensed is state M, one past the channels
+    assert observe_jamming(jam()) == 4
     assert observe_jamming(jam(2, 0, 3)) == 0
     assert observe_jamming(jam(1)) == 1
 
@@ -116,24 +116,24 @@ def test_pure_strategies_absorb():
     # a pure strategy only ever samples its own action, and rewarding that
     # action is a fixpoint of the update, so the learner can never leave
     s = strategy([0.0, 1.0, 0.0])
-    assert all(s.sample(np.random.default_rng(i))[0] == 1 for i in range(50))
+    assert all(s.sample(draws(i, 1))[0] == 1 for i in range(50))
     out = step(strategy([0.0, 1.0, 0.0]), 1, 1.0, 0.2)
     assert np.allclose(out.probs, s.probs)
 
 
 def test_strategy_sampling_is_seeded():
     s = strategy([0.2, 0.5, 0.3])
-    a = [s.sample(np.random.default_rng(4))[0] for _ in range(10)]
-    b = [s.sample(np.random.default_rng(4))[0] for _ in range(10)]
+    a = [s.sample(draws(4, 1))[0] for _ in range(10)]
+    b = [s.sample(draws(4, 1))[0] for _ in range(10)]
     assert a == b
     counts = np.bincount(
-        [s.sample(np.random.default_rng(i))[0] for i in range(3000)], minlength=3)
+        [s.sample(draws(i, 1))[0] for i in range(3000)], minlength=3)
     assert counts[1] > counts[0] and counts[1] > counts[2]
 
 
 def test_strategy_rows_sample_independently():
     s = strategy([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0])
-    assert list(s.sample(np.random.default_rng(0))) == [0, 2, 1]
+    assert list(s.sample(draws(0, 3))) == [0, 2, 1]
 
 
 def test_mixed_strategy_validation():
@@ -195,30 +195,30 @@ def test_q_values_bounded_by_discounted_max():
 
 def test_epsilon_greedy_extremes():
     values = np.array([[0.0, 5.0, 0.0]])
-    assert list(epsilon_greedy(values, 0.0, np.random.default_rng(0))) == [1]
-    picks = {int(epsilon_greedy(values, 1.0, np.random.default_rng(i))[0])
+    assert list(epsilon_greedy(values, 0.0, draws(0, 2))) == [1]
+    picks = {int(epsilon_greedy(values, 1.0, draws(i, 2))[0])
              for i in range(40)}
     assert picks == {0, 1, 2}
     # all rows at once: each row's coin decides for that row alone
     rows = np.array([[0.0, 5.0, 0.0], [3.0, 0.0, 0.0]])
-    rng = ScriptedRng(coins=[0.9, 0.1], channels=[0.0, 0.99])
-    assert list(epsilon_greedy(rows, 0.5, rng)) == [1, 2]
+    u = scripted(coins=[0.9, 0.1], channels=[0.0, 0.99])
+    assert list(epsilon_greedy(rows, 0.5, u)) == [1, 2]
 
 
 def test_collaborative_greedy_users_avoid_claims():
     # both users would argmax channel 2; the second in turn must settle for
     # its best unclaimed channel, which is 0 on the value tie below
     values = np.array([[1.0, 1.0, 3.0], [1.0, 1.0, 3.0]])
-    picks = collaborative_joint_selection(values, 0.0, np.random.default_rng(0))
+    picks = collaborative_joint_selection(values, 0.0, draws(0, 4))
     assert picks[0] == 2 and picks[1] == 0
 
     # turn order decides who wins the contested channel: with the rows
     # swapped, the user that went second now goes first and takes channel 2
     values = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 3.0]])
-    picks = collaborative_joint_selection(values, 0.0, np.random.default_rng(0))
+    picks = collaborative_joint_selection(values, 0.0, draws(0, 4))
     assert list(picks) == [2, 0]
     swapped = collaborative_joint_selection(values[::-1], 0.0,
-                                            np.random.default_rng(0))[::-1]
+                                            draws(0, 4))[::-1]
     assert list(swapped) == [1, 2]
 
 
@@ -228,8 +228,8 @@ def test_collaborative_explorers_also_claim():
     values = np.array([[0.0, 0.0, 0.0], [0.0, 4.0, 3.0]])
     for landing in range(3):
         # user 0's channel draw lands on `landing`; user 1's is never read
-        rng = ScriptedRng(coins=[0.0, 0.99], channels=[(landing + 0.5) / 3, 0.0])
-        picks = collaborative_joint_selection(values, 0.5, rng)
+        u = scripted(coins=[0.0, 0.99], channels=[(landing + 0.5) / 3, 0.0])
+        picks = collaborative_joint_selection(values, 0.5, u)
         assert picks[0] == landing
         if picks[0] == 1:
             assert picks[1] == 2
@@ -240,7 +240,7 @@ def test_collaborative_explorers_also_claim():
 def test_collaborative_all_explorers_is_iid_uniform():
     rng = np.random.default_rng(6)
     values = np.zeros((2, 3))
-    picks = np.array([collaborative_joint_selection(values, 1.0, rng)
+    picks = np.array([collaborative_joint_selection(values, 1.0, rng.random(4))
                       for _ in range(6000)])
     # collisions must keep happening at roughly the iid 1/3 rate
     coll = float((picks[:, 0] == picks[:, 1]).mean())
@@ -252,7 +252,7 @@ def test_collaborative_all_explorers_is_iid_uniform():
 
 def test_collaborative_saturated_claims_fall_back():
     values = np.array([[0.0, 1.0]] * 3)
-    picks = collaborative_joint_selection(values, 0.0, np.random.default_rng(0))
+    picks = collaborative_joint_selection(values, 0.0, draws(0, 6))
     # two channels, three users: the third pick falls back to its argmax
     assert sorted(picks[:2]) == [0, 1]
     assert picks[2] == 1
@@ -260,34 +260,38 @@ def test_collaborative_saturated_claims_fall_back():
 
 def test_baseline_actions():
     rng = np.random.default_rng(2)
-    picks = set(baseline_action("random", S0, 100, 4, rng).tolist())
+    picks = set(baseline_action("random", S0, 4, rng.random(100)).tolist())
     assert picks == {0, 1, 2, 3}
     # sensing never repeats the last observed jammed channel
     for i in range(100):
-        a = baseline_action("sensing", S1, 1, 4, np.random.default_rng(i))
+        a = baseline_action("sensing", S1, 4, draws(i, 1))
         assert a[0] != 1
-    assert 1 not in baseline_action("sensing", S1, 100, 4, rng)
+    assert 1 not in baseline_action("sensing", S1, 4, rng.random(100))
     # without an observation sensing is plain uniform
-    picks = set(baseline_action("sensing", S0, 100, 4, rng).tolist())
+    picks = set(baseline_action("sensing", S0, 4, rng.random(100)).tolist())
     assert picks == {0, 1, 2, 3}
+    # each trial avoids its own last observation
+    picks = baseline_action("sensing", np.array([1, 2]), 4, rng.random((2, 100)))
+    assert 1 not in picks[0] and 2 not in picks[1]
     with pytest.raises(ConfigError):
-        baseline_action("psychic", S0, 1, 4, rng)
+        baseline_action("psychic", S0, 4, rng.random(1))
 
 
 def hierarchical(num_users, num_channels, params, r_max):
-    """The stackelberg hierarchical arm: window leader over automata users."""
+    """The stackelberg hierarchical arm of one trial: window leader over
+    automata users."""
     return HierarchicalController(
-        WindowLeader(num_channels, params),
-        AutomataUsers(num_users, num_channels, params.step_size,
+        WindowLeader(1, num_channels, params),
+        AutomataUsers(1, num_users, num_channels, params.step_size,
                       rate_reward(r_max)))
 
 
 def hierarchical_step(controller, rate_fn, rng, t=0):
-    """One slot of the two-timescale loop with every user active."""
-    jammed, choices = controller.begin_slot(t, rng)
-    rates = rate_fn(choices, jammed)
-    controller.end_slot(rates, np.ones(len(choices), dtype=bool))
-    (channel,) = np.flatnonzero(jammed)
+    """One slot of the two-timescale loop of one trial, every user active."""
+    jammed, choices = controller.begin_slot(t, rng.random((1, controller.draws)))
+    rates = rate_fn(choices[0], jammed[0])[None]
+    controller.end_slot(rates, np.ones(choices.shape, dtype=bool))
+    (channel,) = np.flatnonzero(jammed[0])
     return int(channel)
 
 
@@ -327,33 +331,34 @@ def test_hierarchical_leader_learns_to_hurt():
 
     for t in range(600):
         hierarchical_step(ctl, rate_fn, rng, t)
-    assert ctl.leader.greedy() == 0
+    assert ctl.leader.greedy()[0] == 0
 
 
 def test_greedy_profile_reflects_strategies():
-    users = AutomataUsers(num_users=2, num_channels=3, step_size=0.08,
-                          reward=rate_reward(1.0))
-    users.strategy.probs[:] = [[0.1, 0.8, 0.1], [0.0, 0.2, 0.8]]
-    assert list(users.greedy()) == [1, 2]
+    users = AutomataUsers(num_trials=2, num_users=2, num_channels=3,
+                          step_size=0.08, reward=rate_reward(1.0))
+    users.strategy.probs[:] = [[[0.1, 0.8, 0.1], [0.0, 0.2, 0.8]],
+                               [[0.5, 0.2, 0.3], [0.3, 0.3, 0.4]]]
+    assert users.greedy().tolist() == [[1, 2], [0, 2]]
 
 
 def test_window_leader_learns_once_per_window():
     params = LearningParams(window_slots=3, learning_rate=0.5, epsilon_start=0.4,
                             epsilon_floor=0.3, leader_epsilon_decay=0.5)
-    leader = WindowLeader(num_channels=2, params=params)
+    leader = WindowLeader(num_trials=1, num_channels=2, params=params)
     rng = np.random.default_rng(5)
-    first = leader.act(0, rng)
-    (channel,) = np.flatnonzero(first)
-    user, on = np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool)
+    first = leader.act(0, rng.random((1, 2)))
+    (channel,) = np.flatnonzero(first[0])
+    user, on = np.zeros((1, 1), dtype=np.int64), np.ones((1, 1), dtype=bool)
     for t, total in ((1, 1.0), (2, 2.0)):
-        leader.observe(user, on, np.array([total]))
-        assert np.array_equal(leader.act(t, rng), first)
+        leader.observe(user, on, np.array([[total]]))
+        assert np.array_equal(leader.act(t, rng.random((1, 2))), first)
     assert not leader.values.any()
-    leader.observe(user, on, np.array([3.0]))
+    leader.observe(user, on, np.array([[3.0]]))
     # reward is minus the window's mean total rate, epsilon decays to its floor
-    assert leader.values[channel] == pytest.approx(-1.0)
+    assert leader.values[0, channel] == pytest.approx(-1.0)
     assert leader.epsilon == pytest.approx(0.3)
-    assert leader.greedy() == 1 - channel
+    assert leader.greedy()[0] == 1 - channel
 
 
 def test_exploration_decays_every_slot_to_its_floor():
@@ -361,11 +366,13 @@ def test_exploration_decays_every_slot_to_its_floor():
     # stops at the floor
     params = LearningParams(epsilon_start=0.5, epsilon_floor=0.1,
                             epsilon_decay=0.5)
-    users = QUsers(2, 3, params, rate_reward(1.0), collaborative=False)
-    idle = np.zeros(2, dtype=bool)
-    users.learn(np.zeros(2, dtype=np.int64), idle, np.zeros(2), jam(m=3))
+    users = QUsers(1, 2, 3, params, rate_reward(1.0), collaborative=False)
+    idle = np.zeros((1, 2), dtype=bool)
+    users.learn(np.zeros((1, 2), dtype=np.int64), idle, np.zeros((1, 2)),
+                jam(m=3)[None])
     assert users.epsilon == pytest.approx(0.25)
     assert not users.q.any()
     for _ in range(3):
-        users.learn(np.zeros(2, dtype=np.int64), idle, np.zeros(2), jam(m=3))
+        users.learn(np.zeros((1, 2), dtype=np.int64), idle, np.zeros((1, 2)),
+                    jam(m=3)[None])
     assert users.epsilon == pytest.approx(0.1)

@@ -41,10 +41,16 @@ def small_game(rng, n, m):
 
 def rate_sum_and_mean_active(rates, active):
     """The slot loop's rate_sum and rate_mean_active, both read from the one
-    network_rate sum."""
-    choices = np.zeros(rates.size, dtype=np.int64)
-    no_jam = np.zeros(1, dtype=bool)
-    return _slot_metrics(choices, no_jam, active, rates, r_max=1.0)[:2]
+    network_rate sum, for the slot as a one-trial block."""
+    choices = np.zeros((1, rates.size), dtype=np.int64)
+    no_jam = np.zeros((1, 1), dtype=bool)
+    return tuple(_slot_metrics(choices, no_jam, active[None], rates[None],
+                               r_max=1.0)[0, :2])
+
+
+def capacity(rates, active, r_max):
+    """normalized_capacity of the slot's network_rate sum."""
+    return normalized_capacity(network_rate(rates, active), rates.shape[-1], r_max)
 
 
 def test_network_rate_modes():
@@ -61,13 +67,18 @@ def test_network_rate_all_silent():
 
 def test_normalized_capacity_definition():
     s = slot([2.0, 2.0, 2.0])
-    assert normalized_capacity(*s, r_max=2.0) == pytest.approx(1.0)
-    assert normalized_capacity(*s, r_max=4.0) == pytest.approx(0.5)
+    assert capacity(*s, r_max=2.0) == pytest.approx(1.0)
+    assert capacity(*s, r_max=4.0) == pytest.approx(0.5)
     half = slot([1.0, 1.0, 1.0])
-    assert normalized_capacity(*half, 2.0) == pytest.approx(
-        0.5 * normalized_capacity(*s, 2.0))
+    assert capacity(*half, 2.0) == pytest.approx(0.5 * capacity(*s, 2.0))
     silent = slot([0.0, 0.0], active=[False, False])
-    assert normalized_capacity(*silent, 2.0) == 0.0
+    assert capacity(*silent, 2.0) == 0.0
+    # the ceiling counts every user of a trial, not the size of a block
+    block = np.stack([s[0], half[0]])
+    assert capacity(block, np.ones(block.shape, dtype=bool), 2.0).tolist() \
+        == [1.0, 0.5]
+    with pytest.raises(ConfigError):
+        normalized_capacity(1.0, 3, 0.0)
 
 
 def test_normalized_capacity_stays_in_unit_interval():
@@ -78,7 +89,7 @@ def test_normalized_capacity_stays_in_unit_interval():
         rates = rng.uniform(0, r_max, size=n)
         active = rng.random(n) < 0.7
         rates[~active] = 0.0
-        cap = normalized_capacity(rates, active, r_max)
+        cap = capacity(rates, active, r_max)
         assert 0.0 <= cap <= 1.0
 
 

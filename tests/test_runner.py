@@ -25,6 +25,7 @@ from antijam.config import ALGORITHMS
 from antijam.env import RateModel, max_single_user_rate
 from antijam.metrics import mean_ci
 from antijam.presets import get_preset
+from antijam import runner
 from antijam.runner import (METRICS, run_scenario, simulate_trial,
                             trial_generator)
 
@@ -146,6 +147,24 @@ def test_unwritable_output_fails_before_simulating(tmp_path):
     assert time.time() - started < 5.0
 
 
+def test_a_failed_run_leaves_no_output_that_looks_complete(tmp_path, monkeypatch):
+    """A run that fails after simulating, here in the oracle, must not leave
+    its per_slot.csv beside an earlier run's summary.csv and metadata.json,
+    nor any of the earlier run's outputs."""
+    out = tmp_path / "run"
+    run_scenario(load_config(small_stackelberg(slots=30)), out_dir=str(out))
+    assert sorted(os.listdir(out)) == ["metadata.json", "per_slot.csv",
+                                       "summary.csv"]
+
+    def broken(config, game):
+        raise RuntimeError("oracle failed")
+
+    monkeypatch.setattr(runner, "_oracle_values", broken)
+    with pytest.raises(RuntimeError, match="oracle failed"):
+        run_scenario(load_config(small_stackelberg(slots=60)), out_dir=str(out))
+    assert os.listdir(out) == []
+
+
 # ---------------------------------------------------------------------------
 # in-memory results
 
@@ -194,12 +213,12 @@ def test_trial_generator_streams_are_distinct():
 
 class RecordingRng:
     """A Generator proxy: notes the name of every method called on it and
-    counts the doubles random() hands out."""
+    the shape of every block random() hands out."""
 
-    def __init__(self, seed):
-        self._rng = trial_generator(seed, 0, 0)
+    def __init__(self, seed, trial):
+        self._rng = trial_generator(seed, 0, trial)
         self.called = set()
-        self.doubles = 0
+        self.shapes = []
 
     def __getattr__(self, name):
         self.called.add(name)
@@ -208,26 +227,26 @@ class RecordingRng:
     def random(self, size=None):
         self.called.add("random")
         out = self._rng.random(size)
-        self.doubles += np.size(out)
+        self.shapes.append(np.shape(out))
         return out
 
 
-def drawn_per_slot(config, algo):
-    """One trial's per-slot metrics and the doubles each slot drew, read off
-    at each slot's rate-model call, which follows the slot's last draw."""
+def drawn_per_slot(config, algo, trials=2):
+    """A block of trials' per-slot metrics, and the rows of doubles each
+    trial's generator handed out per slot: every block it drew is
+    (slots, row), so its rows per slot are the set of the rows' lengths and
+    its slot count their sum."""
     model = RateModel(config.geometry, config.radio)
-    rng = RecordingRng(config.seed)
-    rates_fn, marks = model.rates, []
-
-    def marking(choices, jammed, active):
-        marks.append(rng.doubles)
-        return rates_fn(choices, jammed, active)
-
-    model.rates = marking
-    per_slot, _ = simulate_trial(config, algo, rng, model,
+    rngs = [RecordingRng(config.seed, ti) for ti in range(trials)]
+    per_slot, _ = simulate_trial(config, algo, rngs, model,
                                  max_single_user_rate(model))
-    assert rng.called == {"random"}, f"{algo} called {sorted(rng.called)}"
-    return per_slot, np.diff(marks[:config.slots], prepend=0)
+    drawn = set()
+    for rng in rngs:
+        assert rng.called == {"random"}, f"{algo} called {sorted(rng.called)}"
+        assert all(len(shape) == 2 for shape in rng.shapes), rng.shapes
+        assert sum(rows for rows, _ in rng.shapes) == config.slots
+        drawn |= {row for _, row in rng.shapes}
+    return per_slot, drawn
 
 
 JAMMER_LISTS = ([{"kind": "fixed", "fixed_channel": 1}], [{"kind": "random"}],
@@ -242,10 +261,12 @@ USER_DRAWS = {"hierarchical": 1, "hypergraph_sla": 1, "graph_sla": 1,
 
 @pytest.mark.parametrize("scenario,algo", [
     (scenario, algo) for scenario, algos in ALGORITHMS.items() for algo in algos])
-def test_every_slot_draws_one_fixed_row_of_uniforms(scenario, algo):
-    """Stream layout v2: whatever the state, every slot draws the same count
-    of doubles through random() alone (the jammer side's, the users', then
-    one activity draw per user), so a shorter run is a prefix of a longer."""
+def test_every_slot_draws_one_fixed_row_of_uniforms(monkeypatch, scenario, algo):
+    """Stream layout v2: whatever the state, every slot of every trial draws
+    the same count of doubles through random() alone (the jammer side's, the
+    users', then one activity draw per user), so a shorter run is a prefix of
+    a longer. Blocks of 16 slots put block boundaries inside both runs."""
+    monkeypatch.setattr(runner, "BLOCK_SLOTS", 16)
     if scenario == "stackelberg":
         base = dict(small_stackelberg(), learning={"window_slots": 7})
         cases = [(base, 2)]
@@ -260,9 +281,9 @@ def test_every_slot_draws_one_fixed_row_of_uniforms(scenario, algo):
         for p in (0.0, 0.5, 1.0):
             run = dict(doc, active_probability=p, algorithms=[algo])
             long, drawn = drawn_per_slot(load_config(dict(run, slots=45)), algo)
-            assert set(drawn) == {jammer_draws + USER_DRAWS[algo] * n + n}, run
+            assert drawn == {jammer_draws + USER_DRAWS[algo] * n + n}, run
             short, _ = drawn_per_slot(load_config(dict(run, slots=17)), algo)
-            assert short.tobytes() == long[:17].tobytes()
+            assert short.tobytes() == long[:, :17].tobytes()
 
 
 def test_oracle_rows_present_only_for_the_leader_game():

@@ -1,0 +1,127 @@
+"""The trial-batched slot loop against the per-trial reference loop.
+
+runner.simulate_trial advances a block of trials together; reference_loop
+runs one trial at a time as the library did before the trial axis. Every
+per-slot row of every trial, and every per-trial extra, must be bitwise the
+same, for every algorithm, every jammer list, partial activity and up to 9
+users (numpy adds 9 or more terms in another order than 8 or fewer). A run
+whose trials span several blocks must write the per_slot.csv the reference
+rows give, and a block must equal its trials run alone.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_loop
+from antijam import load_config
+from antijam.config import ALGORITHMS
+from antijam.env import max_single_user_rate
+from antijam.games import GameSpec
+from antijam.runner import (BLOCK_TRIALS, METRICS, run_scenario, simulate_trial,
+                            trial_generator)
+
+JAMMER_LISTS = ([{"kind": "fixed", "fixed_channel": 1}], [{"kind": "random"}],
+                [{"kind": "sweep", "dwell": 2}],
+                [{"kind": "comb", "comb_set": [0, 2]}], [{"kind": "reactive"}],
+                [{"kind": "random"}, {"kind": "reactive"}])
+
+
+@st.composite
+def documents(draw, scenarios=tuple(ALGORITHMS)):
+    """A small run of one algorithm: any scenario, jammer list, activity,
+    up to 9 users and short learning windows."""
+    scenario = draw(st.sampled_from(scenarios))
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(3, 4))
+    doc = {"scenario": scenario, "num_users": n, "num_channels": m,
+           "slots": draw(st.integers(1, 40)),
+           "seed": draw(st.integers(0, 2 ** 16)),
+           "active_probability": draw(st.sampled_from([0.0, 0.5, 0.7, 1.0])),
+           "algorithms": [draw(st.sampled_from(ALGORITHMS[scenario]))],
+           "learning": {"window_slots": draw(st.integers(1, 5)),
+                        "epsilon_decay": 0.9}}
+    if scenario != "stackelberg":
+        doc["jammers"] = draw(st.sampled_from(JAMMER_LISTS))
+        doc["geometry"] = {"jammer_positions": [[0.0, 0.0]] * len(doc["jammers"])}
+    if scenario == "hypergraph":
+        pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+        groups = [list(range(i, i + 3)) for i in range(n - 2)]
+        doc["hypergraph"] = {
+            "source": "explicit",
+            "strong_edges": draw(st.lists(st.sampled_from(pairs), unique_by=tuple,
+                                          max_size=4)) if pairs else [],
+            "weak_hyperedges": draw(st.lists(st.sampled_from(groups),
+                                             unique_by=tuple, max_size=3))
+            if groups else []}
+    return doc
+
+
+def reference_trials(config, algo_index, trials, model, r_max):
+    """(per-slot arrays, extras) of each trial from the per-trial loop."""
+    algo = config.algorithms[algo_index]
+    runs = [reference_loop.simulate_trial(
+        config, algo, trial_generator(config.seed, algo_index, ti), model, r_max)
+        for ti in trials]
+    return [r[0] for r in runs], [r[1] for r in runs]
+
+
+def batched(config, trials):
+    model = GameSpec("stackelberg", config.geometry, config.radio).rate_model
+    r_max = max_single_user_rate(model)
+    rngs = [trial_generator(config.seed, 0, ti) for ti in trials]
+    per_slot, extras = simulate_trial(config, config.algorithms[0], rngs,
+                                      model, r_max)
+    return per_slot, extras, model, r_max
+
+
+@settings(max_examples=60)
+@given(documents(), st.integers(1, 5))
+def test_batched_rows_equal_the_reference(doc, num_trials):
+    config = load_config(doc)
+    per_slot, extras, model, r_max = batched(config, range(num_trials))
+    assert per_slot.shape == (num_trials, config.slots, len(METRICS))
+    want, want_extras = reference_trials(config, 0, range(num_trials), model, r_max)
+    for got, ref in zip(per_slot, want):
+        assert got.tobytes() == ref.tobytes()
+    for key in extras:
+        assert extras[key].tobytes() == np.array(
+            [e[key] for e in want_extras]).tobytes()
+    assert set(extras) == set(want_extras[0])
+
+
+@settings(max_examples=20)
+@given(documents(), st.integers(2, 6))
+def test_a_block_equals_its_trials_run_alone(doc, num_trials):
+    config = load_config(doc)
+    block, extras, _, _ = batched(config, range(num_trials))
+    for ti in range(num_trials):
+        alone, alone_extras, _, _ = batched(config, [ti])
+        assert block[ti].tobytes() == alone[0].tobytes()
+        for key in extras:
+            assert extras[key][ti] == alone_extras[key][0]
+
+
+def reference_csv(config):
+    """per_slot.csv as the per-trial loop's rows give it."""
+    model = GameSpec("stackelberg", config.geometry, config.radio).rate_model
+    r_max = max_single_user_rate(model)
+    lines = ["scenario,algorithm,trial,slot,metric,value\n"]
+    for ai, algo in enumerate(config.algorithms):
+        rows, _ = reference_trials(config, ai, range(config.trials), model, r_max)
+        for ti, per_slot in enumerate(rows):
+            lines += [f"{config.name},{algo},{ti},{t},{name},{float(v)!r}\n"
+                      for t in range(config.slots)
+                      for name, v in zip(METRICS, per_slot[t])]
+    return "".join(lines).encode()
+
+
+@settings(max_examples=6)
+@given(documents(scenarios=("markov", "hypergraph")))
+def test_runs_past_the_block_cap_write_the_reference_rows(tmp_path_factory, doc):
+    doc = dict(doc, trials=BLOCK_TRIALS + 2, slots=min(doc["slots"], 12),
+               algorithms=list(ALGORITHMS[doc["scenario"]][:2]))
+    config = load_config(doc)
+    out = tmp_path_factory.mktemp("run")
+    run_scenario(config, out_dir=str(out))
+    assert (out / "per_slot.csv").read_bytes() == reference_csv(config)
