@@ -69,11 +69,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _slot_rows(prefix: str, per_slot) -> str:
-    """per_slot.csv's rows of one trial, from its (slots, METRICS) values."""
-    return "".join([f"{prefix},{t},{name},{value!r}\n"
-                    for t, row in enumerate(per_slot.tolist())
-                    for name, value in zip(METRICS, row)])
+def _write_slot_rows(fh, prefix: str, per_slot) -> None:
+    """Write per_slot.csv's rows of one trial, from its (slots, METRICS)
+    values, BLOCK_SLOTS slots at a time."""
+    for first in range(0, len(per_slot), BLOCK_SLOTS):
+        block = per_slot[first:first + BLOCK_SLOTS].tolist()
+        fh.write("".join([f"{prefix},{t},{name},{value!r}\n"
+                          for t, row in enumerate(block, first)
+                          for name, value in zip(METRICS, row)]))
 
 
 def _slot_metrics(choices, jammed, active, rates, r_max: float) -> np.ndarray:
@@ -208,8 +211,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
                 for ti, trial_slots in zip(block, per_slot):
                     finals[ti] = [column[-tail:].mean() for column in trial_slots.T]
                     if slot_file is not None:
-                        slot_file.write(_slot_rows(f"{config.name},{algo},{ti}",
-                                                   trial_slots))
+                        _write_slot_rows(slot_file, f"{config.name},{algo},{ti}",
+                                         trial_slots)
             per_trial = {f"final10_{name}": finals[:, mi].copy()
                          for mi, name in enumerate(METRICS)}
             for key in sorted(extras):
