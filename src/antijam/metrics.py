@@ -19,14 +19,22 @@ def network_rate(rates, active) -> np.ndarray:
     Each trial's sum adds its active rates in user order, as
     rates[active].sum() adds them: numpy splits a sum by its length, so a
     row that still holds its silent users' zeros would round differently.
-    Where every user is active the rows are those sums already.
+    Where every user is active the rows are those sums already; otherwise
+    the rows with k active users are summed together as (rows, k) arrays.
     """
     rates, active = np.asarray(rates, dtype=np.float64), np.asarray(active)
     if active.all():
         return rates.sum(axis=-1)
     n = rates.shape[-1]
-    sums = [r[a].sum() for r, a in zip(rates.reshape(-1, n), active.reshape(-1, n))]
-    return np.array(sums).reshape(rates.shape[:-1])[()]
+    rows, on = rates.reshape(-1, n), active.reshape(-1, n)
+    # each row's active rates first, in user order
+    packed = np.take_along_axis(rows, np.argsort(~on, axis=1, kind="stable"), axis=1)
+    counts = on.sum(axis=1)
+    total = np.zeros(len(rows))
+    for k in np.unique(counts[counts > 0]):
+        same = counts == k
+        total[same] = packed[same, :k].sum(axis=1)
+    return total.reshape(rates.shape[:-1])[()]
 
 
 def normalized_capacity(rate_sum, num_users: int, r_max: float):

@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from antijam import GameSpec, enumerate_pure_nash, ne_bounds
 from antijam.env import NodeGeometry, RadioParams
@@ -63,6 +65,20 @@ def test_network_rate_all_silent():
     s = slot([0.0, 0.0], active=[False, False])
     assert network_rate(*s) == 0.0
     assert rate_sum_and_mean_active(*s) == (0.0, 0.0)
+
+
+@given(st.integers(1, 300), st.integers(1, 40), st.integers(1, 12),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(0, 2 ** 32 - 1))
+def test_network_rate_adds_each_rows_active_rates_alone(slots, trials, n, p, seed):
+    """A block of (slots, trials) rows sums each row as its compacted
+    active rates sum alone, bit for bit, at every row count and activity."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.0, 3.0, size=(slots, trials, n))
+    active = rng.random(rates.shape) < p
+    rates[~active] = 0.0
+    want = [[float(rates[s, t][active[s, t]].sum()) for t in range(trials)]
+            for s in range(slots)]
+    assert network_rate(rates, active).tobytes() == np.array(want).tobytes()
 
 
 def test_normalized_capacity_definition():
