@@ -103,6 +103,7 @@ class ScriptedJammers:
                                                       num_channels))
         self._drawing = [p.kind for p in patterns if p.kind in _DRAWING_KINDS]
         self.draws = len(self._drawing)
+        self.reads_rates = False  # the reactive pick hears channels only
         self.heard = np.zeros((num_trials, num_channels), dtype=np.int64)
         self._trials = np.arange(num_trials)
 

@@ -168,12 +168,15 @@ def baseline_action(kind: str, s, num_channels: int, u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # reward rules: reward(choices, active, rates, jammed) -> one value in [0, 1]
 # per user and trial (only the active users' values are read); jammed is the
-# jam mask
+# jam mask. A rule's reads_rates says whether it reads the slot's rates; one
+# that says it does not is handed None, and one that does not say is handed
+# the rates.
 
 def rate_reward(r_max: float):
     """Each user's rate as a fraction of r_max, clipped to [0, 1]."""
     def reward(choices, active, rates, jammed):
         return np.clip(rates / r_max, 0.0, 1.0)
+    reward.reads_rates = True
     return reward
 
 
@@ -187,12 +190,13 @@ def interference_reward(hypergraph):
     def reward(choices, active, rates, jammed):
         return 1.0 - marginal_interference(hypergraph, choices, active,
                                            jammed) / d_norm
+    reward.reads_rates = False
     return reward
 
 
 # ---------------------------------------------------------------------------
 # followers: select(u) -> (T, N) channels from the (T, draws) uniforms u,
-# learn(choices, active, rates, jammed)
+# learn(choices, active, rates, jammed); rates is None unless reads_rates
 
 class AutomataUsers:
     """One learning automaton per user and trial; each active user takes a
@@ -204,6 +208,7 @@ class AutomataUsers:
             np.full((num_trials, num_users, num_channels), 1.0 / num_channels))
         self.step_size = step_size
         self.reward = reward
+        self.reads_rates = getattr(reward, "reads_rates", True)
         self.draws = num_users
 
     def select(self, u) -> np.ndarray:
@@ -230,6 +235,7 @@ class QUsers:
         self.epsilon = params.epsilon_start
         self.params = params
         self.reward = reward
+        self.reads_rates = getattr(reward, "reads_rates", True)
         self.collaborative = collaborative
         self.state = np.full(num_trials, num_channels)
         self.draws = 2 * num_users
@@ -263,6 +269,7 @@ class BaselineUsers:
         self.num_channels = num_channels
         self.state = np.full(num_trials, num_channels)
         self.draws = num_users
+        self.reads_rates = False
 
     def select(self, u) -> np.ndarray:
         return baseline_action(self.kind, self.state, self.num_channels, u)
@@ -291,6 +298,7 @@ class WindowLeader:
         self.epsilon = params.epsilon_start
         self.channel = np.zeros(num_trials, dtype=np.int64)
         self.draws = 2
+        self.reads_rates = True
         self._trials = np.arange(num_trials)
         self._slot_in_window = 0
         self._window_rate_sum = np.zeros(num_trials)
@@ -328,18 +336,26 @@ class HierarchicalController:
     """One slot of the jammer-vs-users game, the same for every algorithm.
 
     The leader (the jammer side) moves first, then the followers pick their
-    channels; once the slot's rates are known the followers learn and the
-    leader observes. A leader offers act(t, u) -> (T, M) bool mask of the
-    jammed channels and observe(choices, active, rates); followers offer
+    channels; at the end of the slot the followers learn and the leader
+    observes. A leader offers act(t, u) -> (T, M) bool mask of the jammed
+    channels and observe(choices, active, rates); followers offer
     select(u) -> (T, N) channels and learn(choices, active, rates, jammed),
     where jammed is that mask. Each reads `draws` uniforms per trial and
     slot, the leader's first.
+
+    Each side's reads_rates says whether its feedback reads the slot's
+    rates: the window leader's does, and so do users rewarded by rate_reward;
+    the scripted jammers, the baseline users and the automata rewarded by
+    interference_reward read only choices, activity and the jam mask. The
+    controller reads rates if either side does; when neither does, end_slot
+    takes rates=None and the runner prices the slots later, a block at once.
     """
 
     def __init__(self, leader, followers):
         self.leader = leader
         self.followers = followers
         self.draws = leader.draws + followers.draws
+        self.reads_rates = leader.reads_rates or followers.reads_rates
         self._jammed = None
         self._choices = None
 
@@ -352,6 +368,7 @@ class HierarchicalController:
         return self._jammed, self._choices
 
     def end_slot(self, rates, active) -> None:
-        """Feed the slot's rates back: the followers learn, then the leader."""
+        """Feed the slot back: the followers learn, then the leader; rates
+        is the slot's (T, N) rates, or None unless reads_rates."""
         self.followers.learn(self._choices, active, rates, self._jammed)
         self.leader.observe(self._choices, active, rates)

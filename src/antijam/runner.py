@@ -71,12 +71,18 @@ def _fmt(value: float) -> str:
 
 def _write_slot_rows(fh, prefix: str, per_slot) -> None:
     """Write per_slot.csv's rows of one trial, from its (slots, METRICS)
-    values, BLOCK_SLOTS slots at a time."""
+    values, BLOCK_SLOTS slots at a time. Each distinct value of a block is
+    formatted once with repr; values are told apart by their bits, so -0.0
+    and 0.0 keep their own text."""
     for first in range(0, len(per_slot), BLOCK_SLOTS):
-        block = per_slot[first:first + BLOCK_SLOTS].tolist()
-        fh.write("".join([f"{prefix},{t},{name},{value!r}\n"
-                          for t, row in enumerate(block, first)
-                          for name, value in zip(METRICS, row)]))
+        block = per_slot[first:first + BLOCK_SLOTS]
+        bits, which = np.unique(block.view(np.int64).reshape(-1),
+                                return_inverse=True)
+        text = [repr(value) for value in bits.view(np.float64).tolist()]
+        heads = [f"{prefix},{t},{name},"
+                 for t in range(first, first + len(block)) for name in METRICS]
+        fh.write("\n".join([head + text[i]
+                            for head, i in zip(heads, which.tolist())]) + "\n")
 
 
 def _slot_metrics(choices, jammed, active, rates, r_max: float) -> np.ndarray:
@@ -134,8 +140,15 @@ def simulate_trial(config: ScenarioConfig, algo: str, rngs, model: RateModel,
         rates = np.empty((size, trials, n))
         for k in range(size):
             jammed[k], choices[k] = ctl.begin_slot(first + k, u[k, :, :-n])
-            rates[k] = model.rates(choices[k], jammed[k], active[k])
-            ctl.end_slot(rates[k], active[k])
+            if ctl.reads_rates:
+                rates[k] = model.rates(choices[k], jammed[k], active[k])
+            ctl.end_slot(rates[k] if ctl.reads_rates else None, active[k])
+        if not ctl.reads_rates:
+            # no feedback read them: price the block's slots, one trial at a
+            # time so that the (size, N, M) intermediates stay bounded
+            for ti in range(trials):
+                rates[:, ti] = model.rates(choices[:, ti], jammed[:, ti],
+                                           active[:, ti])
         per_slot[:, first:first + size] = _slot_metrics(
             choices, jammed, active, rates, r_max).swapaxes(0, 1)
     if algo != "hierarchical":

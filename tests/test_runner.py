@@ -7,6 +7,7 @@ the CSV / metadata files follow the documented schemas exactly.
 
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -99,6 +100,28 @@ def test_values_use_shortest_round_trip_format(tmp_path):
         assert mean == repr(float(mean))
         assert half == repr(float(half))
         assert trials == str(int(trials))
+
+
+def test_slot_rows_are_written_as_their_values_reprs(monkeypatch):
+    """The emitter formats each distinct value of a slot block once: the
+    bytes must be those of one repr per row, for signed zeros, subnormals,
+    large integral values, repeats, neighbours one bit apart and values
+    that are not finite, across block boundaries."""
+    monkeypatch.setattr(runner, "BLOCK_SLOTS", 16)
+    tiny = np.nextafter(0.0, 1.0)
+    specials = [-0.0, 0.0, tiny, -tiny, 2.2250738585072014e-308 / 3, 1e16,
+                1e16 + 2, 0.1, np.nextafter(0.1, 1.0), np.nextafter(0.1, 0.0),
+                1.0, 1.0, 0.5, np.inf, -np.inf, np.nan, 1 / 3, 123456789.0]
+    rng = np.random.default_rng(3)
+    values = rng.choice(np.array(specials), size=(41, len(METRICS)))
+    values[::5] = rng.random((9, len(METRICS)))  # and some all-distinct rows
+    out = io.StringIO()
+    runner._write_slot_rows(out, "fig,algo,7", values)
+    want = "".join(f"fig,algo,7,{t},{name},{value!r}\n"
+                   for t, row in enumerate(values.tolist())
+                   for name, value in zip(METRICS, row))
+    assert out.getvalue() == want
+    assert "-0.0\n" in want and ",0.0\n" in want and "5e-324" in want
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path):
@@ -310,6 +333,58 @@ def test_a_leader_game_run_builds_its_link_budget_once(monkeypatch):
                         lambda self, *a: (built.append(1), init(self, *a))[1])
     run_scenario(load_config(small_stackelberg(trials=1, slots=5)))
     assert len(built) == 1
+
+
+def count_rate_calls(monkeypatch):
+    """The leading shape of every RateModel.rates call's choices."""
+    calls = []
+    rates = RateModel.rates
+    monkeypatch.setattr(RateModel, "rates", lambda self, choices, *rest: (
+        calls.append(np.shape(choices)), rates(self, choices, *rest))[1])
+    return calls
+
+
+def test_controllers_say_whether_their_feedback_reads_rates():
+    reads = {"hierarchical": True, "collaborative": True, "independent_q": True,
+             "hypergraph_sla": False, "graph_sla": False, "random": False,
+             "sensing": False}
+    for scenario, algos in ALGORITHMS.items():
+        config = load_config(tiny_markov(scenario=scenario, algorithms=list(algos)))
+        for algo in algos:
+            ctl = runner._controller(config, algo, 1.0, 2)
+            # the window leader learns from the rates, whatever its users do
+            assert ctl.reads_rates == (scenario == "stackelberg" or reads[algo])
+
+
+def test_rates_are_priced_per_slot_only_where_feedback_reads_them(monkeypatch):
+    """A rule that reads the slot's rates gets one (T, N) call per slot;
+    the others' slots are priced after each slot block, one (slots, N) call
+    per trial."""
+    calls = count_rate_calls(monkeypatch)
+    fig5 = load_config(dict(get_preset("fig5-hypergraph"), trials=1, slots=300))
+    run_scenario(fig5)
+    n = fig5.num_users
+    assert calls == [(256, n), (44, n)] * len(fig5.algorithms)
+
+    fig4 = load_config(dict(get_preset("fig4-sweep"), trials=2, slots=300))
+    model = RateModel(fig4.geometry, fig4.radio)
+    n = fig4.num_users
+    for ai, algo in enumerate(fig4.algorithms):
+        calls.clear()
+        simulate_trial(fig4, algo, [trial_generator(1, ai, ti) for ti in range(2)],
+                       model, max_single_user_rate(model))
+        if algo in ("collaborative", "independent_q"):
+            assert calls == [(2, n)] * 300, algo
+        else:
+            assert calls == [(256, n)] * 2 + [(44, n)] * 2, algo
+
+    # every rule of a leader game reads rates: 60 slot calls per algorithm,
+    # the hierarchical greedy snapshot and the oracle's 7, as ever
+    calls.clear()
+    stackelberg = load_config(small_stackelberg())
+    run_scenario(stackelberg)
+    n = stackelberg.num_users
+    assert calls[:121] == [(2, n)] * 121 and len(calls) == 128
 
 
 # ---------------------------------------------------------------------------
