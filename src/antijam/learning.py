@@ -348,7 +348,8 @@ class HierarchicalController:
     the scripted jammers, the baseline users and the automata rewarded by
     interference_reward read only choices, activity and the jam mask. The
     controller reads rates if either side does; when neither does, end_slot
-    takes rates=None and the runner prices the slots later, a block at once.
+    takes rates=None and the runner prices the slots once per trial per slot
+    block, after the block has run.
     """
 
     def __init__(self, leader, followers):

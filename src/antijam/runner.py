@@ -15,6 +15,13 @@ activity), so extending `slots` keeps earlier slots. Each trial draws its rows
 from its own generator BLOCK_SLOTS slots at a time, which yields the same
 numbers as one row per slot, so neither block size changes a result; the
 block's per-slot metrics are taken once it has run.
+
+The slot's rates are priced where the feedback reads them: the window leader
+and the users rewarded by learning.rate_reward learn from them, so their
+slots are priced one at a time. The scripted jammers, the baseline users and
+the automata rewarded by learning.interference_reward read none, so their
+slots are priced once per trial per slot block, after the block has run;
+a (K, N) rates call gives each row the bits of its own one-row call.
 """
 
 from __future__ import annotations
