@@ -35,10 +35,9 @@ from .hypergraph import (InterferenceHypergraph, deviation_interference,
 
 KINDS = ("stackelberg", "hypergraph")
 
-# Most deviation cells an exhaustive oracle may value. The leader solve
-# values the N x M deviations of all M^N follower profiles once per leader
-# channel; 6 users on 10 channels, the largest instance admitted, took
-# 22-26 s on a 2-vCPU VM.
+# Most deviation cells an exhaustive oracle may value, as oracle_cells
+# counts them. 6 users on 10 channels is the largest instance admitted; its
+# leader solve took 2.1-3.0 s on a 2-vCPU VM.
 MAX_ORACLE_CELLS = 6 * 10 ** 8
 
 # (profile, user, channel) cells valued per block: enumeration and lockstep
@@ -121,7 +120,9 @@ def lexicographic_profiles(num_users: int, num_channels: int, start: int,
 
 
 def oracle_cells(num_users: int, num_channels: int) -> int:
-    """Deviation cells the leader solve values: M x M^N x N x M."""
+    """Size of an exact oracle: M x M^N x N x M, the deviation cells of one
+    follower enumeration per leader channel. The leader solve makes one and
+    relabels it, but the measure stays, so the cap admits the same games."""
     return num_channels ** (num_users + 2) * num_users
 
 
@@ -253,9 +254,9 @@ def run_best_response(game: GameSpec, start, jammed_channels=_NO_JAM,
 @dataclass(frozen=True)
 class LeaderAudit:
     channel: int
-    has_equilibrium: bool
-    total_rate: float | None
-    follower_assignment: np.ndarray | None
+    has_equilibrium: bool  # every channel has one when any has
+    total_rate: float
+    follower_assignment: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -274,44 +275,53 @@ def stackelberg_solve(game: GameSpec, active_mask=None) -> StackelbergSolution:
     For each leader channel the followers are assumed to land on the pure NE
     with maximal total rate (lexicographically first on ties). The leader,
     whose utility is minus that total, picks the action minimizing it; ties go
-    to the lowest channel. Actions admitting no pure follower NE are recorded
-    in the audit and skipped. A game past MAX_ORACLE_CELLS raises
-    InstanceTooLargeError before any enumeration.
+    to the lowest channel. A game past MAX_ORACLE_CELLS raises
+    InstanceTooLargeError before any enumeration, and one whose followers
+    have no pure NE under any leader action raises RuntimeError.
+
+    Channels are interchangeable (no channel index enters a gain): swapping
+    channels 0 and c maps the follower game under a jam on 0 onto the one
+    under a jam on c, equilibria and totals bit for bit. So the followers are
+    enumerated once, jammed on 0, and channel c's audit row takes the same
+    best total and the lexicographically first 0<->c swap of the profiles
+    tying for it. Every leader action leaves the followers the same best
+    total, and the tie rule reports channel 0.
     """
     if game.kind != "stackelberg":
         raise UnsupportedOperationError(
             f"stackelberg_solve: defined for stackelberg games, not {game.kind!r}")
-    active = _as_mask(active_mask, game.num_users)
-    audit = []
-    best = None
-    for channel in range(game.num_channels):
-        jam = np.arange(game.num_channels) == channel
-        # a user's own utility is its rate, so a row sum is the profile's
-        # total rate; the first maximum wins ties, as in lexicographic order
-        top = None
-        for equilibria, own in _nash_blocks(game, jam, active):
-            if len(equilibria):
-                totals = own.sum(axis=1)
-                i = int(np.argmax(totals))
-                if top is None or totals[i] > top[0]:
-                    top = (float(totals[i]), equilibria[i])
-        if top is None:
-            audit.append(LeaderAudit(channel, False, None, None))
+    n, m = game.num_users, game.num_channels
+    active = _as_mask(active_mask, n)
+    jam = np.arange(m) == 0
+    channel = np.arange(m)[:, None, None]
+    # a profile's index in lexicographic order: the first profile is the least
+    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    top, first = None, None
+    for equilibria, own in _nash_blocks(game, jam, active):
+        if not len(equilibria):
             continue
-        audit.append(LeaderAudit(channel, True, *top))
-        if best is None or top[0] < best[1]:
-            best = (channel, *top)
-    if best is None:
+        # a user's own utility is its rate, so a row sum is the profile's
+        # total rate
+        totals = own.sum(axis=1)
+        best = totals.max()
+        if top is None or best > top:
+            top, first = best, np.full(m, m ** n)
+        if best == top:
+            ties = equilibria[totals == top]
+            swapped = np.where(ties == 0, channel, np.where(ties == channel, 0, ties))
+            first = np.minimum(first, (swapped @ place).min(axis=1))
+    if top is None:
         raise RuntimeError(
             "stackelberg_solve: no leader action admits a pure follower equilibrium")
-    channel, total, assignment = best
-    jam = np.arange(game.num_channels) == channel
-    rates = game.rate_model.rates(assignment, jam, active)
+    audit = tuple(LeaderAudit(c, True, float(top),
+                              lexicographic_profiles(n, m, i, i + 1)[0])
+                  for c, i in enumerate(first.tolist()))
+    assignment = audit[0].follower_assignment
     return StackelbergSolution(
-        leader_channel=channel,
+        leader_channel=0,
         follower_assignment=assignment,
-        follower_rates=rates,
-        total_rate=total,
-        leader_utility=-total,
-        per_action=tuple(audit),
+        follower_rates=game.rate_model.rates(assignment, jam, active),
+        total_rate=float(top),
+        leader_utility=-float(top),
+        per_action=audit,
     )

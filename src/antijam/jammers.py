@@ -103,7 +103,6 @@ class ScriptedJammers:
                                                       num_channels))
         self._drawing = [p.kind for p in patterns if p.kind in _DRAWING_KINDS]
         self.draws = len(self._drawing)
-        self.reads_rates = False  # the reactive pick hears channels only
         self.heard = np.zeros((num_trials, num_channels), dtype=np.int64)
         self._trials = np.arange(num_trials)
 
@@ -119,6 +118,10 @@ class ScriptedJammers:
                 pick = np.where(heard_any, self.heard.argmax(axis=-1), pick)
             mask[self._trials, pick] = True
         return mask
+
+    def rates_due(self, t: int) -> bool:
+        """Never: the reactive pick hears channels only."""
+        return False
 
     def observe(self, choices, active, rates) -> None:
         """Count each trial's active users on each channel, if anyone hears."""

@@ -298,7 +298,6 @@ class WindowLeader:
         self.epsilon = params.epsilon_start
         self.channel = np.zeros(num_trials, dtype=np.int64)
         self.draws = 2
-        self.reads_rates = True
         self._trials = np.arange(num_trials)
         self._slot_in_window = 0
         self._window_rate_sum = np.zeros(num_trials)
@@ -313,9 +312,19 @@ class WindowLeader:
         mask[self._trials, self.channel] = True
         return mask
 
+    def rates_due(self, t: int) -> bool:
+        """Whether it learns from the rates after slot t: at the last slot of
+        each window, the windows being slots [0, W), [W, 2W), ..."""
+        return (t + 1) % self.params.window_slots == 0
+
     def observe(self, choices, active, rates) -> None:
-        """Add each trial's total rate; learn at the window boundary."""
-        self._window_rate_sum += rates.sum(axis=-1)
+        """Count the slot and learn at the window's end. rates is the slot's
+        (T, N) rates, the (K, T, N) rates of the K slots through this one
+        that it was not handed yet, or None; each trial's total rate of every
+        slot is added in slot order, as one slot at a time would be."""
+        if rates is not None:
+            for total in np.reshape(rates.sum(axis=-1), (-1, len(self._trials))):
+                self._window_rate_sum += total
         self._slot_in_window += 1
         p = self.params
         if self._slot_in_window >= p.window_slots:
@@ -343,22 +352,24 @@ class HierarchicalController:
     where jammed is that mask. Each reads `draws` uniforms per trial and
     slot, the leader's first.
 
-    Each side's reads_rates says whether its feedback reads the slot's
-    rates: the window leader's does, and so do users rewarded by rate_reward;
-    the scripted jammers, the baseline users and the automata rewarded by
-    interference_reward read only choices, activity and the jam mask. The
-    controller reads rates if either side does; when neither does, end_slot
-    takes rates=None and the runner prices the slots once per trial per slot
-    block, after the block has run.
+    The followers' reads_rates says whether they learn from every slot's
+    rates (users rewarded by rate_reward) or from none (baseline users,
+    automata rewarded by interference_reward). The leader's rates_due(t)
+    says whether it learns from the rates after slot t: the window leader at
+    each window's last slot, the scripted jammers never.
     """
 
     def __init__(self, leader, followers):
         self.leader = leader
         self.followers = followers
         self.draws = leader.draws + followers.draws
-        self.reads_rates = leader.reads_rates or followers.reads_rates
         self._jammed = None
         self._choices = None
+
+    def rates_due(self, t: int) -> bool:
+        """Whether the feedback after slot t reads rates: every slot when the
+        followers read them, else the slots the leader names."""
+        return self.followers.reads_rates or self.leader.rates_due(t)
 
     def begin_slot(self, t: int, u):
         """This slot's jam mask and every user's channel, read from the
@@ -369,7 +380,11 @@ class HierarchicalController:
         return self._jammed, self._choices
 
     def end_slot(self, rates, active) -> None:
-        """Feed the slot back: the followers learn, then the leader; rates
-        is the slot's (T, N) rates, or None unless reads_rates."""
-        self.followers.learn(self._choices, active, rates, self._jammed)
+        """Feed the slot back: the followers learn, then the leader. rates
+        is None, or the (K, T, N) rates of the K slots through this one
+        that were not handed on yet; it must be given after every slot that
+        rates_due names, and K is 1 whenever the followers read rates."""
+        self.followers.learn(self._choices, active,
+                             rates[-1] if self.followers.reads_rates else None,
+                             self._jammed)
         self.leader.observe(self._choices, active, rates)

@@ -16,12 +16,15 @@ from its own generator BLOCK_SLOTS slots at a time, which yields the same
 numbers as one row per slot, so neither block size changes a result; the
 block's per-slot metrics are taken once it has run.
 
-The slot's rates are priced where the feedback reads them: the window leader
-and the users rewarded by learning.rate_reward learn from them, so their
-slots are priced one at a time. The scripted jammers, the baseline users and
-the automata rewarded by learning.interference_reward read none, so their
-slots are priced once per trial per slot block, after the block has run;
-a (K, N) rates call gives each row the bits of its own one-row call.
+The rates are priced only where feedback reads them, and at the end of each
+slot block, for its metrics: every slot when the users are rewarded by
+learning.rate_reward, the last slot of each window when the jammer side is
+the window leader. Each pricing covers the slots since the last, for every
+trial, in calls of at most BLOCK_SLOTS (slot, trial) rows. So a rate-learning
+run prices slot by slot, a window leader over other users one window at a
+time, and scripted jammers over users that read no rates (baseline users,
+automata rewarded by learning.interference_reward) one trial's block at a
+time; a call of many rows gives each row the bits of its own one-row call.
 """
 
 from __future__ import annotations
@@ -145,17 +148,22 @@ def simulate_trial(config: ScenarioConfig, algo: str, rngs, model: RateModel,
         choices = np.empty((size, trials, n), dtype=np.int64)
         jammed = np.empty((size, trials, m), dtype=bool)
         rates = np.empty((size, trials, n))
+        priced = 0  # the block's slots priced so far
         for k in range(size):
             jammed[k], choices[k] = ctl.begin_slot(first + k, u[k, :, :-n])
-            if ctl.reads_rates:
-                rates[k] = model.rates(choices[k], jammed[k], active[k])
-            ctl.end_slot(rates[k] if ctl.reads_rates else None, active[k])
-        if not ctl.reads_rates:
-            # no feedback read them: price the block's slots, one trial at a
-            # time so that the (size, N, M) intermediates stay bounded
-            for ti in range(trials):
-                rates[:, ti] = model.rates(choices[:, ti], jammed[:, ti],
-                                           active[:, ti])
+            if not (ctl.rates_due(first + k) or k == size - 1):
+                ctl.end_slot(None, active[k])
+                continue
+            # price the slots since the last priced, in calls of at most
+            # BLOCK_SLOTS (slot, trial) rows, so that the (rows, N, M)
+            # intermediates stay bounded
+            span = slice(priced, k + 1)
+            step = max(1, BLOCK_SLOTS // (k + 1 - priced))
+            for ti in range(0, trials, step):
+                cut = (span, slice(ti, ti + step))
+                rates[cut] = model.rates(choices[cut], jammed[cut], active[cut])
+            ctl.end_slot(rates[span], active[k])
+            priced = k + 1
         per_slot[:, first:first + size] = _slot_metrics(
             choices, jammed, active, rates, r_max).swapaxes(0, 1)
     if algo != "hierarchical":

@@ -38,8 +38,9 @@ def tiny_markov(**overrides):
 def record_slots(doc):
     """Run one trial of doc's first algorithm and return what the runner
     handed the rate model for each slot: (choices, jam mask, active mask,
-    rates). Every call holds one row per slot of the one trial: the slot's
-    row when the feedback reads rates, else the rows of a whole slot block."""
+    rates). Every call holds (K, 1, N) rows, the one trial's row of each of
+    K slots: one slot when the feedback reads rates, else the slots since
+    the last call through a window's or a slot block's end."""
     config = load_config(doc)
     model = RateModel(config.geometry, config.radio)
     rates_fn = model.rates
@@ -48,10 +49,10 @@ def record_slots(doc):
     def recording(choices, jammed, active):
         rates = rates_fn(choices, jammed, active)
         assert choices.shape == active.shape == rates.shape
-        assert choices.ndim == 2 and choices.shape[1] == config.num_users
-        assert jammed.shape == (len(choices), config.num_channels)
-        seen.extend(zip(np.array(choices), np.array(jammed), np.array(active),
-                        rates))
+        assert choices.shape[1:] == (1, config.num_users)
+        assert jammed.shape == (len(choices), 1, config.num_channels)
+        seen.extend(zip(np.array(choices[:, 0]), np.array(jammed[:, 0]),
+                        np.array(active[:, 0]), rates[:, 0]))
         return rates
 
     model.rates = recording
@@ -225,11 +226,13 @@ def test_rates_read_a_channel_set_and_its_mask_alike(n, m, data):
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 16), st.integers(1, 5), st.integers(1, 300), st.data())
-def test_a_block_of_slots_is_priced_as_its_slots_alone(n, m, k, data):
-    """The runner prices a slot block of one trial as one (K, N) call, each
-    row with its own activity and its own jam mask: every row must be
-    bitwise the rates of that slot priced alone."""
+@given(st.integers(1, 16), st.integers(1, 5), st.integers(1, 300),
+       st.integers(1, 3), st.data())
+def test_a_block_of_slots_is_priced_as_its_slots_alone(n, m, k, t, data):
+    """The runner prices the slots of a window or a block, of one trial or
+    several, as one (K, T, N) call, each row with its own activity and its
+    own jam mask: every row must be bitwise the rates of that slot priced
+    alone."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     geo = NodeGeometry(user_pairs=rng.uniform(-8, 8, size=(n, 2, 2)),
                        jammer_positions=rng.uniform(-8, 8, size=(2, 2)))
@@ -237,12 +240,13 @@ def test_a_block_of_slots_is_priced_as_its_slots_alone(n, m, k, data):
         num_channels=m, tx_power=float(rng.uniform(0.5, 2)),
         jam_power=float(rng.uniform(0, 4)), noise_floor=1e-3,
         pathloss_exponent=float(rng.uniform(2, 4))))
-    choices = rng.integers(0, m, size=(k, n))
-    active = rng.random((k, n)) < data.draw(st.sampled_from([0.3, 0.8, 1.0]))
-    jammed = rng.random((k, m)) < 0.4
+    choices = rng.integers(0, m, size=(k, t, n))
+    active = rng.random((k, t, n)) < data.draw(st.sampled_from([0.3, 0.8, 1.0]))
+    jammed = rng.random((k, t, m)) < 0.4
     block = model.rates(choices, jammed, active)
-    assert block.shape == (k, n)
-    rows = np.stack([model.rates(c, j, a) for c, j, a in zip(choices, jammed, active)])
+    assert block.shape == (k, t, n)
+    rows = np.stack([model.rates(c, j, a) for c, j, a in zip(
+        choices.reshape(-1, n), jammed.reshape(-1, m), active.reshape(-1, n))])
     assert block.tobytes() == rows.tobytes()
 
 

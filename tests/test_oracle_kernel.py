@@ -16,13 +16,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_interference as scalar
 import scalar_rates
 from antijam import games
-from antijam.env import NodeGeometry, RadioParams
+from antijam.env import NodeGeometry, RadioParams, RateModel
 from antijam.games import (GameSpec, best_response_lockstep,
                            enumerate_pure_nash, is_pure_nash,
                            lexicographic_profiles, run_best_response,
@@ -262,3 +262,28 @@ def test_rate_tensor_is_bitwise_beyond_five_users():
                     rates = scalar_rates.rates(model, action.follower_assignment,
                                                {action.channel}, active)
                     assert action.total_rate == float(rates.sum())
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 16), st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.3, 0.8, 1.0]), st.data())
+def test_relabelled_channels_permute_the_rate_columns(n, m, seed, p, data):
+    """The leader solve enumerates the followers under one jammed channel
+    and relabels the rest: renaming the channels (of the profiles and the
+    jam mask alike) must permute the deviation rates' channel columns and
+    change no bit, however many co-channel transmitters a sum adds."""
+    rng = np.random.default_rng(seed)
+    geometry = NodeGeometry(user_pairs=rng.uniform(-10, 10, size=(n, 2, 2)),
+                            jammer_positions=rng.uniform(-10, 10, size=(2, 2)))
+    model = RateModel(geometry, RadioParams(
+        num_channels=m, jam_power=float(rng.uniform(0, 4)), noise_floor=1e-3))
+    profiles = rng.integers(0, m, size=(6, n))
+    active = rng.random((6, n)) < p
+    jammed = rng.random((6, m)) < 0.4
+    # channel c is renamed label[c]
+    label = np.array(data.draw(st.permutations(range(m))), dtype=np.int64)
+    renamed = np.empty_like(jammed)
+    renamed[:, label] = jammed
+    got = model.deviation_rates(label[profiles], active, renamed)
+    want = model.deviation_rates(profiles, active, jammed)
+    assert got[..., label].tobytes() == want.tobytes()

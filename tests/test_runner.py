@@ -345,46 +345,76 @@ def count_rate_calls(monkeypatch):
 
 
 def test_controllers_say_whether_their_feedback_reads_rates():
+    """Users rewarded by rates learn from every slot's; the window leader
+    learns from the rates after the last slot of each of its windows, the
+    scripted jammers from none."""
     reads = {"hierarchical": True, "collaborative": True, "independent_q": True,
              "hypergraph_sla": False, "graph_sla": False, "random": False,
              "sensing": False}
     for scenario, algos in ALGORITHMS.items():
-        config = load_config(tiny_markov(scenario=scenario, algorithms=list(algos)))
+        config = load_config(tiny_markov(scenario=scenario, algorithms=list(algos),
+                                         learning={"window_slots": 7}))
         for algo in algos:
             ctl = runner._controller(config, algo, 1.0, 2)
-            # the window leader learns from the rates, whatever its users do
-            assert ctl.reads_rates == (scenario == "stackelberg" or reads[algo])
+            assert ctl.followers.reads_rates == reads[algo]
+            due = [t for t in range(30) if ctl.rates_due(t)]
+            if reads[algo]:
+                assert due == list(range(30)), algo
+            elif scenario == "stackelberg":
+                assert due == [6, 13, 20, 27], algo
+            else:
+                assert due == [], algo
 
 
 def test_rates_are_priced_per_slot_only_where_feedback_reads_them(monkeypatch):
-    """A rule that reads the slot's rates gets one (T, N) call per slot;
-    the others' slots are priced after each slot block, one (slots, N) call
-    per trial."""
+    """Rates are priced after each slot whose feedback reads them and at the
+    end of each slot block, covering the slots since the last pricing, in
+    calls of at most BLOCK_SLOTS (slot, trial) rows: a (1, T, N) call per
+    slot for rate-rewarded users, one (K, T, N) call per window for the
+    window leader's other users, one (K, 1, N) call per trial and block for
+    scripted jammers over users that read no rates."""
     calls = count_rate_calls(monkeypatch)
     fig5 = load_config(dict(get_preset("fig5-hypergraph"), trials=1, slots=300))
     run_scenario(fig5)
     n = fig5.num_users
-    assert calls == [(256, n), (44, n)] * len(fig5.algorithms)
+    assert calls == [(256, 1, n), (44, 1, n)] * len(fig5.algorithms)
+
+    def priced(config, algo, trials):
+        calls.clear()
+        model = RateModel(config.geometry, config.radio)
+        simulate_trial(config, algo, [trial_generator(1, 0, ti) for ti in range(trials)],
+                       model, max_single_user_rate(model))
+        return list(calls)
 
     fig4 = load_config(dict(get_preset("fig4-sweep"), trials=2, slots=300))
-    model = RateModel(fig4.geometry, fig4.radio)
     n = fig4.num_users
-    for ai, algo in enumerate(fig4.algorithms):
-        calls.clear()
-        simulate_trial(fig4, algo, [trial_generator(1, ai, ti) for ti in range(2)],
-                       model, max_single_user_rate(model))
+    for algo in fig4.algorithms:
         if algo in ("collaborative", "independent_q"):
-            assert calls == [(2, n)] * 300, algo
+            assert priced(fig4, algo, 2) == [(1, 2, n)] * 300, algo
         else:
-            assert calls == [(256, n)] * 2 + [(44, n)] * 2, algo
+            # the 44-slot block's two trials are 88 rows: one call
+            assert priced(fig4, algo, 2) == [(256, 1, n)] * 2 + [(44, 2, n)], algo
 
-    # every rule of a leader game reads rates: 60 slot calls per algorithm,
-    # the hierarchical greedy snapshot and the oracle's 7, as ever
+    # the hierarchical users read every slot's rates, then its greedy
+    # snapshot and the oracle's 7 calls follow, as ever
     calls.clear()
     stackelberg = load_config(small_stackelberg())
     run_scenario(stackelberg)
     n = stackelberg.num_users
-    assert calls[:121] == [(2, n)] * 121 and len(calls) == 128
+    assert calls[:61] == [(1, 2, n)] * 60 + [(2, n)]
+    # random users under the 50-slot window: a window, then the block's rest
+    assert calls[61:] == [(50, 2, n), (10, 2, n)] + [(n,)] * 7
+
+    # 12 trials of a window are 600 rows: 5 trials a call
+    assert priced(stackelberg, "random", 12) == \
+        [(50, 5, n), (50, 5, n), (50, 2, n), (10, 12, n)]
+    # 7-slot windows straddle 16-slot blocks
+    monkeypatch.setattr(runner, "BLOCK_SLOTS", 16)
+    windows = load_config(small_stackelberg(learning={"window_slots": 7}))
+    assert priced(windows, "random", 2) == [(k, 2, n) for k in (
+        7, 7, 2, 5, 7, 4, 3, 7, 6, 1, 7, 4)]
+    # while rate-rewarded users still price each slot
+    assert priced(windows, "hierarchical", 2) == [(1, 2, n)] * 60 + [(2, n)]
 
 
 # ---------------------------------------------------------------------------

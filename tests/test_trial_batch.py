@@ -6,10 +6,12 @@ per-slot row of every trial, and every per-trial extra, must be bitwise the
 same, for every algorithm, every jammer list, partial activity and up to 9
 users (numpy adds 9 or more terms in another order than 8 or fewer). A run
 whose trials span several blocks must write the per_slot.csv the reference
-rows give, and a block must equal its trials run alone.
+rows give, and a block must equal its trials run alone. Leader games are
+also run long enough for their windows to straddle slot blocks.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,6 +102,26 @@ def test_a_block_equals_its_trials_run_alone(doc, num_trials):
         assert block[ti].tobytes() == alone[0].tobytes()
         for key in extras:
             assert extras[key][ti] == alone_extras[key][0]
+
+
+@pytest.mark.parametrize("p", [1.0, 0.6])
+@pytest.mark.parametrize("window", [1, 7, 50, 256, 300])
+@pytest.mark.parametrize("algo", ["random", "hierarchical"])
+def test_leader_windows_across_slot_blocks_equal_the_reference(algo, window, p):
+    """The window leader is priced once per window unless its users read
+    rates, and a window may straddle the BLOCK_SLOTS boundary: 600 slots
+    cross two of them, and every trial must still give the reference's rows."""
+    config = load_config({
+        "scenario": "stackelberg", "num_users": 4, "num_channels": 3,
+        "slots": 600, "seed": 23, "active_probability": p,
+        "algorithms": [algo], "learning": {"window_slots": window}})
+    per_slot, extras, model, r_max = batched(config, range(3))
+    want, want_extras = reference_trials(config, 0, range(3), model, r_max)
+    for got, ref in zip(per_slot, want):
+        assert got.tobytes() == ref.tobytes()
+    for key in extras:
+        assert extras[key].tobytes() == np.array(
+            [e[key] for e in want_extras]).tobytes()
 
 
 def reference_csv(config):

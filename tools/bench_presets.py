@@ -1,53 +1,108 @@
-"""Time every bundled preset through run_scenario, with no output files.
+"""Time bundled presets through run_scenario, with no output files, one fresh
+interpreter per run; optionally against a parent checkout, in alternation.
 
-    python3 tools/bench_presets.py
+    python3 tools/bench_presets.py [--runs 5] [--preset fig3-stackelberg ...]
+    python3 tools/bench_presets.py --parent ../parent-checkout --runs 5
 
-Run from anywhere; the package is imported from the checkout's ./src. Each
-preset runs at its own size, best of REPEATS, and the result is its wall time
-per algorithm x trial x slot (the oracle of a stackelberg preset included).
-Prints one JSON object: the host context, then per preset the units, the best
-run's seconds and µs per unit.
+Run from anywhere. Each run is a subprocess that imports the package from a
+checkout's ./src, loads one preset at its own size and times one
+run_scenario of it; the result is its wall time per algorithm x trial x slot
+(the oracle of a stackelberg preset included). With --parent, the runs of a
+preset alternate between the parent's sources and this checkout's, the parent
+first in odd pairs and second in even ones, so that both sides see the same
+spells of host load. Prints one JSON object: the host context, then per
+preset and side the µs per unit of every run with their minimum, quartiles
+and median (as perfbench reports its timed runs) and, with --parent, how many
+pairs this checkout ran faster.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
 
-import numpy  # noqa: E402
+CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import antijam
+from antijam.runner import run_scenario
+config = antijam.load_config(antijam.get_preset(sys.argv[2]))
+start = time.perf_counter()
+run_scenario(config)
+elapsed = time.perf_counter() - start
+print(elapsed * 1e6 / (len(config.algorithms) * config.trials * config.slots))
+"""
 
-import antijam  # noqa: E402
-from antijam.presets import preset_names  # noqa: E402
-from antijam.runner import run_scenario  # noqa: E402
 
-REPEATS = 2
+def _parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path,
+                        help="a source checkout to time against, in alternation")
+    parser.add_argument("--runs", type=int, default=5,
+                        help="runs per preset and side (default 5)")
+    parser.add_argument("--preset", action="append", dest="presets",
+                        help="a preset to time (default: every preset)")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be >= 1")
+    if args.parent is not None and not (args.parent / "src" / "antijam").is_dir():
+        parser.error(f"--parent: no antijam sources under {args.parent / 'src'}")
+    return args
 
 
-def main() -> None:
+def _us_per_unit(checkout: Path, preset: str) -> float:
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(checkout / "src"), preset],
+        capture_output=True, text=True, check=True)
+    return float(proc.stdout.strip().splitlines()[-1])
+
+
+def _summary(values) -> dict:
+    out = {"us_per_unit": [round(v, 3) for v in values], "n": len(values),
+           "min": round(min(values), 3), "median": round(statistics.median(values), 3)}
+    if len(values) >= 2:
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        out.update(q1=round(q1, 3), q3=round(q3, 3))
+    return out
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy
+
+    from antijam.presets import preset_names
+
+    sides = {"change": ROOT}
+    if args.parent is not None:
+        sides = {"parent": args.parent.resolve(), "change": ROOT}
     host = {"nproc": os.cpu_count(), "loadavg_before": list(os.getloadavg()),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "machine": platform.machine()}
+            "machine": platform.machine(),
+            "checkouts": {side: str(path) for side, path in sides.items()}}
     presets = {}
-    for name in preset_names():
-        config = antijam.load_config(antijam.get_preset(name))
-        units = len(config.algorithms) * config.trials * config.slots
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            run_scenario(config)
-            best = min(best, time.perf_counter() - start)
-        presets[name] = {"units": units, "run_s": round(best, 3),
-                         "us_per_unit": round(best / units * 1e6, 2)}
+    for name in args.presets or preset_names():
+        samples = {side: [] for side in sides}
+        for i in range(args.runs):
+            order = list(sides) if i % 2 == 0 else list(reversed(sides))
+            for side in order:
+                samples[side].append(_us_per_unit(sides[side], name))
+        presets[name] = {side: _summary(values) for side, values in samples.items()}
+        if args.parent is not None:
+            presets[name]["change_faster_pairs"] = sum(
+                c < p for p, c in zip(samples["parent"], samples["change"]))
     host["loadavg_after"] = list(os.getloadavg())
     print(json.dumps({"host": host, "presets": presets}, indent=2))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
