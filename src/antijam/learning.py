@@ -39,7 +39,9 @@ def observe_jamming(jammed: np.ndarray) -> np.ndarray:
 # stochastic learning automata
 
 def _check_simplex(probs: np.ndarray) -> None:
-    if probs.min() < -1e-12 or np.abs(probs.sum(axis=-1) - 1.0).max() > 1e-9:
+    # negated, so that a NaN entry fails too
+    if not (probs.min() >= -1e-12
+            and np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-9):
         raise ConfigError("MixedStrategy: entries must be >= 0 and each row sum to 1")
 
 
@@ -67,29 +69,37 @@ def sla_update(strategy: MixedStrategy, users, chosen, rewards,
     """Linear reward-inaction step of each of `users`, in place.
 
     users index the strategy's rows in C order (trial-major in a (T, N, M)
-    strategy); chosen and rewards hold one entry per row, in any shape of
-    that size. Row k's chosen entry grows by b*r_k*(1 - P_chosen), every
-    other entry of the row shrinks by b*r_k*P_other; the sum is preserved
-    exactly in exact arithmetic, so no renormalization happens here.
+    strategy), or are None to step every row where it lies, with no gather;
+    chosen and rewards hold one entry per row, in any shape of that size.
+    Row k's chosen entry grows by b*r_k*(1 - P_chosen), every other entry of
+    the row shrinks by b*r_k*P_other; the sum is preserved exactly in exact
+    arithmetic, so no renormalization happens here. A reward of 0.0 leaves a
+    row's bits as they are.
     """
     if not 0.0 < step_size < 1.0:
         raise ConfigError("sla_update: step_size must be in (0, 1)")
-    users = np.asarray(users, dtype=np.int64)
-    r = np.asarray(rewards, dtype=np.float64).reshape(-1)[users]
-    c = np.asarray(chosen, dtype=np.int64).reshape(-1)[users]
     rows = strategy.probs.reshape(-1, strategy.probs.shape[-1])  # a view
-    if users.size:
+    r = np.asarray(rewards, dtype=np.float64).reshape(-1)
+    c = np.asarray(chosen, dtype=np.int64).reshape(-1)
+    if users is None:
+        if r.size != len(rows) or c.size != len(rows):
+            raise ConfigError("sla_update: need one reward and channel per row")
+        p = rows
+    else:
+        users = np.asarray(users, dtype=np.int64)
+        r, c, p = r[users], c[users], rows[users]
+    if r.size:
         if not (r.min() >= 0.0 and r.max() <= 1.0):
             raise ConfigError("sla_update: reward must lie in [0, 1]")
         if c.min() < 0 or c.max() >= rows.shape[1]:
             raise ConfigError("sla_update: chosen channel out of range")
-    p = rows[users]
     scale = step_size * r
-    new = p - scale[:, None] * p
-    stepped = np.arange(len(users))
+    stepped = np.arange(len(p))
     own = p[stepped, c]
-    new[stepped, c] = own + scale * (1.0 - own)
-    rows[users] = new
+    p -= scale[:, None] * p
+    p[stepped, c] = own + scale * (1.0 - own)
+    if users is not None:
+        rows[users] = p
     _check_simplex(strategy.probs)
 
 
@@ -183,13 +193,28 @@ def rate_reward(r_max: float):
 def interference_reward(hypergraph):
     """Minus each user's hypergraph.marginal_interference, mapped from [-D, 0]
     onto [0, 1]; D is the worst-case marginal contribution of any single
-    user (its incident edges plus the jammer), so no reward leaves [0, 1]."""
+    user (its incident edges plus the jammer), so no reward leaves [0, 1].
+
+    The reward is a pure function of (choices, active, jammed), and automata
+    that have converged repeat their slots, so each rule keeps its last
+    inputs' shapes, dtypes and bytes and hands back the read-only reward they
+    gave while a call's inputs are identical to them. Activity and the jam
+    mask are compared first, as the likeliest to differ."""
     d_norm = float((hypergraph.adjacency.sum(axis=1)
                     + hypergraph.membership.sum(axis=1)).max() + 1)
+    last = {}
 
     def reward(choices, active, rates, jammed):
-        return 1.0 - marginal_interference(hypergraph, choices, active,
-                                           jammed) / d_norm
+        inputs = [np.asarray(x) for x in (active, jammed, choices)]
+        if not (last and all(x.shape == shape and x.dtype == dtype
+                             and x.tobytes() == data for x, (shape, dtype, data)
+                             in zip(inputs, last["inputs"]))):
+            value = 1.0 - marginal_interference(hypergraph, choices, active,
+                                                jammed) / d_norm
+            value.flags.writeable = False
+            last.update(inputs=[(x.shape, x.dtype, x.tobytes()) for x in inputs],
+                        value=value)
+        return last["value"]
     reward.reads_rates = False
     return reward
 
@@ -200,7 +225,9 @@ def interference_reward(hypergraph):
 
 class AutomataUsers:
     """One learning automaton per user and trial; each active user takes a
-    linear reward-inaction step on its reward after every slot."""
+    linear reward-inaction step on its reward after every slot. The step
+    runs over every row in place, an inactive user's reward set to 0.0,
+    which leaves its row's bits as they are."""
 
     def __init__(self, num_trials: int, num_users: int, num_channels: int,
                  step_size: float, reward):
@@ -215,8 +242,9 @@ class AutomataUsers:
         return self.strategy.sample(u)
 
     def learn(self, choices, active, rates, jammed) -> None:
-        sla_update(self.strategy, np.flatnonzero(active), choices,
-                   self.reward(choices, active, rates, jammed), self.step_size)
+        sla_update(self.strategy, None, choices,
+                   np.where(active, self.reward(choices, active, rates, jammed),
+                            0.0), self.step_size)
 
     def greedy(self) -> np.ndarray:
         """Exploration-free choices: each user's most likely channel."""

@@ -25,6 +25,8 @@ run prices slot by slot, a window leader over other users one window at a
 time, and scripted jammers over users that read no rates (baseline users,
 automata rewarded by learning.interference_reward) one trial's block at a
 time; a call of many rows gives each row the bits of its own one-row call.
+The controller is built per trial block, so the interference reward's reuse
+of a repeated slot (learning.interference_reward) never crosses blocks.
 """
 
 from __future__ import annotations

@@ -28,9 +28,10 @@ from hypothesis import strategies as st
 
 import scalar_interference as scalar
 from antijam.config import LearningParams
-from antijam.hypergraph import InterferenceHypergraph
-from antijam.learning import (AutomataUsers, QUsers, WindowLeader,
-                              interference_reward, observe_jamming, rate_reward)
+from antijam.hypergraph import InterferenceHypergraph, marginal_interference
+from antijam.learning import (AutomataUsers, MixedStrategy, QUsers, WindowLeader,
+                              interference_reward, observe_jamming, rate_reward,
+                              sla_update)
 
 # ---------------------------------------------------------------------------
 # the scalar reference
@@ -410,6 +411,74 @@ def test_reward_rules_match_the_scalar_reference(hg, m, p_active, seed):
     for new, ref in rules:
         want = [[ref(u, *slot) for u in range(n)] for slot in slots]
         assert same_bits(new(*block), want)
+
+
+@given(hypergraphs(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_interference_reward_reuses_only_identical_inputs(hg, m, seed):
+    """One rule called on a sequence of slots: repeats, an input written in
+    place after it was passed, a change of trial count (a (1, N) profile
+    and the same profile as (2, N)), partial activity and random jam masks.
+    Every reward is the fresh one bit for bit, and writing to a reward, where
+    that is allowed, changes no later one."""
+    env = np.random.default_rng(seed)
+    n = hg.num_users
+    d_norm = float((hg.adjacency.sum(axis=1) + hg.membership.sum(axis=1)).max() + 1)
+    rule = interference_reward(hg)
+    choices = env.integers(0, m, size=(1, n))
+    active, _, _, jammed = slot_inputs(env, (1, n), m, 0.7)
+    for _ in range(40):
+        move = env.integers(5)
+        if move == 1:       # one entry written in place after the last call
+            x = (choices, active, jammed)[env.integers(3)]
+            i, k = env.integers(len(x)), env.integers(x.shape[-1])
+            x[i, k] = not x[i, k] if x.dtype == bool else (x[i, k] + 1) % m
+        elif move == 2:     # the same slot as one trial more or one less
+            choices, active, jammed = (
+                x[:1] if len(x) == 2 else np.concatenate([x, x])
+                for x in (choices, active, jammed))
+        elif move >= 3:     # a new slot of the same trial count
+            choices = env.integers(0, min(m, 2) if move == 3 else m,
+                                   size=choices.shape)
+            active, _, _, jammed = slot_inputs(env, choices.shape, m,
+                                               env.choice([0.3, 0.7, 1.0]))
+        got = rule(choices, active, None, jammed)
+        want = 1.0 - marginal_interference(hg, choices, active, jammed) / d_norm
+        assert same_bits(got, want)
+        try:
+            got[...] = -1.0
+        except ValueError:
+            pass
+
+
+@st.composite
+def strategy_rows(draw):
+    """A (T, N, M) strategy with exact 0.0 and 1.0 entries among its rows, and
+    one slot's channels, activity and rewards in [0, 1] with both ends."""
+    t, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    env = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    probs = env.random((t, n, m)) * (env.random((t, n, m)) < 0.7)
+    probs[..., 0] += probs.sum(axis=-1) == 0.0
+    probs /= probs.sum(axis=-1, keepdims=True)
+    pure = env.random((t, n)) < 0.3
+    probs[pure] = np.eye(m)[env.integers(0, m, size=pure.sum())]
+    rewards = env.random((t, n))
+    rewards[env.random((t, n)) < 0.3] = env.choice([0.0, 1.0])
+    return (probs, env.integers(0, m, size=(t, n)),
+            env.random((t, n)) < draw(st.sampled_from([0.0, 0.5, 1.0])), rewards,
+            draw(st.floats(0.01, 0.99)))
+
+
+@given(strategy_rows())
+def test_automata_step_every_row_as_the_gathered_step(case):
+    """AutomataUsers steps every row, an inactive user's with reward 0.0;
+    that is sla_update of the active rows alone, bit for bit."""
+    probs, choices, active, rewards, step_size = case
+    users = AutomataUsers(*probs.shape, step_size, lambda *_: rewards)
+    users.strategy = MixedStrategy(probs)
+    gathered = MixedStrategy(probs)
+    users.learn(choices, active, None, np.zeros(probs.shape[-1], dtype=bool))
+    sla_update(gathered, np.flatnonzero(active), choices, rewards, step_size)
+    assert same_bits(users.strategy.probs, gathered.probs)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=5))

@@ -149,6 +149,14 @@ def test_mixed_strategy_validation():
         MixedStrategy(np.zeros((0, 3)))
 
 
+def test_mixed_strategy_refuses_nan_entries():
+    # NaN fails every comparison, so the check must ask for the good case
+    with pytest.raises(ConfigError):
+        strategy([float("nan"), 1.0])
+    with pytest.raises(ConfigError):
+        strategy([float("nan"), float("nan")])
+
+
 def test_q_update_one_step_arithmetic():
     # blank table, reward 1, lr 0.5, discount 0.9: new value is 0.5
     q = np.zeros((1, 3, 2))

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 import antijam
-from antijam import load_config
+import reference_loop
+from antijam import learning, load_config
 from antijam.cli import main
 from antijam.config import ALGORITHMS
 from antijam.env import RateModel, max_single_user_rate
@@ -417,6 +418,33 @@ def test_rates_are_priced_per_slot_only_where_feedback_reads_them(monkeypatch):
     assert priced(windows, "hierarchical", 2) == [(1, 2, n)] * 60 + [(2, n)]
 
 
+def test_a_repeated_slot_reuses_its_interference_reward(monkeypatch):
+    """Converged automata repeat their slots, and a repeated slot's reward is
+    handed back rather than counted again: a 1-trial, 300-slot fig5
+    hypergraph_sla run counts the marginal interference in fewer slots than
+    it runs. Its rows, and those of a p = 0.6 run, where the activity seldom
+    repeats, are the per-trial reference loop's."""
+    calls = []
+    count = learning.marginal_interference
+    monkeypatch.setattr(learning, "marginal_interference",
+                        lambda *args: (calls.append(1), count(*args))[1])
+    for p in (1.0, 0.6):
+        config = load_config(dict(get_preset("fig5-hypergraph"), trials=1,
+                                  slots=300, active_probability=p,
+                                  algorithms=["hypergraph_sla"]))
+        model = RateModel(config.geometry, config.radio)
+        r_max = max_single_user_rate(model)
+        calls.clear()
+        got, _ = simulate_trial(config, "hypergraph_sla",
+                                [trial_generator(config.seed, 0, 0)], model, r_max)
+        if p == 1.0:
+            assert len(calls) < config.slots
+        want, _ = reference_loop.simulate_trial(
+            config, "hypergraph_sla", trial_generator(config.seed, 0, 0), model,
+            r_max)
+        assert got[0].tobytes() == want.tobytes(), p
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -539,6 +567,19 @@ def test_every_benchmark_hook_target_resolves():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_bench_presets_refuses_an_unknown_preset_before_any_run():
+    """An unknown preset name exits 2 with the known names, and the known
+    preset given beside it is not run first."""
+    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "bench_presets.py")
+    proc = subprocess.run([sys.executable, tool, "--runs", "1", "--preset",
+                           "fig5-hypergraph", "--preset", "fig5"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "unknown fig5;" in proc.stderr and "fig5-hypergraph" in proc.stderr
 
 
 def test_package_exports_only_the_readme_api():

@@ -3,6 +3,8 @@ interpreter per run; optionally against a parent checkout, in alternation.
 
     python3 tools/bench_presets.py [--runs 5] [--preset fig3-stackelberg ...]
     python3 tools/bench_presets.py --parent ../parent-checkout --runs 5
+    python3 tools/bench_presets.py --preset fig5-hypergraph \
+        --override '{"active_probability": 0.6}'
 
 Run from anywhere. Each run is a subprocess that imports the package from a
 checkout's ./src, loads one preset at its own size and times one
@@ -13,7 +15,9 @@ first in odd pairs and second in even ones, so that both sides see the same
 spells of host load. Prints one JSON object: the host context, then per
 preset and side the µs per unit of every run with their minimum, quartiles
 and median (as perfbench reports its timed runs) and, with --parent, how many
-pairs this checkout ran faster.
+pairs this checkout ran faster. --override merges a JSON object into every
+timed preset's document, its keys replacing the preset's. Unknown preset
+names exit 2 with the known ones before anything runs.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = """
-import sys, time
+import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import antijam
 from antijam.runner import run_scenario
-config = antijam.load_config(antijam.get_preset(sys.argv[2]))
+config = antijam.load_config(dict(antijam.get_preset(sys.argv[2]),
+                                  **json.loads(sys.argv[3])))
 start = time.perf_counter()
 run_scenario(config)
 elapsed = time.perf_counter() - start
@@ -50,17 +55,28 @@ def _parse_args(argv):
                         help="runs per preset and side (default 5)")
     parser.add_argument("--preset", action="append", dest="presets",
                         help="a preset to time (default: every preset)")
+    parser.add_argument("--override", type=json.loads, default={},
+                        help="a JSON object merged into every preset's document")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
+    if not isinstance(args.override, dict):
+        parser.error("--override must be a JSON object")
     if args.parent is not None and not (args.parent / "src" / "antijam").is_dir():
         parser.error(f"--parent: no antijam sources under {args.parent / 'src'}")
+    from antijam.presets import preset_names
+
+    unknown = sorted(set(args.presets or ()) - set(preset_names()))
+    if unknown:
+        parser.error(f"--preset: unknown {', '.join(unknown)}; known presets: "
+                     f"{', '.join(preset_names())}")
     return args
 
 
-def _us_per_unit(checkout: Path, preset: str) -> float:
+def _us_per_unit(checkout: Path, preset: str, override: dict) -> float:
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(checkout / "src"), preset],
+        [sys.executable, "-c", CHILD, str(checkout / "src"), preset,
+         json.dumps(override)],
         capture_output=True, text=True, check=True)
     return float(proc.stdout.strip().splitlines()[-1])
 
@@ -75,8 +91,8 @@ def _summary(values) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
+    args = _parse_args(argv)
     import numpy
 
     from antijam.presets import preset_names
@@ -87,14 +103,16 @@ def main(argv=None) -> int:
     host = {"nproc": os.cpu_count(), "loadavg_before": list(os.getloadavg()),
             "python": platform.python_version(), "numpy": numpy.__version__,
             "machine": platform.machine(),
-            "checkouts": {side: str(path) for side, path in sides.items()}}
+            "checkouts": {side: str(path) for side, path in sides.items()},
+            "override": args.override}
     presets = {}
     for name in args.presets or preset_names():
         samples = {side: [] for side in sides}
         for i in range(args.runs):
             order = list(sides) if i % 2 == 0 else list(reversed(sides))
             for side in order:
-                samples[side].append(_us_per_unit(sides[side], name))
+                samples[side].append(_us_per_unit(sides[side], name,
+                                                  args.override))
         presets[name] = {side: _summary(values) for side, values in samples.items()}
         if args.parent is not None:
             presets[name]["change_faster_pairs"] = sum(
