@@ -78,6 +78,15 @@ def test_sla_update_steps_only_the_listed_users():
     assert np.allclose(s.probs, [[0.55, 0.45], [0.5, 0.5], [0.45, 0.55]])
 
 
+def test_sla_update_of_every_row_needs_an_entry_per_row():
+    s = strategy([0.5, 0.5], [0.5, 0.5])
+    sla_update(s, None, [0, 1], [1.0, 0.0], 0.1)
+    assert np.allclose(s.probs, [[0.55, 0.45], [0.5, 0.5]])
+    # one reward would broadcast over both rows; it is refused instead
+    with pytest.raises(ConfigError, match="per row"):
+        sla_update(s, None, [0, 1], [1.0], 0.1)
+
+
 def test_sla_update_validation():
     s = strategy([1 / 3, 1 / 3, 1 / 3])
     with pytest.raises(ConfigError):
