@@ -105,24 +105,24 @@ def _as_array(value, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: ragged entries, got {value!r}") from exc
 
 
-def _as_choices(choices, num_users: int, num_channels: int, ndim: int | None = 1,
-                where: str = "assignment") -> np.ndarray:
+def _as_choices(choices, num_users: int, num_channels: int,
+                ndim: int | None = 1) -> np.ndarray:
     """Channel choices as int64: ndim axes (None: one or more), the last one
     entry per user, each an integer in range(num_channels); anything else is
-    a ConfigError that names where. A fraction is no channel, nor is a bool,
-    even in a list of ints that numpy would read as one."""
-    arr = _as_array(choices, where)
+    a ConfigError. A fraction is no channel, nor is a bool, even in a list
+    of ints that numpy would read as one."""
+    arr = _as_array(choices, "assignment")
     if arr.dtype.kind not in "iu" or not isinstance(choices, np.ndarray) and any(
             isinstance(c, (bool, np.bool_))
             for c in np.asarray(choices, dtype=object).flat):
-        raise ConfigError(f"{where}: entries must be integer channels, got "
+        raise ConfigError(f"assignment: entries must be integer channels, got "
                           f"{choices!r}")
     if (arr.ndim < 1 if ndim is None else arr.ndim != ndim) \
             or arr.shape[-1] != num_users:
-        raise ConfigError(f"{where}: expected {num_users} entries per "
+        raise ConfigError(f"assignment: expected {num_users} entries per "
                           f"profile, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= num_channels):
-        raise ConfigError(f"{where}: channel index out of range")
+        raise ConfigError("assignment: channel index out of range")
     return arr.astype(np.int64, copy=False)
 
 

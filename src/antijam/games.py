@@ -9,13 +9,15 @@ Two game kinds share one interface:
 
 The oracles (pure NE enumeration, best-response dynamics, Stackelberg solve)
 are exact on small instances and are the ground truth the learners are tested
-against. They share one batched kernel, _deviation_utilities, which values
-every unilateral deviation of a block of profiles as a (K, N, M) tensor:
-enumeration walks the M^N profiles in lexicographic blocks, and best response
-sweeps many starts in lockstep. user_utility values one cell. Both read the
-one SINR formula, RateModel.deviation_rates, and hypergraph.py's one conflict
-count, so the kernel gives user_utility's values bit for bit. The scalar
-oracle they replaced is the tests' reference.
+against; the Stackelberg solve enumerates the followers once, under a jam on
+channel 0, and reports that one leader row. They share one batched kernel,
+_deviation_utilities, which values every unilateral deviation of a block of
+profiles as a (K, N, M) tensor: enumeration walks the M^N profiles in
+lexicographic blocks, and best response sweeps many starts in lockstep.
+user_utility values one cell. Both read the one SINR formula,
+RateModel.deviation_rates, and hypergraph.py's one conflict count, so the
+kernel gives user_utility's values bit for bit. The scalar oracle they
+replaced is the tests' reference.
 
 Every entry point takes the jammed channels as a channel set or an (M,) bool
 mask and checks them once, through env.jam_mask.
@@ -121,8 +123,9 @@ def lexicographic_profiles(num_users: int, num_channels: int, start: int,
 
 def oracle_cells(num_users: int, num_channels: int) -> int:
     """Size of an exact oracle: M x M^N x N x M, the deviation cells of one
-    follower enumeration per leader channel. The leader solve makes one and
-    relabels it, but the measure stays, so the cap admits the same games."""
+    follower enumeration per leader channel. The leader solve makes one
+    enumeration, jammed on channel 0, but the measure stays, so the cap
+    admits the same games."""
     return num_channels ** (num_users + 2) * num_users
 
 
@@ -252,21 +255,12 @@ def run_best_response(game: GameSpec, start, jammed_channels=_NO_JAM,
 
 
 @dataclass(frozen=True)
-class LeaderAudit:
-    channel: int
-    has_equilibrium: bool  # every channel has one when any has
-    total_rate: float
-    follower_assignment: np.ndarray
-
-
-@dataclass(frozen=True)
 class StackelbergSolution:
     leader_channel: int
     follower_assignment: np.ndarray
     follower_rates: np.ndarray
     total_rate: float
     leader_utility: float
-    per_action: tuple
 
 
 def stackelberg_solve(game: GameSpec, active_mask=None) -> StackelbergSolution:
@@ -281,47 +275,34 @@ def stackelberg_solve(game: GameSpec, active_mask=None) -> StackelbergSolution:
 
     Channels are interchangeable (no channel index enters a gain): swapping
     channels 0 and c maps the follower game under a jam on 0 onto the one
-    under a jam on c, equilibria and totals bit for bit. So the followers are
-    enumerated once, jammed on 0, and channel c's audit row takes the same
-    best total and the lexicographically first 0<->c swap of the profiles
-    tying for it. Every leader action leaves the followers the same best
-    total, and the tie rule reports channel 0.
+    under a jam on c, equilibria and totals bit for bit. So every leader
+    action leaves the followers the same best total, the tie rule picks
+    channel 0, and the followers are enumerated once, jammed on 0. Channel
+    c's best NE is the lexicographically first 0<->c swap of the profiles
+    that tie for that total.
     """
     if game.kind != "stackelberg":
         raise UnsupportedOperationError(
             f"stackelberg_solve: defined for stackelberg games, not {game.kind!r}")
-    n, m = game.num_users, game.num_channels
-    active = _as_mask(active_mask, n)
-    jam = np.arange(m) == 0
-    channel = np.arange(m)[:, None, None]
-    # a profile's index in lexicographic order: the first profile is the least
-    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    top, first = None, None
+    active = _as_mask(active_mask, game.num_users)
+    jam = np.arange(game.num_channels) == 0
+    top, assignment = None, None
     for equilibria, own in _nash_blocks(game, jam, active):
         if not len(equilibria):
             continue
         # a user's own utility is its rate, so a row sum is the profile's
-        # total rate
+        # total rate; blocks and their rows come in lexicographic order
         totals = own.sum(axis=1)
-        best = totals.max()
-        if top is None or best > top:
-            top, first = best, np.full(m, m ** n)
-        if best == top:
-            ties = equilibria[totals == top]
-            swapped = np.where(ties == 0, channel, np.where(ties == channel, 0, ties))
-            first = np.minimum(first, (swapped @ place).min(axis=1))
+        best = totals.argmax()
+        if top is None or totals[best] > top:
+            top, assignment = totals[best], equilibria[best]
     if top is None:
         raise RuntimeError(
             "stackelberg_solve: no leader action admits a pure follower equilibrium")
-    audit = tuple(LeaderAudit(c, True, float(top),
-                              lexicographic_profiles(n, m, i, i + 1)[0])
-                  for c, i in enumerate(first.tolist()))
-    assignment = audit[0].follower_assignment
     return StackelbergSolution(
         leader_channel=0,
         follower_assignment=assignment,
         follower_rates=game.rate_model.rates(assignment, jam, active),
         total_rate=float(top),
         leader_utility=-float(top),
-        per_action=audit,
     )

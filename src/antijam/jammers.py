@@ -1,13 +1,12 @@
 """Jammer behaviors: fixed, random, sweep, comb, and reactive channel patterns.
 
-A pattern checks its channels once, when built; jammer_action is its scalar
-definition, the set of channels it jams in one slot. ScriptedJammers is the
+A pattern checks its channels once, when built. ScriptedJammers is the
 jammer side of a markov or hypergraph run, a per-run schedule for a block of
 trials: the fixed, comb and sweep patterns depend on the slot alone, so their
-union is one (period, M) bool table built once from jammer_action and read
-at t % period; the random and reactive patterns add one channel per trial
-each slot, from a uniform or from what the pattern heard. The slot's union is
-one (T, M) bool channel mask.
+union is one (period, M) bool table built once from jammer_action, their
+channel set in one slot, and read at t % period; the random and reactive
+patterns add one channel per trial each slot, from a uniform or from what
+the pattern heard. The slot's union is one (T, M) bool channel mask.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import _as_choices, uniform_channels
-from .errors import ConfigError
+from .env import uniform_channels
+from .errors import ConfigError, UnsupportedOperationError
 
 KINDS = ("fixed", "random", "sweep", "comb", "reactive")
 _DRAWING_KINDS = ("random", "reactive")
@@ -49,34 +48,22 @@ class JammerPattern:
                 raise ConfigError(f"channel {c}: not in range({m})")
 
 
-def jammer_action(pattern: JammerPattern, t: int, last_assignment=None,
-                  u: float | None = None) -> frozenset:
-    """Channel set jammed at slot t; the pattern checked its own channels.
+def jammer_action(pattern: JammerPattern, t: int) -> frozenset:
+    """Channel set a static pattern (fixed, comb or sweep) jams at slot t.
 
-    The random kind jams the uniform u's channel. The reactive kind jams the
-    channel most used in last_assignment, the channels of the users that
-    transmitted in the previous slot (lowest index on ties); each heard entry
-    must be an integer channel in range(num_channels). It falls back to u's
-    channel when it heard nobody: in the first slot, or after a slot in
-    which every user was silent.
+    The random and reactive picks draw per trial, and ScriptedJammers.act
+    owns them; they raise UnsupportedOperationError here.
     """
     if t < 0:
         raise ConfigError("jammer_action: t must be >= 0")
-    m = pattern.num_channels
     if pattern.kind == "fixed":
         return frozenset({pattern.fixed_channel})
     if pattern.kind == "comb":
         return frozenset(pattern.comb_set)
     if pattern.kind == "sweep":
-        return frozenset({(pattern.start_channel + t // pattern.dwell) % m})
-    if pattern.kind == "reactive" and last_assignment is not None and len(last_assignment):
-        heard = _as_choices(last_assignment, len(last_assignment), m,
-                            where="jammer_action: heard channels")
-        return frozenset({int(np.bincount(heard, minlength=m).argmax())})
-    # random, or reactive with nobody heard
-    if u is None:
-        raise ConfigError(f"jammer_action: {pattern.kind} kind needs a uniform draw")
-    return frozenset({int(uniform_channels(u, m))})
+        return frozenset({(pattern.start_channel + t // pattern.dwell)
+                          % pattern.num_channels})
+    raise UnsupportedOperationError(f"jammer_action: {pattern.kind} patterns draw per trial")
 
 
 class ScriptedJammers:

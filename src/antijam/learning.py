@@ -78,15 +78,22 @@ def sla_update(strategy: MixedStrategy, users, chosen, rewards,
     """
     if not 0.0 < step_size < 1.0:
         raise ConfigError("sla_update: step_size must be in (0, 1)")
-    rows = strategy.probs.reshape(-1, strategy.probs.shape[-1])  # a view
+    rows = strategy.probs.reshape(-1, strategy.probs.shape[-1])  # a view, or a copy
     r = np.asarray(rewards, dtype=np.float64).reshape(-1)
     c = np.asarray(chosen, dtype=np.int64).reshape(-1)
     if users is None:
         if r.size != len(rows) or c.size != len(rows):
             raise ConfigError("sla_update: need one reward and channel per row")
         p = rows
-    else:
-        users = np.asarray(users, dtype=np.int64)
+    else:  # a bool is no row index, even in a list of ints
+        index = np.asarray(users)
+        if index.size and (index.dtype.kind not in "iu" or index.min() < 0
+                           or index.max() >= len(rows)) \
+                or not isinstance(users, np.ndarray) and any(
+                    isinstance(u, (bool, np.bool_))
+                    for u in np.asarray(users, dtype=object).flat):
+            raise ConfigError(f"sla_update: users must be row indices in range({len(rows)})")
+        users = index.astype(np.int64, copy=False)
         r, c, p = r[users], c[users], rows[users]
     if r.size:
         if not (r.min() >= 0.0 and r.max() <= 1.0):
@@ -100,6 +107,8 @@ def sla_update(strategy: MixedStrategy, users, chosen, rewards,
     p[stepped, c] = own + scale * (1.0 - own)
     if users is not None:
         rows[users] = p
+    if not strategy.probs.flags.c_contiguous:  # rows may be a copy: write it back
+        strategy.probs[...] = rows.reshape(strategy.probs.shape)
     _check_simplex(strategy.probs)
 
 

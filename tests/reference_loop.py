@@ -4,18 +4,19 @@ This is the reference runner.simulate_trial is checked against: one trial at
 a time, one generator per trial drawing each slot's row of uniforms through
 its own calls (the jammer side's, the users', then N for activity), the
 learners' state without a trial axis, the scripted jammers calling
-jammers.jammer_action every slot, and each slot's metrics summed from the
-compacted active rates. The rates come from scalar_rates and the hypergraph
-reward from the loops of scalar_interference, so a property comparing the
-two loops compares none of the library's batched arithmetic with itself.
+jammer_action, the scalar pick of each pattern, every slot, and each slot's
+metrics summed from the compacted active rates. The rates come from
+scalar_rates and the hypergraph reward from the loops of
+scalar_interference, so a property comparing the two loops compares none of
+the library's batched arithmetic with itself.
 """
 
 import numpy as np
 
 import scalar_interference
 import scalar_rates
+from antijam import jammers
 from antijam.env import uniform_channels
-from antijam.jammers import jammer_action
 
 METRICS = ("rate_sum", "rate_mean_active", "normalized_capacity", "any_user_jammed")
 
@@ -63,6 +64,23 @@ def baseline_action(kind, s, num_users, num_channels, rng):
         return uniform_channels(u, num_channels)
     pick = uniform_channels(u, num_channels - 1)
     return pick + (pick >= s)
+
+
+def jammer_action(pattern, t, heard=None, u=None):
+    """Channel set pattern jams at slot t. The static kinds are the library's
+    jammers.jammer_action. The random kind jams the uniform u's channel,
+    min(int(u*M), M-1). The reactive kind jams the channel most used in
+    heard, the channels of the users that transmitted in the previous slot
+    (lowest index on ties), or u's channel when it heard nobody."""
+    if pattern.kind not in ("random", "reactive"):
+        return jammers.jammer_action(pattern, t)
+    m = pattern.num_channels
+    if pattern.kind == "reactive" and heard is not None and len(heard):
+        counts = [0] * m
+        for c in heard:
+            counts[int(c)] += 1
+        return frozenset({counts.index(max(counts))})
+    return frozenset({min(int(u * m), m - 1)})
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import scalar_interference as scalar
+from scalar_oracle import reference_leader_solve
 from antijam import (GameSpec, enumerate_pure_nash, load_config, ne_bounds,
                      stackelberg_solve)
 from antijam import games
@@ -219,8 +220,10 @@ def test_stackelberg_symmetric_single_user():
     assert sol.leader_channel == 0
     assert list(sol.follower_assignment) == [1]
     assert sol.leader_utility == pytest.approx(-sol.total_rate)
-    assert len(sol.per_action) == 2
-    assert all(a.has_equilibrium for a in sol.per_action)
+    # a jam on channel 1 mirrors it: the follower dodges to channel 0
+    assert [(has, total, assignment) for _, has, total, assignment
+            in reference_leader_solve(game, np.ones(1, dtype=bool))] == \
+        [(True, sol.total_rate, [1]), (True, sol.total_rate, [0])]
 
 
 def test_stackelberg_zero_power_jammer_degenerates():
@@ -228,7 +231,8 @@ def test_stackelberg_zero_power_jammer_degenerates():
                     params=RadioParams(num_channels=3, jam_power=0.0))
     sol = stackelberg_solve(game)
     # all leader actions yield identical totals, so the lowest index wins
-    totals = [a.total_rate for a in sol.per_action]
+    totals = [total for _, _, total, _
+              in reference_leader_solve(game, np.ones(2, dtype=bool))]
     assert max(totals) - min(totals) <= 1e-9
     assert sol.leader_channel == 0
 
@@ -244,7 +248,8 @@ def test_stackelberg_followers_avoid_the_jam_when_they_can():
 
 
 def test_stackelberg_leader_optimality_audit():
-    """The chosen action's total is minimal across the per-action audit."""
+    """The chosen action's total is minimal across the per-channel scalar
+    reference."""
     rng = np.random.default_rng(8)
     for _ in range(10):
         n = int(rng.integers(1, 4))
@@ -253,11 +258,11 @@ def test_stackelberg_leader_optimality_audit():
         game = GameSpec(kind="stackelberg", geometry=geo,
                         params=RadioParams(num_channels=3, jam_power=3.0))
         sol = stackelberg_solve(game)
-        feasible = [a for a in sol.per_action if a.has_equilibrium]
+        audit = reference_leader_solve(game, np.ones(n, dtype=bool))
+        feasible = [total for _, has, total, _ in audit if has]
         assert feasible
-        assert sol.total_rate <= min(a.total_rate for a in feasible) + 1e-12
-        chosen = [a for a in sol.per_action if a.channel == sol.leader_channel]
-        assert chosen[0].total_rate == pytest.approx(sol.total_rate)
+        assert sol.total_rate <= min(feasible) + 1e-12
+        assert audit[sol.leader_channel][2] == pytest.approx(sol.total_rate)
 
 
 def test_stackelberg_requires_the_right_kind():
@@ -299,15 +304,10 @@ def test_oracle_values_pinned_at_the_benchmark_instance():
     list and the best-response bounds must keep every digit."""
     game = benchmark_oracle_game()
     sol = stackelberg_solve(game)
-    audit = [(a.channel, a.has_equilibrium, repr(a.total_rate),
-              a.follower_assignment.tolist()) for a in sol.per_action]
-    assert audit == [
-        (0, True, "38.13501703551253", [1, 2, 3, 1, 2, 3]),
-        (1, True, "38.13501703551253", [0, 2, 3, 0, 2, 3]),
-        (2, True, "38.13501703551253", [0, 1, 3, 0, 1, 3]),
-        (3, True, "38.13501703551253", [0, 1, 2, 0, 1, 2]),
-    ]
-    assert sol.leader_channel == 0
+    assert (sol.leader_channel, repr(sol.total_rate),
+            sol.follower_assignment.tolist()) == \
+        (0, "38.13501703551253", [1, 2, 3, 1, 2, 3])
+    assert sol.leader_utility == -sol.total_rate
     assert [repr(float(r)) for r in sol.follower_rates] == [
         "6.345758490438696", "6.360479670014629", "6.361274778722026",
         "6.345758295054295", "6.360476079896748", "6.361269721386135"]

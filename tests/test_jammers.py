@@ -1,10 +1,11 @@
 """Jammer pattern tests.
 
-The sweep schedule is the only stateful-looking pattern, but it is a pure
-function of the slot index, which makes the whole module trivially
-deterministic; the random pick and the reactive fallback read the uniform
-they are handed and nothing else. jammer_action is the scalar definition the
-slot loop's schedule, ScriptedJammers, is checked against.
+The sweep schedule is the only stateful-looking static pattern, but it is a
+pure function of the slot index; jammer_action gives the static patterns'
+sets. The random pick and the reactive fallback read the uniform they are
+handed and nothing else, and ScriptedJammers.act makes them, one per trial;
+the hand-checked cases below call it. reference_loop.jammer_action is the
+scalar pick of every kind that the slot loop's schedule is checked against.
 """
 
 from collections import Counter
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from antijam.errors import ConfigError
+import reference_loop
+from antijam.errors import ConfigError, UnsupportedOperationError
 from antijam.jammers import KINDS, JammerPattern, ScriptedJammers, jammer_action
 
 
@@ -45,27 +47,41 @@ def test_sweep_dwell_one_cycles_every_slot():
     assert seen == [t % 4 for t in range(12)]
 
 
+def picks(jam, t, u):
+    """The one channel each trial's mask holds at slot t."""
+    mask = jam.act(t, np.asarray(u, dtype=float).reshape(len(u), -1))
+    assert (mask.sum(axis=-1) == 1).all()
+    return mask.argmax(axis=-1).tolist()
+
+
+def hear(jam, heard):
+    """Every trial's users active on the channels in heard, one row a trial."""
+    choices = np.array(heard)
+    jam.observe(choices, np.ones(choices.shape, dtype=bool), None)
+
+
 def test_random_is_seeded_and_in_range():
-    p = JammerPattern(kind="random", num_channels=5)
-    a = [jammer_action(p, t, u=np.random.default_rng(3).random())
-         for t in range(20)]
-    b = [jammer_action(p, t, u=np.random.default_rng(3).random())
-         for t in range(20)]
+    jam = ScriptedJammers([JammerPattern(kind="random", num_channels=5)], 4, 5, 20)
+    assert jam.draws == 1
+    a = [picks(jam, t, np.random.default_rng(3).random(4)) for t in range(20)]
+    b = [picks(jam, t, np.random.default_rng(3).random(4)) for t in range(20)]
     assert a == b
-    assert all(0 <= next(iter(s)) < 5 for s in a)
+    assert all(0 <= c < 5 for row in a for c in row)
     # a uniform's channel is min(int(u*M), M-1), the top edge included
-    assert [jammer_action(p, 0, u=u) for u in (0.0, 0.39, 0.4, 1.0)] \
-        == [frozenset({c}) for c in (0, 1, 2, 4)]
-    with pytest.raises(ConfigError):
-        jammer_action(p, 0)  # no uniform supplied
+    assert picks(jam, 0, [0.0, 0.39, 0.4, 1.0]) == [0, 1, 2, 4]
+
+
+def test_jammer_action_refuses_the_drawing_kinds():
+    for kind in ("random", "reactive"):
+        with pytest.raises(UnsupportedOperationError):
+            jammer_action(JammerPattern(kind=kind, num_channels=4), 0)
 
 
 def test_reactive_follows_the_crowd():
-    p = JammerPattern(kind="reactive", num_channels=4)
-    assert jammer_action(p, 1, last_assignment=[2, 0, 2, 1]) == frozenset({2})
+    jam = ScriptedJammers([JammerPattern(kind="reactive", num_channels=4)], 3, 4, 2)
+    hear(jam, [[2, 0, 2, 1], [0, 1, 0, 1], [3, 3, 1, 1]])
     # ties break toward the lowest channel index
-    assert jammer_action(p, 1, last_assignment=[0, 1, 0, 1]) == frozenset({0})
-    assert jammer_action(p, 1, last_assignment=[3, 3, 1, 1]) == frozenset({1})
+    assert picks(jam, 1, [0.9, 0.9, 0.9]) == [2, 0, 1]
 
 
 def counter_rule(heard):
@@ -79,28 +95,23 @@ def counter_rule(heard):
 def test_reactive_pick_equals_the_counter_rule(case):
     m, heard = case
     p = JammerPattern(kind="reactive", num_channels=m)
-    want = frozenset({counter_rule(heard)})
-    assert jammer_action(p, 1, last_assignment=heard) == want
-    assert jammer_action(p, 1, last_assignment=np.array(heard), u=0.5) == want
-
-
-def test_reactive_rejects_what_is_no_heard_channel():
-    p = JammerPattern(kind="reactive", num_channels=4)
-    for heard in ([7], [4], [-1, -1, 2], np.array([True, False, True]),
-                  [True, 2], [1.5], np.array([[1, 2]])):
-        with pytest.raises(ConfigError, match="jammer_action: heard channels"):
-            jammer_action(p, 1, last_assignment=heard, u=0.5)
+    jam = ScriptedJammers([p], 1, m, 2)
+    hear(jam, [heard])
+    assert picks(jam, 1, [0.5]) == [counter_rule(heard)]
+    assert reference_loop.jammer_action(p, 1, heard, 0.5) \
+        == frozenset({counter_rule(heard)})
 
 
 def test_reactive_fallback_before_any_observation():
-    p = JammerPattern(kind="reactive", num_channels=4)
-    out = jammer_action(p, 0, last_assignment=None,
-                        u=np.random.default_rng(0).random())
-    assert len(out) == 1 and 0 <= next(iter(out)) < 4
+    jam = ScriptedJammers([JammerPattern(kind="reactive", num_channels=4)], 2, 4, 3)
+    # before any observation, the uniform's channel
+    assert picks(jam, 0, [0.0, 0.6]) == [0, 2]
     # it hears the crowd whenever there is one, whatever the uniform
-    assert jammer_action(p, 1, last_assignment=[3], u=0.0) == frozenset({3})
-    with pytest.raises(ConfigError):
-        jammer_action(p, 0, last_assignment=[])
+    hear(jam, [[3], [1]])
+    assert picks(jam, 1, [0.0, 0.99]) == [3, 1]
+    # after a slot in which every user was silent, the uniform's channel again
+    jam.observe(np.array([[3], [1]]), np.zeros((2, 1), dtype=bool), None)
+    assert picks(jam, 2, [0.3, 0.99]) == [1, 3]
 
 
 def test_pattern_validation():
@@ -125,11 +136,13 @@ def test_every_kind_emits_a_subset_of_channels():
         JammerPattern(kind="random", num_channels=3),
         JammerPattern(kind="reactive", num_channels=3),
     ]
-    for t in range(30):
-        last = rng.integers(0, 3, size=4)
-        for p in patterns:
-            out = jammer_action(p, t, last_assignment=last, u=rng.random())
-            assert out and all(0 <= c < 3 for c in out)
+    for p in patterns:
+        jam = ScriptedJammers([p], 2, 3, 30)
+        for t in range(30):
+            mask = jam.act(t, rng.random((2, jam.draws)))
+            assert mask.any(axis=-1).all()
+            jam.observe(rng.integers(0, 3, size=(2, 4)), rng.random((2, 4)) < 0.5,
+                        None)
 
 
 @st.composite
@@ -151,7 +164,7 @@ def pattern_lists(draw):
        st.integers(0, 2 ** 32 - 1))
 def test_schedule_jams_the_union_of_the_patterns_sets(case, trials, slots, seed):
     """Slot by slot and trial by trial, ScriptedJammers jams the union of
-    jammer_action's sets: the static patterns from the table, whose period
+    reference_loop.jammer_action's sets: the static patterns from the table, whose period
     may be longer or shorter than the run, and each random or reactive
     pattern from its own uniform, a reactive one hearing the channels of its
     trial's active users in the previous slot."""
@@ -168,7 +181,7 @@ def test_schedule_jams_the_union_of_the_patterns_sets(case, trials, slots, seed)
             want = set()
             for p in patterns:
                 drawn = next(draws) if p.kind in ("random", "reactive") else None
-                want |= jammer_action(p, t, heard[i], drawn)
+                want |= reference_loop.jammer_action(p, t, heard[i], drawn)
             assert set(np.flatnonzero(mask[i]).tolist()) == want
         choices = rng.integers(0, m, size=(trials, 4))
         active = rng.random((trials, 4)) < 0.5

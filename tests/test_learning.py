@@ -87,6 +87,30 @@ def test_sla_update_of_every_row_needs_an_entry_per_row():
         sla_update(s, None, [0, 1], [1.0], 0.1)
 
 
+@pytest.mark.parametrize("users", [None, [1, 2]], ids=["every-row", "indexed"])
+def test_sla_update_steps_a_strategy_that_is_not_contiguous(users):
+    """probs reassigned to a transposed array reshape to a copy, not a view;
+    the step must land in the strategy all the same, row for row in C
+    order, as it does in a contiguous copy of it."""
+    s = MixedStrategy(np.full((2, 2, 3), 1 / 3))
+    s.probs = s.probs.transpose(1, 0, 2)
+    want = MixedStrategy(np.ascontiguousarray(s.probs))
+    s.probs[0, 1] = want.probs[0, 1] = [0.5, 0.25, 0.25]
+    sla_update(s, users, np.zeros(4, int), np.ones(4), 0.5)
+    sla_update(want, users, np.zeros(4, int), np.ones(4), 0.5)
+    assert not np.array_equal(want.probs, np.full((2, 2, 3), 1 / 3))
+    assert s.probs.tobytes(order="C") == want.probs.tobytes()
+
+
+@pytest.mark.parametrize("users", [[True, False, False], [-1], [5], [True, 2]],
+                         ids=["bools", "negative", "past-the-end", "bool-among-ints"])
+def test_sla_update_refuses_what_is_no_row_index(users):
+    s = strategy([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(ConfigError, match="row indices"):
+        sla_update(s, users, [0, 0, 0], [1.0, 1.0, 1.0], 0.1)
+    assert np.array_equal(s.probs, np.full((3, 2), 0.5))
+
+
 def test_sla_update_validation():
     s = strategy([1 / 3, 1 / 3, 1 / 3])
     with pytest.raises(ConfigError):

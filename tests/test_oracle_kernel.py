@@ -1,15 +1,13 @@
 """The batched oracle against its scalar reference.
 
 games values every unilateral deviation of a block of profiles in one
-(K, N, M) tensor. The scalar oracle it replaced lives here as the reference:
-one utility per (profile, user, channel) cell, a per-profile NE filter and
-one best-response run per start. A cell is the co-channel mask of
-scalar_rates for rate games and the scalar marginal loop of
-scalar_interference for hypergraph games, never the library's own rate
-kernel or conflict count. Rate games must agree bit for bit,
-hypergraph games exactly, on random small games with random activity and
-jam sets. The block size is also forced down, so enumeration and
-lockstep best response cross many block boundaries.
+(K, N, M) tensor. The scalar oracle it replaced, in scalar_oracle, is the
+reference: one utility per (profile, user, channel) cell, a per-profile NE
+filter, a per-channel leader solve and one best-response run per start,
+never reading the library's own rate kernel or conflict count. Rate games
+must agree bit for bit, hypergraph games exactly, on random small games
+with random activity and jam sets. The block size is also forced down, so
+enumeration and lockstep best response cross many block boundaries.
 """
 
 import itertools
@@ -19,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import scalar_interference as scalar
 import scalar_rates
+from scalar_oracle import (reference_best_response, reference_enumeration,
+                           reference_leader_solve, reference_utility_row)
 from antijam import games
 from antijam.env import NodeGeometry, RadioParams, RateModel
 from antijam.games import (GameSpec, best_response_lockstep,
@@ -32,72 +31,6 @@ from antijam.hypergraph import InterferenceHypergraph
 # Block sizes in (profile, user, channel) cells: one profile per block for
 # most games, a few profiles per block, and the library's own size.
 BLOCK_CELLS = (7, 40, games._BLOCK_CELLS)
-
-
-def reference_utility_row(game, n, choices, jammed, active):
-    """Utility of user n for each of its own channel choices, others fixed:
-    its rate, or minus its scalar marginal interference; 0 if inactive."""
-    out = np.zeros(game.num_channels)
-    if not active[n]:
-        return out
-    work = np.array(choices, dtype=np.int64)
-    for c in range(game.num_channels):
-        work[n] = c
-        if game.kind == "hypergraph":
-            out[c] = -float(scalar.marginal_interference(
-                game.hypergraph, n, work, active, jammed))
-        else:
-            out[c] = float(scalar_rates.rates(game.rate_model, work, jammed,
-                                              active)[n])
-    return out
-
-
-def reference_is_nash(game, choices, jammed, active):
-    for n in range(game.num_users):
-        if not active[n]:
-            continue
-        row = reference_utility_row(game, n, choices, jammed, active)
-        if row.max() > row[choices[n]]:
-            return False
-    return True
-
-
-def reference_enumeration(game, jammed, active):
-    return [profile for profile in itertools.product(range(game.num_channels),
-                                                     repeat=game.num_users)
-            if reference_is_nash(game, np.array(profile), jammed, active)]
-
-
-def reference_leader_solve(game, active):
-    """Per leader channel: the NE of largest total rate, first on ties."""
-    audit = []
-    for channel in range(game.num_channels):
-        jam = frozenset({channel})
-        equilibria = reference_enumeration(game, jam, active)
-        totals = [float(scalar_rates.rates(game.rate_model, eq, jam, active).sum())
-                  for eq in equilibria]
-        if not totals:
-            audit.append((channel, False, None, None))
-            continue
-        i = int(np.argmax(totals))
-        audit.append((channel, True, totals[i], list(equilibria[i])))
-    return audit
-
-
-def reference_best_response(game, start, jammed, active, max_rounds):
-    choices = np.array(start, dtype=np.int64)
-    for rounds in range(1, max_rounds + 1):
-        changed = False
-        for n in range(game.num_users):
-            if not active[n]:
-                continue
-            row = reference_utility_row(game, n, choices, jammed, active)
-            if row[choices[n]] < row.max() - 1e-12:
-                choices[n] = int(np.argmax(row))
-                changed = True
-        if not changed:
-            return choices, True, rounds
-    return choices, False, max_rounds
 
 
 @st.composite
@@ -192,6 +125,9 @@ def test_lockstep_best_response_equals_scalar_runs(case, rows, cells, max_rounds
 
 @given(small_games(kinds=("stackelberg",)), st.sampled_from(BLOCK_CELLS))
 def test_leader_solve_equals_scalar_reference(case, cells):
+    """Every channel of the per-channel reference leaves the followers the
+    solve's best total, so channel 0 is the first argmin, and the solve's
+    one leader row is the reference's channel 0."""
     game, _, active = case
     want = reference_leader_solve(game, active)
     with pytest.MonkeyPatch.context() as mp:
@@ -201,13 +137,11 @@ def test_leader_solve_equals_scalar_reference(case, cells):
                 stackelberg_solve(game, active)
             return
         sol = stackelberg_solve(game, active)
-    got = [(a.channel, a.has_equilibrium, a.total_rate,
-            None if a.follower_assignment is None else a.follower_assignment.tolist())
-           for a in sol.per_action]
-    assert got == want
-    feasible = [w for w in want if w[1]]
-    chosen = min(feasible, key=lambda w: w[2])
-    assert (sol.leader_channel, sol.total_rate) == (chosen[0], chosen[2])
+    assert all(has for _, has, _, _ in want)
+    totals = [total for _, _, total, _ in want]
+    assert totals == [sol.total_rate] * len(want)
+    assert sol.leader_channel == totals.index(min(totals)) == 0
+    assert want[0][3] == sol.follower_assignment.tolist()
 
 
 def test_lexicographic_profiles_follow_itertools_order():
@@ -257,11 +191,10 @@ def test_rate_tensor_is_bitwise_beyond_five_users():
                 solution = stackelberg_solve(game, active)
             except RuntimeError:  # no leader action admits a pure NE
                 continue
-            for action in solution.per_action:
-                if action.has_equilibrium:
-                    rates = scalar_rates.rates(model, action.follower_assignment,
-                                               {action.channel}, active)
-                    assert action.total_rate == float(rates.sum())
+            rates = scalar_rates.rates(model, solution.follower_assignment,
+                                       {solution.leader_channel}, active)
+            assert solution.follower_rates.tobytes() == rates.tobytes()
+            assert solution.total_rate == float(rates.sum())
 
 
 @settings(max_examples=60)

@@ -582,6 +582,25 @@ def test_bench_presets_refuses_an_unknown_preset_before_any_run():
     assert "unknown fig5;" in proc.stderr and "fig5-hypergraph" in proc.stderr
 
 
+def test_bench_presets_reports_why_a_child_run_failed(tmp_path):
+    """A parent checkout whose package fails to import stops the timing with
+    the side, the preset and the child's own error, not a traceback of the
+    tool."""
+    package = tmp_path / "src" / "antijam"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        'raise ImportError("this parent cannot be imported")\n')
+    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "bench_presets.py")
+    proc = subprocess.run([sys.executable, tool, "--runs", "1", "--preset",
+                           "fig3-stackelberg", "--parent", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "the parent run of fig3-stackelberg failed" in proc.stderr
+    assert "ImportError: this parent cannot be imported" in proc.stderr
+    assert "CalledProcessError" not in proc.stderr
+
+
 def test_package_exports_only_the_readme_api():
     public = sorted(name for name, value in vars(antijam).items()
                     if not name.startswith("_")

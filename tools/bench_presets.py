@@ -17,7 +17,8 @@ preset and side the µs per unit of every run with their minimum, quartiles
 and median (as perfbench reports its timed runs) and, with --parent, how many
 pairs this checkout ran faster. --override merges a JSON object into every
 timed preset's document, its keys replacing the preset's. Unknown preset
-names exit 2 with the known ones before anything runs.
+names exit 2 with the known ones before anything runs; a run that fails
+exits 1 with its side, its preset and its own stderr.
 """
 
 from __future__ import annotations
@@ -111,8 +112,14 @@ def main(argv=None) -> int:
         for i in range(args.runs):
             order = list(sides) if i % 2 == 0 else list(reversed(sides))
             for side in order:
-                samples[side].append(_us_per_unit(sides[side], name,
-                                                  args.override))
+                try:
+                    samples[side].append(_us_per_unit(sides[side], name,
+                                                      args.override))
+                except subprocess.CalledProcessError as exc:
+                    print(f"bench_presets: the {side} run of {name} failed "
+                          f"(exit {exc.returncode}); its stderr:\n{exc.stderr}",
+                          file=sys.stderr)
+                    return 1
         presets[name] = {side: _summary(values) for side, values in samples.items()}
         if args.parent is not None:
             presets[name]["change_faster_pairs"] = sum(
