@@ -148,12 +148,18 @@ def _deviation_utilities(game: GameSpec, profiles: np.ndarray, jammed_channels,
     return game.rate_model.deviation_rates(profiles, active, jam)
 
 
+def _improves(best, own):
+    """Whether a best deviation strictly improves on a user's own utility,
+    by more than 1e-12: the one test of the NE check and of the dynamics."""
+    return own < best - 1e-12
+
+
 def _nash_rows(game: GameSpec, profiles: np.ndarray, jammed, active):
     """(nash, own): which profiles leave no active user a strictly improving
     deviation, and each user's utility at its own choice, (K, N)."""
     util = _deviation_utilities(game, profiles, jammed, active)
     own = np.take_along_axis(util, profiles[:, :, None], axis=2)[:, :, 0]
-    return (util.max(axis=2) <= own).all(axis=1), own
+    return ~_improves(util.max(axis=2), own).any(axis=1), own
 
 
 def _nash_blocks(game: GameSpec, jammed, active):
@@ -177,7 +183,8 @@ def _nash_blocks(game: GameSpec, jammed, active):
 
 def is_pure_nash(game: GameSpec, choices, jammed_channels=_NO_JAM,
                  active_mask=None) -> bool:
-    """True iff no active user has a strictly improving unilateral deviation."""
+    """True iff no active user has a unilateral deviation that improves its
+    utility by more than 1e-12."""
     choices = _as_choices(choices, game.num_users, game.num_channels)
     active = _as_mask(active_mask, game.num_users)
     nash, _ = _nash_rows(game, choices[None], jammed_channels, active)
@@ -204,7 +211,7 @@ def _respond(game: GameSpec, profiles: np.ndarray, n: int, jammed, active) -> np
     """
     row = _deviation_utilities(game, profiles, jammed, active)[:, n]
     own = row[np.arange(len(profiles)), profiles[:, n]]
-    moved = own < row.max(axis=1) - 1e-12
+    moved = _improves(row.max(axis=1), own)
     profiles[moved, n] = row[moved].argmax(axis=1)
     return moved
 
@@ -258,9 +265,7 @@ def run_best_response(game: GameSpec, start, jammed_channels=_NO_JAM,
 class StackelbergSolution:
     leader_channel: int
     follower_assignment: np.ndarray
-    follower_rates: np.ndarray
     total_rate: float
-    leader_utility: float
 
 
 def stackelberg_solve(game: GameSpec, active_mask=None) -> StackelbergSolution:
@@ -299,10 +304,5 @@ def stackelberg_solve(game: GameSpec, active_mask=None) -> StackelbergSolution:
     if top is None:
         raise RuntimeError(
             "stackelberg_solve: no leader action admits a pure follower equilibrium")
-    return StackelbergSolution(
-        leader_channel=0,
-        follower_assignment=assignment,
-        follower_rates=game.rate_model.rates(assignment, jam, active),
-        total_rate=float(top),
-        leader_utility=-float(top),
-    )
+    return StackelbergSolution(leader_channel=0, follower_assignment=assignment,
+                               total_rate=float(top))

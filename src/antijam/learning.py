@@ -64,51 +64,35 @@ class MixedStrategy:
         return np.minimum(hits, self.probs.shape[-1] - 1)
 
 
-def sla_update(strategy: MixedStrategy, users, chosen, rewards,
+def sla_update(strategy: MixedStrategy, chosen, rewards,
                step_size: float) -> None:
-    """Linear reward-inaction step of each of `users`, in place.
+    """Linear reward-inaction step of every row of the strategy, in place.
 
-    users index the strategy's rows in C order (trial-major in a (T, N, M)
-    strategy), or are None to step every row where it lies, with no gather;
-    chosen and rewards hold one entry per row, in any shape of that size.
-    Row k's chosen entry grows by b*r_k*(1 - P_chosen), every other entry of
-    the row shrinks by b*r_k*P_other; the sum is preserved exactly in exact
-    arithmetic, so no renormalization happens here. A reward of 0.0 leaves a
-    row's bits as they are.
+    chosen and rewards hold one entry per row, in C order (trial-major in a
+    (T, N, M) strategy), in any shape of that size. Row k's chosen entry
+    grows by b*r_k*(1 - P_chosen), every other entry of the row shrinks by
+    b*r_k*P_other; the sum is preserved exactly in exact arithmetic, so no
+    renormalization happens here. A reward of 0.0 leaves a row's bits as
+    they are, so a row that does not learn is stepped with 0.0.
     """
     if not 0.0 < step_size < 1.0:
         raise ConfigError("sla_update: step_size must be in (0, 1)")
-    rows = strategy.probs.reshape(-1, strategy.probs.shape[-1])  # a view, or a copy
+    p = strategy.probs.reshape(-1, strategy.probs.shape[-1])  # a view, or a copy
     r = np.asarray(rewards, dtype=np.float64).reshape(-1)
     c = np.asarray(chosen, dtype=np.int64).reshape(-1)
-    if users is None:
-        if r.size != len(rows) or c.size != len(rows):
-            raise ConfigError("sla_update: need one reward and channel per row")
-        p = rows
-    else:  # a bool is no row index, even in a list of ints
-        index = np.asarray(users)
-        if index.size and (index.dtype.kind not in "iu" or index.min() < 0
-                           or index.max() >= len(rows)) \
-                or not isinstance(users, np.ndarray) and any(
-                    isinstance(u, (bool, np.bool_))
-                    for u in np.asarray(users, dtype=object).flat):
-            raise ConfigError(f"sla_update: users must be row indices in range({len(rows)})")
-        users = index.astype(np.int64, copy=False)
-        r, c, p = r[users], c[users], rows[users]
-    if r.size:
-        if not (r.min() >= 0.0 and r.max() <= 1.0):
-            raise ConfigError("sla_update: reward must lie in [0, 1]")
-        if c.min() < 0 or c.max() >= rows.shape[1]:
-            raise ConfigError("sla_update: chosen channel out of range")
+    if r.size != len(p) or c.size != len(p):
+        raise ConfigError("sla_update: need one reward and channel per row")
+    if not (r.min() >= 0.0 and r.max() <= 1.0):
+        raise ConfigError("sla_update: reward must lie in [0, 1]")
+    if c.min() < 0 or c.max() >= p.shape[1]:
+        raise ConfigError("sla_update: chosen channel out of range")
     scale = step_size * r
     stepped = np.arange(len(p))
     own = p[stepped, c]
     p -= scale[:, None] * p
     p[stepped, c] = own + scale * (1.0 - own)
-    if users is not None:
-        rows[users] = p
-    if not strategy.probs.flags.c_contiguous:  # rows may be a copy: write it back
-        strategy.probs[...] = rows.reshape(strategy.probs.shape)
+    if not strategy.probs.flags.c_contiguous:  # p may be a copy: write it back
+        strategy.probs[...] = p.reshape(strategy.probs.shape)
     _check_simplex(strategy.probs)
 
 
@@ -251,7 +235,7 @@ class AutomataUsers:
         return self.strategy.sample(u)
 
     def learn(self, choices, active, rates, jammed) -> None:
-        sla_update(self.strategy, None, choices,
+        sla_update(self.strategy, choices,
                    np.where(active, self.reward(choices, active, rates, jammed),
                             0.0), self.step_size)
 
@@ -342,8 +326,8 @@ class WindowLeader:
     def act(self, t: int, u) -> np.ndarray:
         """This slot's one-hot (T, M) jam mask. Every slot reads a coin and a
         channel per trial; only a window start uses them."""
-        pick = epsilon_greedy(self.values[:, None], self.epsilon, u)
         if self._slot_in_window == 0:
+            pick = epsilon_greedy(self.values[:, None], self.epsilon, u)
             self.channel = pick[:, 0]
         mask = np.zeros(self.values.shape, dtype=bool)
         mask[self._trials, self.channel] = True

@@ -61,9 +61,10 @@ def ne_bounds(game: GameSpec, jammed_channels=_NO_JAM, active_mask=None,
 
     When the whole profile space fits inside the trial budget, the first
     M^N starts are a shuffled enumeration of every assignment and only the
-    remainder is drawn iid. A pure equilibrium is a fixpoint of the dynamics,
-    so exhaustive starts make the returned bounds exactly the extreme
-    equilibrium rates rather than a sampled estimate of them.
+    remainder is drawn iid. The pure equilibria are exactly the fixpoints of
+    the dynamics (is_pure_nash reads the same strict gain), so exhaustive
+    starts make the returned bounds exactly the extreme equilibrium rates
+    rather than a sampled estimate of them.
 
     Non-potential games can cycle; those trials are dropped and counted in
     num_failed. At least one trial must converge.

@@ -38,7 +38,7 @@ def reference_is_nash(game, choices, jammed, active):
         if not active[n]:
             continue
         row = reference_utility_row(game, n, choices, jammed, active)
-        if row.max() > row[choices[n]]:
+        if row[choices[n]] < row.max() - 1e-12:
             return False
     return True
 

@@ -269,7 +269,7 @@ def test_c8_learning_state_invariants():
     worst_drift = 0.0
     for _ in range(10 ** 5):
         chosen = int(rng.integers(0, 4))
-        sla_update(strategy, one, [chosen], [float(rng.random())], 0.2)
+        sla_update(strategy, [chosen], [float(rng.random())], 0.2)
         probs = strategy.probs[0]
         worst_drift = max(worst_drift, abs(float(probs.sum()) - 1.0))
         assert probs.min() >= -1e-12

@@ -26,12 +26,12 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_loop
 import scalar_interference as scalar
 from antijam.config import LearningParams
 from antijam.hypergraph import InterferenceHypergraph, marginal_interference
 from antijam.learning import (AutomataUsers, MixedStrategy, QUsers, WindowLeader,
-                              interference_reward, observe_jamming, rate_reward,
-                              sla_update)
+                              interference_reward, observe_jamming, rate_reward)
 
 # ---------------------------------------------------------------------------
 # the scalar reference
@@ -471,14 +471,15 @@ def strategy_rows(draw):
 @given(strategy_rows())
 def test_automata_step_every_row_as_the_gathered_step(case):
     """AutomataUsers steps every row, an inactive user's with reward 0.0;
-    that is sla_update of the active rows alone, bit for bit."""
+    that is the reference step of the active rows alone, bit for bit."""
     probs, choices, active, rewards, step_size = case
     users = AutomataUsers(*probs.shape, step_size, lambda *_: rewards)
     users.strategy = MixedStrategy(probs)
-    gathered = MixedStrategy(probs)
+    gathered = probs.reshape(-1, probs.shape[-1]).copy()
     users.learn(choices, active, None, np.zeros(probs.shape[-1], dtype=bool))
-    sla_update(gathered, np.flatnonzero(active), choices, rewards, step_size)
-    assert same_bits(users.strategy.probs, gathered.probs)
+    reference_loop.sla_update(gathered, np.flatnonzero(active),
+                              choices.reshape(-1), rewards.reshape(-1), step_size)
+    assert same_bits(users.strategy.probs, gathered.reshape(probs.shape))
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=5))

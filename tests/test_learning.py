@@ -37,7 +37,7 @@ def strategy(*rows):
 
 def step(s, chosen, reward, step_size):
     """sla_update of a one-row strategy."""
-    sla_update(s, ONE, [chosen], [reward], step_size)
+    sla_update(s, [chosen], [reward], step_size)
     return s
 
 
@@ -73,22 +73,26 @@ def test_sla_update_partial_reward_hand_case():
 
 
 def test_sla_update_steps_only_the_listed_users():
+    # a reward of 0.0 leaves the middle row's bits as they are
     s = strategy([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
-    sla_update(s, [0, 2], [0, 0, 1], [1.0, 1.0, 1.0], 0.1)
+    sla_update(s, [0, 0, 1], [1.0, 0.0, 1.0], 0.1)
     assert np.allclose(s.probs, [[0.55, 0.45], [0.5, 0.5], [0.45, 0.55]])
+    assert s.probs[1].tobytes() == np.full(2, 0.5).tobytes()
 
 
 def test_sla_update_of_every_row_needs_an_entry_per_row():
     s = strategy([0.5, 0.5], [0.5, 0.5])
-    sla_update(s, None, [0, 1], [1.0, 0.0], 0.1)
+    sla_update(s, [0, 1], [1.0, 0.0], 0.1)
     assert np.allclose(s.probs, [[0.55, 0.45], [0.5, 0.5]])
-    # one reward would broadcast over both rows; it is refused instead
-    with pytest.raises(ConfigError, match="per row"):
-        sla_update(s, None, [0, 1], [1.0], 0.1)
+    # one reward would broadcast over both rows; it is refused instead, and
+    # so are too few channels or too many of either
+    for chosen, rewards in (([0, 1], [1.0]), ([0], [1.0, 1.0]),
+                            ([0, 1, 0], [1.0, 1.0, 1.0])):
+        with pytest.raises(ConfigError, match="per row"):
+            sla_update(s, chosen, rewards, 0.1)
 
 
-@pytest.mark.parametrize("users", [None, [1, 2]], ids=["every-row", "indexed"])
-def test_sla_update_steps_a_strategy_that_is_not_contiguous(users):
+def test_sla_update_steps_a_strategy_that_is_not_contiguous():
     """probs reassigned to a transposed array reshape to a copy, not a view;
     the step must land in the strategy all the same, row for row in C
     order, as it does in a contiguous copy of it."""
@@ -96,19 +100,10 @@ def test_sla_update_steps_a_strategy_that_is_not_contiguous(users):
     s.probs = s.probs.transpose(1, 0, 2)
     want = MixedStrategy(np.ascontiguousarray(s.probs))
     s.probs[0, 1] = want.probs[0, 1] = [0.5, 0.25, 0.25]
-    sla_update(s, users, np.zeros(4, int), np.ones(4), 0.5)
-    sla_update(want, users, np.zeros(4, int), np.ones(4), 0.5)
+    sla_update(s, np.zeros(4, int), np.ones(4), 0.5)
+    sla_update(want, np.zeros(4, int), np.ones(4), 0.5)
     assert not np.array_equal(want.probs, np.full((2, 2, 3), 1 / 3))
     assert s.probs.tobytes(order="C") == want.probs.tobytes()
-
-
-@pytest.mark.parametrize("users", [[True, False, False], [-1], [5], [True, 2]],
-                         ids=["bools", "negative", "past-the-end", "bool-among-ints"])
-def test_sla_update_refuses_what_is_no_row_index(users):
-    s = strategy([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
-    with pytest.raises(ConfigError, match="row indices"):
-        sla_update(s, users, [0, 0, 0], [1.0, 1.0, 1.0], 0.1)
-    assert np.array_equal(s.probs, np.full((3, 2), 0.5))
 
 
 def test_sla_update_validation():
@@ -127,13 +122,18 @@ def test_sla_update_validation():
         step(s, 3, 0.5, step_size=0.1)
     with pytest.raises(ConfigError):
         step(s, -1, 0.5, step_size=0.1)
-    # only the stepped users' rewards and channels are read
+    # every row's reward and channel are read, a row with reward 0.0 too
     two = strategy([0.5, 0.5], [0.5, 0.5])
-    sla_update(two, [0], [1, 7], [0.5, 9.0], 0.1)
-    # a row pushed off the simplex is caught after the step
+    with pytest.raises(ConfigError, match="channel"):
+        sla_update(two, [1, 7], [0.5, 0.0], 0.1)
+    with pytest.raises(ConfigError, match="reward"):
+        sla_update(two, [1, 0], [0.5, 9.0], 0.1)
+    assert np.array_equal(two.probs, np.full((2, 2), 0.5))
+    # a row pushed off the simplex is caught after the step, though its
+    # reward of 0.0 leaves it where it is
     two.probs[1] = [0.7, 0.7]
     with pytest.raises(ConfigError, match="sum to 1"):
-        sla_update(two, [0], [0, 0], [0.5, 0.5], 0.1)
+        sla_update(two, [0, 0], [0.5, 0.0], 0.1)
 
 
 def test_simplex_preserved_over_many_updates():

@@ -397,14 +397,15 @@ def test_rates_are_priced_per_slot_only_where_feedback_reads_them(monkeypatch):
             assert priced(fig4, algo, 2) == [(256, 1, n)] * 2 + [(44, 2, n)], algo
 
     # the hierarchical users read every slot's rates, then its greedy
-    # snapshot and the oracle's 7 calls follow, as ever
+    # snapshot and the oracle's 6 calls follow: ne_bounds prices each
+    # distinct equilibrium once, and the leader solve prices none
     calls.clear()
     stackelberg = load_config(small_stackelberg())
     run_scenario(stackelberg)
     n = stackelberg.num_users
     assert calls[:61] == [(1, 2, n)] * 60 + [(2, n)]
     # random users under the 50-slot window: a window, then the block's rest
-    assert calls[61:] == [(50, 2, n), (10, 2, n)] + [(n,)] * 7
+    assert calls[61:] == [(50, 2, n), (10, 2, n)] + [(n,)] * 6
 
     # 12 trials of a window are 600 rows: 5 trials a call
     assert priced(stackelberg, "random", 12) == \
