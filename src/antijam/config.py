@@ -291,6 +291,9 @@ def load_config(document: dict) -> ScenarioConfig:
     name = document.get("name", scenario)
     if not isinstance(name, str) or not name:
         raise ConfigError("name: must be a non-empty string")
+    # the first field of every per_slot.csv and summary.csv row
+    if any(c in name for c in ',"\r\n'):
+        raise ConfigError(f"name: {name!r} holds a comma, quote or line break")
     output_dir = document.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir: must be a string or null")

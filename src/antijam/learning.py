@@ -1,26 +1,32 @@
 """Online channel selection: the users' rules, the adaptive leader, and the
-controller that drives one slot of any algorithm, for a block of trials.
+controller that drives one slot of a block of runs.
 
-Every algorithm is a HierarchicalController(leader, followers): the leader is
-the jammer side (WindowLeader, or jammers.ScriptedJammers), the followers one
-users' rule (AutomataUsers, QUsers, BaselineUsers). Both act at the start of
-a slot and learn strictly after its rates are known. The leader hands the
-slot's jammed channels on as one (T, M) bool mask, which the rate model, the
+A block's rows are (algorithm, trial) pairs, possibly of several
+algorithms. A HierarchicalController drives them all: the leader is the
+jammer side of every row (WindowLeader, or jammers.ScriptedJammers), and
+each users' rule class in the block (AutomataUsers, QUsers, BaselineUsers)
+is one follower that steps every row it serves. Both act at the start of a
+slot and learn strictly after its rates are known. The leader hands the
+slot's jammed channels on as one (R, M) bool mask, which the rate model, the
 reward rules and the users read. What a user remembers of the jammer is the
 channel it last sensed as jammed, or M when it sensed none.
 
-T trials of one algorithm advance together, each with its own state along a
-leading trial axis: the automata's strategies are one (T, N, M) array, the Q
-values one (T, N, M+1, M) array with one sensed state per trial, and the
-window leader's values one (T, M) array. Every rule steps all trials and all
-the users that learn at once, in place. Exploration decays alike in every
-trial and for everyone, so it is one epsilon per rule. Nothing here draws:
-stream layout v2 gives every slot of every trial a fixed row of uniforms, a
-rule reads its `draws` columns of it whatever the state, and
-env.uniform_channels maps them to channels.
+Each rule keeps its rows' state along a leading row axis: the automata's
+strategies are one (R, N, M) array, the Q values one (R, N, M+1, M) array
+with one sensed state per row, and the window leader's values one (R, M)
+array. Where the algorithms a rule serves differ, the difference is per-row
+data (which Q rows claim channels together, which baseline rows sense, each
+automata row's reward rule), never a branch on the algorithm. Every rule
+steps all its rows and all the users that learn at once, in place.
+Exploration decays alike in every row and for everyone, so it is one
+epsilon per rule. Nothing here draws: stream layout v2 gives every slot of
+every row a fixed row of uniforms, a rule reads its `draws` columns of it
+whatever the state, and env.uniform_channels maps them to channels.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -170,10 +176,10 @@ def baseline_action(kind: str, s, num_channels: int, u) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # reward rules: reward(choices, active, rates, jammed) -> one value in [0, 1]
-# per user and trial (only the active users' values are read); jammed is the
+# per user and row (only the active users' values are read); jammed is the
 # jam mask. A rule's reads_rates says whether it reads the slot's rates; one
-# that says it does not is handed None, and one that does not say is handed
-# the rates.
+# that says it does not may be handed None, and one that does not say is
+# handed the rates.
 
 def rate_reward(r_max: float):
     """Each user's rate as a fraction of r_max, clipped to [0, 1]."""
@@ -213,31 +219,54 @@ def interference_reward(hypergraph):
 
 
 # ---------------------------------------------------------------------------
-# followers: select(u) -> (T, N) channels from the (T, draws) uniforms u,
+# followers: select(u) -> (R, N) channels from the (R, draws) uniforms u,
 # learn(choices, active, rates, jammed); rates is None unless reads_rates
 
-class AutomataUsers:
-    """One learning automaton per user and trial; each active user takes a
-    linear reward-inaction step on its reward after every slot. The step
-    runs over every row in place, an inactive user's reward set to 0.0,
-    which leaves its row's bits as they are."""
+def _rows(mask):
+    """The rows where mask holds: a slice when they are contiguous, else
+    their indices; None when there are none."""
+    rows = np.flatnonzero(mask)
+    if not len(rows):
+        return None
+    if rows[-1] - rows[0] + 1 == len(rows):
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
-    def __init__(self, num_trials: int, num_users: int, num_channels: int,
-                 step_size: float, reward):
+
+class AutomataUsers:
+    """One learning automaton per user and row; each active user takes a
+    linear reward-inaction step on its reward after every slot. rewards
+    holds each row's reward rule, and each run of rows holding the same rule
+    is rewarded by one call of it, so a rule that reuses a repeated slot's
+    reward (interference_reward) sees only its own rows. The step runs over
+    every row in place, an inactive user's reward set to 0.0, which leaves
+    its row's bits as they are."""
+
+    def __init__(self, num_users: int, num_channels: int, step_size: float,
+                 rewards):
+        self._ranges = []
+        first = 0
+        for reward, run in itertools.groupby(rewards):
+            count = len(list(run))
+            self._ranges.append((slice(first, first + count), reward))
+            first += count
         self.strategy = MixedStrategy(
-            np.full((num_trials, num_users, num_channels), 1.0 / num_channels))
+            np.full((first, num_users, num_channels), 1.0 / num_channels))
         self.step_size = step_size
-        self.reward = reward
-        self.reads_rates = getattr(reward, "reads_rates", True)
+        self.reads_rates = any(getattr(reward, "reads_rates", True)
+                               for _, reward in self._ranges)
         self.draws = num_users
 
     def select(self, u) -> np.ndarray:
         return self.strategy.sample(u)
 
     def learn(self, choices, active, rates, jammed) -> None:
-        sla_update(self.strategy, choices,
-                   np.where(active, self.reward(choices, active, rates, jammed),
-                            0.0), self.step_size)
+        reward = np.empty(choices.shape)
+        for rows, rule in self._ranges:
+            reward[rows] = rule(choices[rows], active[rows],
+                                None if rates is None else rates[rows], jammed[rows])
+        sla_update(self.strategy, choices, np.where(active, reward, 0.0),
+                   self.step_size)
 
     def greedy(self) -> np.ndarray:
         """Exploration-free choices: each user's most likely channel."""
@@ -246,32 +275,39 @@ class AutomataUsers:
 
 class QUsers:
     """Q values per user over the last sensed jammed channel, where state M
-    stands for nothing sensed yet; users claim channels in index order when
-    collaborative, else pick epsilon-greedily alone. Active users learn;
+    stands for nothing sensed yet. In the rows where collaborative holds,
+    users claim channels in index order; in the others each picks
+    epsilon-greedily alone. Active users learn, all rows in one step;
     everyone's exploration decays every slot."""
 
-    def __init__(self, num_trials: int, num_users: int, num_channels: int,
-                 params, reward, collaborative: bool):
-        self.q = np.zeros((num_trials, num_users, num_channels + 1, num_channels))
+    def __init__(self, num_users: int, num_channels: int, params, reward,
+                 collaborative):
+        collaborative = np.asarray(collaborative, dtype=bool)
+        rows = len(collaborative)
+        self.q = np.zeros((rows, num_users, num_channels + 1, num_channels))
         self.epsilon = params.epsilon_start
         self.params = params
         self.reward = reward
         self.reads_rates = getattr(reward, "reads_rates", True)
-        self.collaborative = collaborative
-        self.state = np.full(num_trials, num_channels)
+        self.state = np.full(rows, num_channels)
         self.draws = 2 * num_users
-        self._trials = np.arange(num_trials)
+        self._every_row = np.arange(rows)
+        self._picks = [(served, pick) for served, pick in (
+            (_rows(collaborative), collaborative_joint_selection),
+            (_rows(~collaborative), epsilon_greedy)) if served is not None]
 
     def select(self, u) -> np.ndarray:
-        pick = collaborative_joint_selection if self.collaborative \
-            else epsilon_greedy
-        return pick(self.q[self._trials, :, self.state], self.epsilon, u)
+        values = self.q[self._every_row, :, self.state]
+        choices = np.empty(values.shape[:-1], dtype=np.int64)
+        for rows, pick in self._picks:
+            choices[rows] = pick(values[rows], self.epsilon, u[rows])
+        return choices
 
     def learn(self, choices, active, rates, jammed) -> None:
         s_next = observe_jamming(jammed)
         t, n, states, m = self.q.shape
         p = self.params
-        # the (T, N) learners' tables as rows of one (T*N, M+1, M) view
+        # the (R, N) learners' tables as rows of one (R*N, M+1, M) view
         q_update(self.q.reshape(t * n, states, m), np.flatnonzero(active),
                  np.repeat(self.state, n), choices.reshape(-1),
                  self.reward(choices, active, rates, jammed).reshape(-1),
@@ -281,19 +317,27 @@ class QUsers:
 
 
 class BaselineUsers:
-    """Non-learning users ("random" or "sensing"): baseline_action for all of
-    them, remembering each trial's last sensed jammed channel."""
+    """Non-learning users, each row's "random" or "sensing" as kinds says:
+    one baseline_action call per kind over its rows, every row remembering
+    its last sensed jammed channel."""
 
-    def __init__(self, kind: str, num_trials: int, num_users: int,
-                 num_channels: int):
-        self.kind = kind
+    def __init__(self, kinds, num_users: int, num_channels: int):
+        kinds = np.asarray(kinds)
+        self._kinds = [(kind, rows) for kind in ("random", "sensing")
+                       if (rows := _rows(kinds == kind)) is not None]
+        if not np.isin(kinds, ("random", "sensing")).all():
+            raise ConfigError(f"BaselineUsers: unknown kinds in {kinds.tolist()}")
         self.num_channels = num_channels
-        self.state = np.full(num_trials, num_channels)
+        self.state = np.full(len(kinds), num_channels)
         self.draws = num_users
         self.reads_rates = False
 
     def select(self, u) -> np.ndarray:
-        return baseline_action(self.kind, self.state, self.num_channels, u)
+        choices = np.empty(u.shape, dtype=np.int64)
+        for kind, rows in self._kinds:
+            choices[rows] = baseline_action(kind, self.state[rows],
+                                            self.num_channels, u[rows])
+        return choices
 
     def learn(self, choices, active, rates, jammed) -> None:
         self.state = observe_jamming(jammed)
@@ -305,10 +349,10 @@ class BaselineUsers:
 class WindowLeader:
     """Window epsilon-greedy jammer: holds one channel for window_slots slots.
 
-    Each trial's leader is a single-state Q learner (discount 0) over an (M,)
+    Each row's leader is a single-state Q learner (discount 0) over an (M,)
     value vector, rewarded with minus the window's mean total rate; the
-    windows are the same slots in every trial, so exploration decays once
-    per window for all of them. `params` is the run's LearningParams
+    windows are the same slots in every row, so exploration decays once per
+    window for all of them. `params` is the run's LearningParams
     (learning_rate, epsilon_start, epsilon_floor, leader_epsilon_decay,
     window_slots).
     """
@@ -324,8 +368,8 @@ class WindowLeader:
         self._window_rate_sum = np.zeros(num_trials)
 
     def act(self, t: int, u) -> np.ndarray:
-        """This slot's one-hot (T, M) jam mask. Every slot reads a coin and a
-        channel per trial; only a window start uses them."""
+        """This slot's one-hot (R, M) jam mask. Every slot reads a coin and a
+        channel per row; only a window start uses them."""
         if self._slot_in_window == 0:
             pick = epsilon_greedy(self.values[:, None], self.epsilon, u)
             self.channel = pick[:, 0]
@@ -340,8 +384,8 @@ class WindowLeader:
 
     def observe(self, choices, active, rates) -> None:
         """Count the slot and learn at the window's end. rates is the slot's
-        (T, N) rates, the (K, T, N) rates of the K slots through this one
-        that it was not handed yet, or None; each trial's total rate of every
+        (R, N) rates, the (K, R, N) rates of the K slots through this one
+        that it was not handed yet, or None; each row's total rate of every
         slot is added in slot order, as one slot at a time would be."""
         if rates is not None:
             for total in np.reshape(rates.sum(axis=-1), (-1, len(self._trials))):
@@ -350,7 +394,7 @@ class WindowLeader:
         p = self.params
         if self._slot_in_window >= p.window_slots:
             reward = -self._window_rate_sum / p.window_slots
-            # each trial's vector is the table of one learner with one state
+            # each row's vector is the table of one learner with one state
             q_update(self.values[:, None], self._trials, 0, self.channel,
                      reward, 0, p.learning_rate, 0.0)
             self.epsilon = max(p.epsilon_floor,
@@ -363,49 +407,59 @@ class WindowLeader:
 
 
 class HierarchicalController:
-    """One slot of the jammer-vs-users game, the same for every algorithm.
+    """One slot of the jammer-vs-users game for a block of rows, the same
+    for every algorithm.
 
     The leader (the jammer side) moves first, then the followers pick their
     channels; at the end of the slot the followers learn and the leader
-    observes. A leader offers act(t, u) -> (T, M) bool mask of the jammed
-    channels and observe(choices, active, rates); followers offer
-    select(u) -> (T, N) channels and learn(choices, active, rates, jammed),
-    where jammed is that mask. Each reads `draws` uniforms per trial and
-    slot, the leader's first.
+    observes. A leader offers act(t, u) -> (R, M) bool mask of the jammed
+    channels and observe(choices, active, rates) over every row; followers
+    is a list of (mask, rule) pairs, the rule serving the rows where its
+    mask holds, each row served by one rule. A rule offers select(u) ->
+    channels and learn(choices, active, rates, jammed) over its rows, where
+    jammed is their part of the mask. The leader reads the first `draws` of
+    each row's uniforms and a row's rule the rule's `draws` after them; the
+    controller's draws is the widest row's.
 
-    The followers' reads_rates says whether they learn from every slot's
-    rates (users rewarded by rate_reward) or from none (baseline users,
-    automata rewarded by interference_reward). The leader's rates_due(t)
-    says whether it learns from the rates after slot t: the window leader at
-    each window's last slot, the scripted jammers never.
+    A rule's reads_rates says whether it learns from every slot's rates
+    (users rewarded by rate_reward) or from none (baseline users, automata
+    rewarded by interference_reward). The leader's rates_due(t) says
+    whether it learns from the rates after slot t: the window leader at each
+    window's last slot, the scripted jammers never.
     """
 
     def __init__(self, leader, followers):
         self.leader = leader
-        self.followers = followers
-        self.draws = leader.draws + followers.draws
+        self.followers = [(_rows(mask), rule) for mask, rule in followers]
+        self.draws = leader.draws + max(rule.draws for _, rule in self.followers)
+        self._reads_rates = any(rule.reads_rates for _, rule in self.followers)
         self._jammed = None
         self._choices = None
 
     def rates_due(self, t: int) -> bool:
-        """Whether the feedback after slot t reads rates: every slot when the
-        followers read them, else the slots the leader names."""
-        return self.followers.reads_rates or self.leader.rates_due(t)
+        """Whether the feedback after slot t reads rates: every slot when a
+        rule reads them, else the slots the leader names."""
+        return self._reads_rates or self.leader.rates_due(t)
 
     def begin_slot(self, t: int, u):
         """This slot's jam mask and every user's channel, read from the
-        slot's (T, draws) uniforms."""
+        slot's (R, draws) uniforms."""
         k = self.leader.draws
         self._jammed = self.leader.act(t, u[:, :k])
-        self._choices = self.followers.select(u[:, k:])
+        picks = [(rows, rule.select(u[rows, k:k + rule.draws]))
+                 for rows, rule in self.followers]
+        self._choices = np.empty((len(u), picks[0][1].shape[-1]), dtype=np.int64)
+        for rows, pick in picks:
+            self._choices[rows] = pick
         return self._jammed, self._choices
 
     def end_slot(self, rates, active) -> None:
         """Feed the slot back: the followers learn, then the leader. rates
-        is None, or the (K, T, N) rates of the K slots through this one
+        is None, or the (K, R, N) rates of the K slots through this one
         that were not handed on yet; it must be given after every slot that
-        rates_due names, and K is 1 whenever the followers read rates."""
-        self.followers.learn(self._choices, active,
-                             rates[-1] if self.followers.reads_rates else None,
-                             self._jammed)
+        rates_due names, and K is 1 whenever a rule reads rates."""
+        for rows, rule in self.followers:
+            rule.learn(self._choices[rows], active[rows],
+                       rates[-1][rows] if rule.reads_rates else None,
+                       self._jammed[rows])
         self.leader.observe(self._choices, active, rates)

@@ -5,28 +5,32 @@ pair gets its own generator derived from SeedSequence((seed, algorithm_index,
 trial_index)), so single trials can be reproduced in isolation and the whole
 run is byte-deterministic.
 
-Every algorithm runs through the one slot loop in simulate_trial, which
-advances a block of up to BLOCK_TRIALS trials together along a leading
-trial axis: a HierarchicalController pairs the jammer side (WindowLeader in
-stackelberg, ScriptedJammers' per-run schedule otherwise) with the users'
-rule. Stream layout v2: each slot of each trial reads a fixed row of
-uniforms whatever the state (the jammer side's, the users', then N for
-activity), so extending `slots` keeps earlier slots. Each trial draws its rows
-from its own generator BLOCK_SLOTS slots at a time, which yields the same
-numbers as one row per slot, so neither block size changes a result; the
-block's per-slot metrics are taken once it has run.
+Every (algorithm, trial) row of a run goes through the one slot loop in
+simulate_trial, which advances a block of up to BLOCK_TRIALS rows together
+along a leading row axis. The rows are taken in run order, algorithm-major
+and then trial, so a block may hold rows of several algorithms. A
+HierarchicalController pairs the jammer side of every row (WindowLeader in
+stackelberg, ScriptedJammers' per-run schedule otherwise) with one users'
+rule per rule class in the block, each stepping all the rows it serves.
+Stream layout v2: each slot of each row reads a fixed row of uniforms
+whatever the state (the jammer side's, its users', then N for activity), so
+extending `slots` keeps earlier slots. Each row draws from its own generator
+BLOCK_SLOTS slots at a time, which yields the same numbers as one row per
+slot, so neither block size nor a block's mix of algorithms changes a
+result; the block's per-slot metrics are taken once it has run.
 
 The rates are priced only where feedback reads them, and at the end of each
-slot block, for its metrics: every slot when the users are rewarded by
-learning.rate_reward, the last slot of each window when the jammer side is
-the window leader. Each pricing covers the slots since the last, for every
-trial, in calls of at most BLOCK_SLOTS (slot, trial) rows. So a rate-learning
-run prices slot by slot, a window leader over other users one window at a
-time, and scripted jammers over users that read no rates (baseline users,
-automata rewarded by learning.interference_reward) one trial's block at a
-time; a call of many rows gives each row the bits of its own one-row call.
-The controller is built per trial block, so the interference reward's reuse
-of a repeated slot (learning.interference_reward) never crosses blocks.
+slot block, for its metrics: every slot when some rows' users are rewarded
+by learning.rate_reward, the last slot of each window when the jammer side
+is the window leader. Each pricing covers the slots since the last, for
+every row, in calls of at most BLOCK_SLOTS (slot, row) rows. So a block
+with rate-learning rows prices slot by slot, a window leader over other
+users one window at a time, and scripted jammers over users that read no
+rates (baseline users, automata rewarded by learning.interference_reward)
+one row's slot block at a time; a call of many rows gives each row the bits
+of its own one-row call. The controller is built per block, so the
+interference reward's reuse of a repeated slot
+(learning.interference_reward) never crosses blocks.
 """
 
 from __future__ import annotations
@@ -50,11 +54,11 @@ METRICS = ("rate_sum", "rate_mean_active", "normalized_capacity", "any_user_jamm
 
 NE_BOUND_TRIALS = 200
 
-# Trials one slot loop advances together; it bounds a block's arrays to this
-# many trials' worth, however many trials a run has.
+# (algorithm, trial) rows one slot loop advances together; it bounds a
+# block's arrays to this many rows' worth, however many a run has.
 BLOCK_TRIALS = 32
 
-# Slots of uniforms each trial draws at a time.
+# Slots of uniforms each row draws at a time.
 BLOCK_SLOTS = 256
 
 SEED_DERIVATION = ("layout v2: per-trial generator: numpy default_rng(SeedSequence("
@@ -111,71 +115,98 @@ def _slot_metrics(choices, jammed, active, rates, r_max: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the slot loop
 
-def _controller(config: ScenarioConfig, algo: str, r_max: float,
-                trials: int) -> HierarchicalController:
-    n, m = config.num_users, config.num_channels
-    lp = config.learning
+# the users' rule class of each algorithm
+_RULES = {"hierarchical": AutomataUsers, "hypergraph_sla": AutomataUsers,
+          "graph_sla": AutomataUsers, "collaborative": QUsers,
+          "independent_q": QUsers, "sensing": BaselineUsers,
+          "random": BaselineUsers}
+
+
+def _controller(config: ScenarioConfig, algos, r_max: float) -> HierarchicalController:
+    """The controller of a block whose row r runs algos[r]: one leader over
+    every row, one follower per rule class in the block."""
+    n, m, lp, hg = config.num_users, config.num_channels, config.learning, \
+        config.hypergraph
     if config.scenario == "stackelberg":
-        leader = WindowLeader(trials, m, lp)
+        leader = WindowLeader(len(algos), m, lp)
     else:
-        leader = ScriptedJammers(config.jammers, trials, m, config.slots)
-    if algo == "hierarchical":
-        users = AutomataUsers(trials, n, m, lp.step_size, rate_reward(r_max))
-    elif algo in ("hypergraph_sla", "graph_sla"):
-        hg = config.hypergraph
-        if algo == "graph_sla":
-            hg = hg.without_weak_edges()
-        users = AutomataUsers(trials, n, m, lp.step_size, interference_reward(hg))
-    elif algo in ("collaborative", "independent_q"):
-        users = QUsers(trials, n, m, lp, rate_reward(r_max),
-                       collaborative=algo == "collaborative")
-    else:
-        users = BaselineUsers(algo, trials, n, m)
-    return HierarchicalController(leader, users)
+        leader = ScriptedJammers(config.jammers, len(algos), m, config.slots)
+    rewards = {"hierarchical": rate_reward(r_max)}
+    if hg is not None:
+        rewards.update(hypergraph_sla=interference_reward(hg),
+                       graph_sla=interference_reward(hg.without_weak_edges()))
+    # each rule class built over its rows, from their algorithms
+    build = {
+        AutomataUsers: lambda served: AutomataUsers(
+            n, m, lp.step_size, [rewards[algo] for algo in served]),
+        QUsers: lambda served: QUsers(
+            n, m, lp, rate_reward(r_max), [algo == "collaborative" for algo in served]),
+        BaselineUsers: lambda served: BaselineUsers(served, n, m),
+    }
+    followers = []
+    for rule, make in build.items():
+        mask = [_RULES[algo] is rule for algo in algos]
+        if any(mask):
+            followers.append((mask, make([a for a, on in zip(algos, mask) if on])))
+    return HierarchicalController(leader, followers)
 
 
-def simulate_trial(config: ScenarioConfig, algo: str, rngs, model: RateModel,
+def simulate_trial(config: ScenarioConfig, algos, rngs, model: RateModel,
                    r_max: float):
-    """A block of seeded trials of one algorithm, one generator each in
-    rngs, advanced together; returns (trials x slots x metrics array,
-    extras dict of per-trial arrays)."""
-    n, m, trials = config.num_users, config.num_channels, len(rngs)
-    ctl = _controller(config, algo, r_max, trials)
-    per_slot = np.empty((trials, config.slots, len(METRICS)))
+    """A block of seeded (algorithm, trial) rows advanced together, row r
+    running algos[r] on the generator rngs[r]; returns (rows x slots x
+    metrics array, one dict of extras per row)."""
+    n, m, rows = config.num_users, config.num_channels, len(rngs)
+    ctl = _controller(config, algos, r_max)
+    draws = np.empty(rows, dtype=np.int64)  # each row's uniforms per slot
+    for served, rule in ctl.followers:
+        draws[served] = ctl.leader.draws + rule.draws
+    per_slot = np.empty((rows, config.slots, len(METRICS)))
     for first in range(0, config.slots, BLOCK_SLOTS):
         size = min(BLOCK_SLOTS, config.slots - first)
-        # (slot, trial, row) uniforms, and what each slot of the block gave
-        u = np.stack([rng.random((size, ctl.draws + n)) for rng in rngs], axis=1)
-        active = u[..., -n:] < config.active_probability
-        choices = np.empty((size, trials, n), dtype=np.int64)
-        jammed = np.empty((size, trials, m), dtype=bool)
-        rates = np.empty((size, trials, n))
+        # (slot, row) uniforms and activity, and what each slot of the block gave
+        u = np.empty((size, rows, ctl.draws))
+        active = np.empty((size, rows, n), dtype=bool)
+        for r, (rng, k) in enumerate(zip(rngs, draws.tolist())):
+            row = rng.random((size, k + n))
+            u[:, r, :k] = row[:, :k]
+            active[:, r] = row[:, k:] < config.active_probability
+        choices = np.empty((size, rows, n), dtype=np.int64)
+        jammed = np.empty((size, rows, m), dtype=bool)
+        rates = np.empty((size, rows, n))
         priced = 0  # the block's slots priced so far
         for k in range(size):
-            jammed[k], choices[k] = ctl.begin_slot(first + k, u[k, :, :-n])
+            jammed[k], choices[k] = ctl.begin_slot(first + k, u[k])
             if not (ctl.rates_due(first + k) or k == size - 1):
                 ctl.end_slot(None, active[k])
                 continue
             # price the slots since the last priced, in calls of at most
-            # BLOCK_SLOTS (slot, trial) rows, so that the (rows, N, M)
+            # BLOCK_SLOTS (slot, row) rows, so that the (rows, N, M)
             # intermediates stay bounded
             span = slice(priced, k + 1)
             step = max(1, BLOCK_SLOTS // (k + 1 - priced))
-            for ti in range(0, trials, step):
-                cut = (span, slice(ti, ti + step))
+            for ri in range(0, rows, step):
+                cut = (span, slice(ri, ri + step))
                 rates[cut] = model.rates(choices[cut], jammed[cut], active[cut])
             ctl.end_slot(rates[span], active[k])
             priced = k + 1
         per_slot[:, first:first + size] = _slot_metrics(
             choices, jammed, active, rates, r_max).swapaxes(0, 1)
-    if algo != "hierarchical":
-        return per_slot, {}
-    # exploration-free snapshot: the leader's greedy channel against each
-    # follower's most likely channel, every user active
-    leader = np.arange(config.num_channels) == ctl.leader.greedy()[:, None]
-    greedy_rates = model.rates(ctl.followers.greedy(), leader,
-                               np.ones((trials, n), dtype=bool))
-    return per_slot, {"converged_greedy_rate": greedy_rates.sum(axis=-1)}
+    extras = [{} for _ in range(rows)]
+    hierarchical = np.flatnonzero([algo == "hierarchical" for algo in algos])
+    if len(hierarchical):
+        # exploration-free snapshot: the leader's greedy channel against each
+        # follower's most likely channel, every user active
+        greedy = np.zeros((rows, n), dtype=np.int64)
+        for served, rule in ctl.followers:
+            if isinstance(rule, AutomataUsers):
+                greedy[served] = rule.greedy()
+        leader = np.arange(m) == ctl.leader.greedy()[hierarchical, None]
+        totals = model.rates(greedy[hierarchical], leader,
+                             np.ones((len(hierarchical), n), dtype=bool)).sum(axis=-1)
+        for r, total in zip(hierarchical, totals):
+            extras[r]["converged_greedy_rate"] = total
+    return per_slot, extras
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +259,30 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     try:
         if slot_file is not None:
             slot_file.write("scenario,algorithm,trial,slot,metric,value\n")
+        # every (algorithm, trial) row in run order, BLOCK_TRIALS at a time
+        runs = [(ai, ti) for ai in range(len(config.algorithms))
+                for ti in range(config.trials)]
+        finals = np.empty((len(config.algorithms), config.trials, len(METRICS)))
+        extras = [{} for _ in config.algorithms]
+        for first in range(0, len(runs), BLOCK_TRIALS):
+            block = runs[first:first + BLOCK_TRIALS]
+            per_slot, block_extras = simulate_trial(
+                config, [config.algorithms[ai] for ai, _ in block],
+                [trial_generator(config.seed, ai, ti) for ai, ti in block],
+                model, r_max)
+            for (ai, ti), trial_slots, row_extras in zip(block, per_slot,
+                                                         block_extras):
+                finals[ai, ti] = [column[-tail:].mean() for column in trial_slots.T]
+                for key, value in row_extras.items():
+                    extras[ai].setdefault(key, []).append(value)
+                if slot_file is not None:
+                    _write_slot_rows(slot_file, f"{config.name},"
+                                     f"{config.algorithms[ai]},{ti}", trial_slots)
         for ai, algo in enumerate(config.algorithms):
-            finals = np.empty((config.trials, len(METRICS)))
-            extras = {}
-            for first in range(0, config.trials, BLOCK_TRIALS):
-                block = range(first, min(first + BLOCK_TRIALS, config.trials))
-                per_slot, block_extras = simulate_trial(
-                    config, algo, [trial_generator(config.seed, ai, ti) for ti in block],
-                    model, r_max)
-                for key, values in block_extras.items():
-                    extras.setdefault(key, []).append(values)
-                for ti, trial_slots in zip(block, per_slot):
-                    finals[ti] = [column[-tail:].mean() for column in trial_slots.T]
-                    if slot_file is not None:
-                        _write_slot_rows(slot_file, f"{config.name},{algo},{ti}",
-                                         trial_slots)
-            per_trial = {f"final10_{name}": finals[:, mi].copy()
+            per_trial = {f"final10_{name}": finals[ai, :, mi].copy()
                          for mi, name in enumerate(METRICS)}
-            for key in sorted(extras):
-                per_trial[key] = np.concatenate(extras[key])
+            for key in sorted(extras[ai]):
+                per_trial[key] = np.array(extras[ai][key])
             trial_values[algo] = per_trial
             for key in per_trial:
                 mean, half = mean_ci(per_trial[key])

@@ -162,6 +162,22 @@ def test_type_and_range_errors(tmp_path):
         assert main(["validate", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("name", ["a,b", "x\ny", "x\ry", 'say "hi"', ","])
+def test_name_that_would_break_the_csv_rows_is_refused(tmp_path, name):
+    """A run's name is the first field of every per_slot.csv and summary.csv
+    row, so a comma, a quote or a line break in it is refused before any
+    output directory exists."""
+    doc = dict(minimal_markov(), name=name)
+    with pytest.raises(ConfigError) as caught:
+        load_config(doc)
+    assert str(caught.value).startswith("name:")
+    path, out = tmp_path / "doc.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_missing_required_keys():
     for key in ("scenario", "num_users", "num_channels"):
         doc = minimal_markov()

@@ -56,7 +56,7 @@ def record_slots(doc):
         return rates
 
     model.rates = recording
-    simulate_trial(config, config.algorithms[0],
+    simulate_trial(config, config.algorithms[:1],
                    [trial_generator(config.seed, 0, 0)], model,
                    max_single_user_rate(model))
     return seen

@@ -30,8 +30,12 @@ import reference_loop
 import scalar_interference as scalar
 from antijam.config import LearningParams
 from antijam.hypergraph import InterferenceHypergraph, marginal_interference
-from antijam.learning import (AutomataUsers, MixedStrategy, QUsers, WindowLeader,
-                              interference_reward, observe_jamming, rate_reward)
+import pytest
+
+from antijam import learning
+from antijam.learning import (AutomataUsers, BaselineUsers, MixedStrategy, QUsers,
+                              WindowLeader, baseline_action, interference_reward,
+                              observe_jamming, rate_reward)
 
 # ---------------------------------------------------------------------------
 # the scalar reference
@@ -309,8 +313,9 @@ def trial_rewards(box, i):
 @given(schedules())
 def test_automata_users_match_the_scalar_reference(s):
     box = {}
-    new = AutomataUsers(s["trials"], s["n"], s["m"], s["params"].step_size,
-                        lambda choices, active, rates, jammed: box["rewards"])
+    new = AutomataUsers(s["n"], s["m"], s["params"].step_size,
+                        [lambda choices, active, rates, jammed: box["rewards"]]
+                        * s["trials"])
     refs = [RefAutomataUsers(s["n"], s["m"], s["params"].step_size,
                              trial_rewards(box, i)) for i in range(s["trials"])]
 
@@ -324,9 +329,9 @@ def test_automata_users_match_the_scalar_reference(s):
 @given(schedules(), st.booleans())
 def test_q_users_match_the_scalar_reference(s, collaborative):
     box = {}
-    new = QUsers(s["trials"], s["n"], s["m"], s["params"],
+    new = QUsers(s["n"], s["m"], s["params"],
                  lambda choices, active, rates, jammed: box["rewards"],
-                 collaborative)
+                 [collaborative] * s["trials"])
     refs = [RefQUsers(s["n"], s["m"], s["params"], trial_rewards(box, i),
                       collaborative) for i in range(s["trials"])]
 
@@ -450,6 +455,131 @@ def test_interference_reward_reuses_only_identical_inputs(hg, m, seed):
             pass
 
 
+# ---------------------------------------------------------------------------
+# merged rules: one rule over the rows of several algorithms equals one rule
+# per row built for that row's algorithm alone
+
+
+def drive_rows(new, alone, s, inputs, compare, slots=25):
+    """Run a rule over a block's rows and one rule per row on the same
+    uniforms and slot inputs, comparing every row's picks on every slot;
+    inputs(env) gives a slot's (active, rates, jammed) of every row, and
+    compare(i) checks row i's state after the slot."""
+    rngs = generators(s)[0]
+    env = np.random.default_rng(s["seed"] + 1)
+    for _ in range(slots):
+        u = slot_row(rngs, new.draws)
+        choices = new.select(u)
+        for i, rule in enumerate(alone):
+            assert np.array_equal(choices[i:i + 1], rule.select(u[i:i + 1]))
+        active, rates, jammed = inputs(env)
+        new.learn(choices, active, rates, jammed)
+        for i, rule in enumerate(alone):
+            rule.learn(choices[i:i + 1], active[i:i + 1], rates[i:i + 1],
+                       jammed[i:i + 1])
+            compare(i)
+
+
+@given(schedules(), st.lists(st.booleans(), min_size=2, max_size=4))
+def test_q_users_with_mixed_rows_equal_each_rows_rule_alone(s, collaborative):
+    """Rows that claim channels together beside rows that pick alone: each
+    row's picks, Q values, sensed state and exploration are those of a
+    QUsers built for that row's algorithm alone, bitwise."""
+    s = dict(s, trials=len(collaborative))
+    box = {}
+    new = QUsers(s["n"], s["m"], s["params"], lambda *_: box["rewards"],
+                 collaborative)
+    alone = [QUsers(s["n"], s["m"], s["params"],
+                    lambda *_, i=i: box["rewards"][i:i + 1], [claims])
+             for i, claims in enumerate(collaborative)]
+
+    def inputs(env):
+        active, rates, box["rewards"], jammed = slot_inputs(
+            env, (s["trials"], s["n"]), s["m"], s["p_active"])
+        return active, rates, jammed
+
+    def compare(i):
+        assert same_bits(new.q[i], alone[i].q[0])
+        assert new.state[i] == alone[i].state[0]
+        assert new.epsilon == alone[i].epsilon
+    drive_rows(new, alone, s, inputs, compare)
+
+
+@given(schedules(), st.lists(st.sampled_from(["random", "sensing"]), min_size=2,
+                             max_size=5))
+def test_baseline_users_with_mixed_kinds_equal_each_rows_rule_alone(s, kinds):
+    """Sensing rows beside random rows: each row's picks and remembered
+    channel are those of a BaselineUsers of that row's kind alone, and its
+    picks are baseline_action's of its own kind."""
+    s = dict(s, trials=len(kinds), m=max(s["m"], 2))
+    new = BaselineUsers(kinds, s["n"], s["m"])
+    alone = [BaselineUsers([kind], s["n"], s["m"]) for kind in kinds]
+
+    def inputs(env):
+        active, rates, _, jammed = slot_inputs(env, (s["trials"], s["n"]),
+                                               s["m"], s["p_active"])
+        return active, rates, jammed
+
+    def compare(i):
+        assert new.state[i] == alone[i].state[0]
+    drive_rows(new, alone, s, inputs, compare)
+    # and after the drive, each row against its own kind's baseline_action
+    u = np.random.default_rng(s["seed"] + 2).random((s["trials"], new.draws))
+    for i, kind in enumerate(kinds):
+        assert np.array_equal(new.select(u)[i], baseline_action(
+            kind, alone[i].state[0], s["m"], u[i]))
+
+
+@given(hypergraphs(), st.integers(1, 3), st.integers(1, 3), st.integers(2, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_automata_reward_ranges_equal_their_rules_alone(hg, rows_a, rows_b, m,
+                                                        seed):
+    """A hypergraph_sla range of rows beside a graph_sla range, each with
+    its own interference reward: each row's picks and strategy are those of
+    an AutomataUsers built for that row's algorithm alone, bitwise, and a
+    range's reward is counted again only when its own rows' inputs change,
+    whatever the other range's do."""
+    n, rows = hg.num_users, rows_a + rows_b
+    graph = hg.without_weak_edges()
+    ranges = ((hg, slice(0, rows_a)), (graph, slice(rows_a, rows)))
+    new = AutomataUsers(n, m, 0.2, [interference_reward(hg)] * rows_a
+                        + [interference_reward(graph)] * rows_b)
+    alone = [AutomataUsers(n, m, 0.2, [interference_reward(
+        hg if i < rows_a else graph)]) for i in range(rows)]
+    env = np.random.default_rng(seed)
+    counted = []
+    count = learning.marginal_interference
+    last = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "marginal_interference",
+                   lambda h, *args: (counted.append(h), count(h, *args))[1])
+        for _ in range(20):
+            u = env.random((rows, n))
+            choices = new.select(u)
+            for i, rule in enumerate(alone):
+                assert np.array_equal(choices[i:i + 1], rule.select(u[i:i + 1]))
+            # few channels, so that fresh inputs repeat too
+            choices = env.integers(0, min(m, 2), size=(rows, n))
+            active = env.random((rows, n)) < 0.7
+            jammed = env.random((rows, m)) < 0.4
+            changed = []
+            for graph_of, rows_of in ranges:
+                if last is not None and env.random() < 0.5:  # repeat the range
+                    for x, was in zip((choices, active, jammed), last):
+                        x[rows_of] = was[rows_of]
+                changed.append(last is None or not all(
+                    np.array_equal(x[rows_of], was[rows_of])
+                    for x, was in zip((choices, active, jammed), last)))
+            counted.clear()
+            new.learn(choices, active, None, jammed)
+            assert [any(h is g for h in counted) for g, _ in ranges] == changed
+            for i, rule in enumerate(alone):
+                rule.learn(choices[i:i + 1], active[i:i + 1], None,
+                           jammed[i:i + 1])
+                assert same_bits(new.strategy.probs[i], rule.strategy.probs[0])
+            last = (choices, active, jammed)
+
+
 @st.composite
 def strategy_rows(draw):
     """A (T, N, M) strategy with exact 0.0 and 1.0 entries among its rows, and
@@ -473,10 +603,11 @@ def test_automata_step_every_row_as_the_gathered_step(case):
     """AutomataUsers steps every row, an inactive user's with reward 0.0;
     that is the reference step of the active rows alone, bit for bit."""
     probs, choices, active, rewards, step_size = case
-    users = AutomataUsers(*probs.shape, step_size, lambda *_: rewards)
+    t, n, m = probs.shape
+    users = AutomataUsers(n, m, step_size, [lambda *_: rewards] * t)
     users.strategy = MixedStrategy(probs)
-    gathered = probs.reshape(-1, probs.shape[-1]).copy()
-    users.learn(choices, active, None, np.zeros(probs.shape[-1], dtype=bool))
+    gathered = probs.reshape(-1, m).copy()
+    users.learn(choices, active, None, np.zeros((t, m), dtype=bool))
     reference_loop.sla_update(gathered, np.flatnonzero(active),
                               choices.reshape(-1), rewards.reshape(-1), step_size)
     assert same_bits(users.strategy.probs, gathered.reshape(probs.shape))

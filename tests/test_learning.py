@@ -323,8 +323,8 @@ def hierarchical(num_users, num_channels, params, r_max):
     automata users."""
     return HierarchicalController(
         WindowLeader(1, num_channels, params),
-        AutomataUsers(1, num_users, num_channels, params.step_size,
-                      rate_reward(r_max)))
+        [([True], AutomataUsers(num_users, num_channels, params.step_size,
+                                [rate_reward(r_max)]))])
 
 
 def hierarchical_step(controller, rate_fn, rng, t=0):
@@ -353,7 +353,7 @@ def test_hierarchical_window_mechanics():
     assert len(set(held[:5])) == 1 and len(set(held[5:])) == 1
     # two windows have elapsed, so the leader's values saw two updates
     assert np.count_nonzero(ctl.leader.values) >= 1
-    total = ctl.followers.strategy.probs.sum()
+    total = ctl.followers[0][1].strategy.probs.sum()
     assert total == pytest.approx(2.0, abs=1e-9)
 
 
@@ -364,7 +364,7 @@ def test_hierarchical_leader_learns_to_hurt():
     params = LearningParams(window_slots=10, step_size=0.01, epsilon_start=0.5,
                             leader_epsilon_decay=0.9)
     ctl = hierarchical(num_users=1, num_channels=2, params=params, r_max=1.0)
-    ctl.followers.strategy.probs[0] = [1.0, 0.0]
+    ctl.followers[0][1].strategy.probs[0] = [1.0, 0.0]
     rng = np.random.default_rng(3)
 
     def rate_fn(choices, jammed):
@@ -376,8 +376,8 @@ def test_hierarchical_leader_learns_to_hurt():
 
 
 def test_greedy_profile_reflects_strategies():
-    users = AutomataUsers(num_trials=2, num_users=2, num_channels=3,
-                          step_size=0.08, reward=rate_reward(1.0))
+    users = AutomataUsers(num_users=2, num_channels=3, step_size=0.08,
+                          rewards=[rate_reward(1.0)] * 2)
     users.strategy.probs[:] = [[[0.1, 0.8, 0.1], [0.0, 0.2, 0.8]],
                                [[0.5, 0.2, 0.3], [0.3, 0.3, 0.4]]]
     assert users.greedy().tolist() == [[1, 2], [0, 2]]
@@ -407,7 +407,7 @@ def test_exploration_decays_every_slot_to_its_floor():
     # stops at the floor
     params = LearningParams(epsilon_start=0.5, epsilon_floor=0.1,
                             epsilon_decay=0.5)
-    users = QUsers(1, 2, 3, params, rate_reward(1.0), collaborative=False)
+    users = QUsers(2, 3, params, rate_reward(1.0), collaborative=[False])
     idle = np.zeros((1, 2), dtype=bool)
     users.learn(np.zeros((1, 2), dtype=np.int64), idle, np.zeros((1, 2)),
                 jam(m=3)[None])

@@ -262,7 +262,7 @@ def drawn_per_slot(config, algo, trials=2):
     its slot count their sum."""
     model = RateModel(config.geometry, config.radio)
     rngs = [RecordingRng(config.seed, ti) for ti in range(trials)]
-    per_slot, _ = simulate_trial(config, algo, rngs, model,
+    per_slot, _ = simulate_trial(config, [algo] * trials, rngs, model,
                                  max_single_user_rate(model))
     drawn = set()
     for rng in rngs:
@@ -356,8 +356,8 @@ def test_controllers_say_whether_their_feedback_reads_rates():
         config = load_config(tiny_markov(scenario=scenario, algorithms=list(algos),
                                          learning={"window_slots": 7}))
         for algo in algos:
-            ctl = runner._controller(config, algo, 1.0, 2)
-            assert ctl.followers.reads_rates == reads[algo]
+            ctl = runner._controller(config, [algo] * 2, 1.0)
+            assert [rule.reads_rates for _, rule in ctl.followers] == [reads[algo]]
             due = [t for t in range(30) if ctl.rates_due(t)]
             if reads[algo]:
                 assert due == list(range(30)), algo
@@ -370,25 +370,32 @@ def test_controllers_say_whether_their_feedback_reads_rates():
 def test_rates_are_priced_per_slot_only_where_feedback_reads_them(monkeypatch):
     """Rates are priced after each slot whose feedback reads them and at the
     end of each slot block, covering the slots since the last pricing, in
-    calls of at most BLOCK_SLOTS (slot, trial) rows: a (1, T, N) call per
-    slot for rate-rewarded users, one (K, T, N) call per window for the
-    window leader's other users, one (K, 1, N) call per trial and block for
+    calls of at most BLOCK_SLOTS (slot, row) rows, a row being an
+    (algorithm, trial) pair: a (1, R, N) call per slot for a block with
+    rate-rewarded users, one (K, R, N) call per window for the window
+    leader's other users, one (K, 1, N) call per row and slot block for
     scripted jammers over users that read no rates."""
     calls = count_rate_calls(monkeypatch)
     fig5 = load_config(dict(get_preset("fig5-hypergraph"), trials=1, slots=300))
     run_scenario(fig5)
     n = fig5.num_users
-    assert calls == [(256, 1, n), (44, 1, n)] * len(fig5.algorithms)
+    # the 44-slot block's three rows are 132 (slot, row) rows: one call
+    assert calls == [(256, 1, n)] * 3 + [(44, 3, n)]
 
     def priced(config, algo, trials):
         calls.clear()
         model = RateModel(config.geometry, config.radio)
-        simulate_trial(config, algo, [trial_generator(1, 0, ti) for ti in range(trials)],
+        simulate_trial(config, [algo] * trials,
+                       [trial_generator(1, 0, ti) for ti in range(trials)],
                        model, max_single_user_rate(model))
         return list(calls)
 
     fig4 = load_config(dict(get_preset("fig4-sweep"), trials=2, slots=300))
     n = fig4.num_users
+    # the Q rows read rates, so the block of all 8 rows is priced per slot
+    calls.clear()
+    run_scenario(fig4)
+    assert calls == [(1, 8, n)] * 300
     for algo in fig4.algorithms:
         if algo in ("collaborative", "independent_q"):
             assert priced(fig4, algo, 2) == [(1, 2, n)] * 300, algo
@@ -396,16 +403,17 @@ def test_rates_are_priced_per_slot_only_where_feedback_reads_them(monkeypatch):
             # the 44-slot block's two trials are 88 rows: one call
             assert priced(fig4, algo, 2) == [(256, 1, n)] * 2 + [(44, 2, n)], algo
 
-    # the hierarchical users read every slot's rates, then its greedy
-    # snapshot and the oracle's 6 calls follow: ne_bounds prices each
-    # distinct equilibrium once, and the leader solve prices none
+    # the hierarchical users read every slot's rates, so the block of both
+    # algorithms' rows is priced per slot; the greedy snapshot of the
+    # hierarchical rows and the oracle's 6 calls follow: ne_bounds prices
+    # each distinct equilibrium once, and the leader solve prices none
     calls.clear()
     stackelberg = load_config(small_stackelberg())
     run_scenario(stackelberg)
     n = stackelberg.num_users
-    assert calls[:61] == [(1, 2, n)] * 60 + [(2, n)]
+    assert calls == [(1, 4, n)] * 60 + [(2, n)] + [(n,)] * 6
     # random users under the 50-slot window: a window, then the block's rest
-    assert calls[61:] == [(50, 2, n), (10, 2, n)] + [(n,)] * 6
+    assert priced(stackelberg, "random", 2) == [(50, 2, n), (10, 2, n)]
 
     # 12 trials of a window are 600 rows: 5 trials a call
     assert priced(stackelberg, "random", 12) == \
@@ -436,7 +444,7 @@ def test_a_repeated_slot_reuses_its_interference_reward(monkeypatch):
         model = RateModel(config.geometry, config.radio)
         r_max = max_single_user_rate(model)
         calls.clear()
-        got, _ = simulate_trial(config, "hypergraph_sla",
+        got, _ = simulate_trial(config, ["hypergraph_sla"],
                                 [trial_generator(config.seed, 0, 0)], model, r_max)
         if p == 1.0:
             assert len(calls) < config.slots
@@ -600,6 +608,40 @@ def test_bench_presets_reports_why_a_child_run_failed(tmp_path):
     assert "the parent run of fig3-stackelberg failed" in proc.stderr
     assert "ImportError: this parent cannot be imported" in proc.stderr
     assert "CalledProcessError" not in proc.stderr
+
+
+PARENT = [10.0, 10.4, 9.8, 10.2, 10.1, 9.9, 10.3, 10.0, 10.2, 9.7]
+
+
+@pytest.mark.parametrize("change,resolved", [
+    ([c - 1.0 for c in PARENT], True),               # 10/10, gap 1.0
+    ([c - 1.0 for c in PARENT[:9]] + [10.5], True),  # 9/10 is enough
+    ([c - 1.0 for c in PARENT[:8]] + [10.5, 10.5], False),  # 8/10 is not
+    ([c - 1.0 for c in PARENT[:9]] + [PARENT[9]], True),    # a tie counts for neither
+    ([c - 0.2 for c in PARENT], False),              # 10/10, gap 0.2 < IQR 0.35
+    ([c + 1.0 for c in PARENT], False),              # slower
+])
+def test_bench_presets_resolves_a_gain_from_canned_samples(tmp_path, monkeypatch,
+                                                           capsys, change, resolved):
+    """With --parent, each preset's `resolved_gain` holds when the change ran
+    faster in at least 9 of 10 alternating pairs and its median is below the
+    parent's by more than the parent's interquartile range."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "bench_presets.py")
+    spec = importlib.util.spec_from_file_location("bench_presets", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    (tmp_path / "src" / "antijam").mkdir(parents=True)
+    samples = {"parent": iter(PARENT), "change": iter(change)}
+    monkeypatch.setattr(tool, "_us_per_unit", lambda checkout, preset, override: next(
+        samples["change" if checkout == tool.ROOT else "parent"]))
+    assert tool.main(["--parent", str(tmp_path), "--runs", "10",
+                      "--preset", "fig5-hypergraph"]) == 0
+    report = json.loads(capsys.readouterr().out)["presets"]["fig5-hypergraph"]
+    assert report["parent"]["us_per_unit"] == PARENT
+    assert report["change"]["us_per_unit"] == [round(c, 3) for c in change]
+    assert report["resolved_gain"] is resolved
+    assert tool.resolved_gain(PARENT[:1], change[:1]) is False
 
 
 def test_package_exports_only_the_readme_api():

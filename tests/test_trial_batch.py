@@ -1,13 +1,15 @@
-"""The trial-batched slot loop against the per-trial reference loop.
+"""The batched slot loop against the per-trial reference loop.
 
-runner.simulate_trial advances a block of trials together; reference_loop
-runs one trial at a time as the library did before the trial axis. Every
-per-slot row of every trial, and every per-trial extra, must be bitwise the
-same, for every algorithm, every jammer list, partial activity and up to 9
-users (numpy adds 9 or more terms in another order than 8 or fewer). A run
-whose trials span several blocks must write the per_slot.csv the reference
-rows give, and a block must equal its trials run alone. Leader games are
-also run long enough for their windows to straddle slot blocks.
+runner.simulate_trial advances a block of (algorithm, trial) rows together;
+reference_loop runs one trial of one algorithm at a time as the library did
+before the trial axis. Every per-slot row of every trial, and every
+per-trial extra, must be bitwise the same, for every algorithm, every jammer
+list, partial activity and up to 9 users (numpy adds 9 or more terms in
+another order than 8 or fewer). Blocks that straddle algorithms, in any
+order of them, must give each row the reference's; a run whose rows span
+several blocks must write the per_slot.csv the reference rows give, and a
+block must equal its trials run alone. Leader games are also run long
+enough for their windows to straddle slot blocks.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loop
-from antijam import load_config
+from antijam import load_config, runner
 from antijam.config import ALGORITHMS
 from antijam.env import max_single_user_rate
 from antijam.games import GameSpec
@@ -72,9 +74,20 @@ def batched(config, trials):
     model = GameSpec("stackelberg", config.geometry, config.radio).rate_model
     r_max = max_single_user_rate(model)
     rngs = [trial_generator(config.seed, 0, ti) for ti in trials]
-    per_slot, extras = simulate_trial(config, config.algorithms[0], rngs,
-                                      model, r_max)
+    per_slot, extras = simulate_trial(config, [config.algorithms[0]] * len(rngs),
+                                      rngs, model, r_max)
     return per_slot, extras, model, r_max
+
+
+def assert_same_rows(per_slot, extras, want, want_extras):
+    """Rows and each row's extras, bitwise."""
+    assert len(per_slot) == len(want) == len(extras) == len(want_extras)
+    for got, ref in zip(per_slot, want):
+        assert got.tobytes() == ref.tobytes()
+    for got, ref in zip(extras, want_extras):
+        assert set(got) == set(ref)
+        for key in got:
+            assert np.float64(got[key]).tobytes() == np.float64(ref[key]).tobytes()
 
 
 @settings(max_examples=60)
@@ -84,12 +97,7 @@ def test_batched_rows_equal_the_reference(doc, num_trials):
     per_slot, extras, model, r_max = batched(config, range(num_trials))
     assert per_slot.shape == (num_trials, config.slots, len(METRICS))
     want, want_extras = reference_trials(config, 0, range(num_trials), model, r_max)
-    for got, ref in zip(per_slot, want):
-        assert got.tobytes() == ref.tobytes()
-    for key in extras:
-        assert extras[key].tobytes() == np.array(
-            [e[key] for e in want_extras]).tobytes()
-    assert set(extras) == set(want_extras[0])
+    assert_same_rows(per_slot, extras, want, want_extras)
 
 
 @settings(max_examples=20)
@@ -99,9 +107,7 @@ def test_a_block_equals_its_trials_run_alone(doc, num_trials):
     block, extras, _, _ = batched(config, range(num_trials))
     for ti in range(num_trials):
         alone, alone_extras, _, _ = batched(config, [ti])
-        assert block[ti].tobytes() == alone[0].tobytes()
-        for key in extras:
-            assert extras[key][ti] == alone_extras[key][0]
+        assert_same_rows(block[ti:ti + 1], extras[ti:ti + 1], alone, alone_extras)
 
 
 @pytest.mark.parametrize("p", [1.0, 0.6])
@@ -117,11 +123,7 @@ def test_leader_windows_across_slot_blocks_equal_the_reference(algo, window, p):
         "algorithms": [algo], "learning": {"window_slots": window}})
     per_slot, extras, model, r_max = batched(config, range(3))
     want, want_extras = reference_trials(config, 0, range(3), model, r_max)
-    for got, ref in zip(per_slot, want):
-        assert got.tobytes() == ref.tobytes()
-    for key in extras:
-        assert extras[key].tobytes() == np.array(
-            [e[key] for e in want_extras]).tobytes()
+    assert_same_rows(per_slot, extras, want, want_extras)
 
 
 def reference_csv(config):
@@ -146,4 +148,54 @@ def test_runs_past_the_block_cap_write_the_reference_rows(tmp_path_factory, doc)
     config = load_config(doc)
     out = tmp_path_factory.mktemp("run")
     run_scenario(config, out_dir=str(out))
+    assert (out / "per_slot.csv").read_bytes() == reference_csv(config)
+
+
+@st.composite
+def mixed_runs(draw):
+    """A short run of every algorithm of a scenario, in any order, so that
+    a users' rule class may serve rows that are not contiguous."""
+    doc = draw(documents())
+    algos = draw(st.permutations(ALGORITHMS[doc["scenario"]]))
+    return dict(doc, algorithms=list(algos), slots=min(doc["slots"], 16),
+                trials=draw(st.integers(1, 3)))
+
+
+@settings(max_examples=40)
+@given(mixed_runs())
+def test_blocks_that_straddle_algorithms_equal_the_reference(doc):
+    """Rows in run order (algorithm-major, then trial), BLOCK_TRIALS = 3 at
+    a time, so a block may hold rows of two or three algorithms: each row
+    and each row's extras (the hierarchical rows' converged_greedy_rate
+    only) are the per-trial reference loop's, bitwise."""
+    config = load_config(doc)
+    model = GameSpec("stackelberg", config.geometry, config.radio).rate_model
+    r_max = max_single_user_rate(model)
+    runs = [(ai, ti) for ai in range(len(config.algorithms))
+            for ti in range(config.trials)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "BLOCK_TRIALS", 3)
+        for first in range(0, len(runs), runner.BLOCK_TRIALS):
+            block = runs[first:first + runner.BLOCK_TRIALS]
+            per_slot, extras = simulate_trial(
+                config, [config.algorithms[ai] for ai, _ in block],
+                [trial_generator(config.seed, ai, ti) for ai, ti in block],
+                model, r_max)
+            want = [reference_trials(config, ai, [ti], model, r_max)
+                    for ai, ti in block]
+            assert_same_rows(per_slot, extras, [w[0][0] for w in want],
+                             [w[1][0] for w in want])
+
+
+@settings(max_examples=8)
+@given(mixed_runs())
+def test_runs_whose_blocks_straddle_algorithms_write_the_reference_rows(
+        tmp_path_factory, doc):
+    """run_scenario with BLOCK_TRIALS = 3 writes per_slot.csv in
+    algorithm-major order, the reference rows' bytes."""
+    config = load_config(doc)
+    out = tmp_path_factory.mktemp("run")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "BLOCK_TRIALS", 3)
+        run_scenario(config, out_dir=str(out))
     assert (out / "per_slot.csv").read_bytes() == reference_csv(config)

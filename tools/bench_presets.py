@@ -15,7 +15,10 @@ first in odd pairs and second in even ones, so that both sides see the same
 spells of host load. Prints one JSON object: the host context, then per
 preset and side the µs per unit of every run with their minimum, quartiles
 and median (as perfbench reports its timed runs) and, with --parent, how many
-pairs this checkout ran faster. --override merges a JSON object into every
+pairs this checkout ran faster and whether that resolves a gain
+(`resolved_gain`): faster in at least 9 of 10 pairs, ties counting for
+neither, and a median gap larger than the parent runs' interquartile range.
+--override merges a JSON object into every
 timed preset's document, its keys replacing the preset's. Unknown preset
 names exit 2 with the known ones before anything runs; a run that fails
 exits 1 with its side, its preset and its own stderr.
@@ -91,6 +94,19 @@ def _summary(values) -> dict:
     return out
 
 
+def resolved_gain(parent, change) -> bool:
+    """Whether the change's samples (lower is better) resolve a gain over
+    the parent's, pair by pair: faster in at least 9 of 10 pairs, and the
+    medians apart by more than the distance between the parent's quartiles.
+    Fewer than two pairs have no quartiles, and resolve nothing."""
+    if len(parent) < 2:
+        return False
+    faster = sum(c < p for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    return (10 * faster >= 9 * len(parent)
+            and statistics.median(parent) - statistics.median(change) > q3 - q1)
+
+
 def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     args = _parse_args(argv)
@@ -124,6 +140,8 @@ def main(argv=None) -> int:
         if args.parent is not None:
             presets[name]["change_faster_pairs"] = sum(
                 c < p for p, c in zip(samples["parent"], samples["change"]))
+            presets[name]["resolved_gain"] = resolved_gain(samples["parent"],
+                                                           samples["change"])
     host["loadavg_after"] = list(os.getloadavg())
     print(json.dumps({"host": host, "presets": presets}, indent=2))
     return 0
