@@ -212,6 +212,24 @@ def simulate_trial(config: ScenarioConfig, algos, rngs, model: RateModel,
 # ---------------------------------------------------------------------------
 # full runs
 
+def _blocks(num_algorithms: int, trials: int) -> list:
+    """The run's (algorithm, trial) rows in run order, algorithm-major, cut
+    into blocks of at most BLOCK_TRIALS rows. An algorithm whose rows do not
+    fit in the current block starts a new one, so only an algorithm of more
+    than BLOCK_TRIALS trials is split: a split algorithm pays its rule's
+    per-slot calls in each of its blocks, which costs more than sharing a
+    block saves."""
+    blocks = [[]]
+    for ai in range(num_algorithms):
+        if len(blocks[-1]) + trials > BLOCK_TRIALS:
+            blocks.append([])
+        for ti in range(trials):
+            if len(blocks[-1]) == BLOCK_TRIALS:
+                blocks.append([])
+            blocks[-1].append((ai, ti))
+    return [block for block in blocks if block]
+
+
 def _oracle_values(config: ScenarioConfig, game: GameSpec) -> dict:
     if config.scenario != "stackelberg":
         return {}
@@ -259,13 +277,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     try:
         if slot_file is not None:
             slot_file.write("scenario,algorithm,trial,slot,metric,value\n")
-        # every (algorithm, trial) row in run order, BLOCK_TRIALS at a time
-        runs = [(ai, ti) for ai in range(len(config.algorithms))
-                for ti in range(config.trials)]
         finals = np.empty((len(config.algorithms), config.trials, len(METRICS)))
         extras = [{} for _ in config.algorithms]
-        for first in range(0, len(runs), BLOCK_TRIALS):
-            block = runs[first:first + BLOCK_TRIALS]
+        for block in _blocks(len(config.algorithms), config.trials):
             per_slot, block_extras = simulate_trial(
                 config, [config.algorithms[ai] for ai, _ in block],
                 [trial_generator(config.seed, ai, ti) for ai, ti in block],

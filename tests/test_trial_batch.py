@@ -152,47 +152,67 @@ def test_runs_past_the_block_cap_write_the_reference_rows(tmp_path_factory, doc)
 
 
 @st.composite
-def mixed_runs(draw):
+def mixed_runs(draw, trials=(1, 3)):
     """A short run of every algorithm of a scenario, in any order, so that
     a users' rule class may serve rows that are not contiguous."""
     doc = draw(documents())
     algos = draw(st.permutations(ALGORITHMS[doc["scenario"]]))
     return dict(doc, algorithms=list(algos), slots=min(doc["slots"], 16),
-                trials=draw(st.integers(1, 3)))
+                trials=draw(st.integers(*trials)))
 
 
 @settings(max_examples=40)
 @given(mixed_runs())
 def test_blocks_that_straddle_algorithms_equal_the_reference(doc):
-    """Rows in run order (algorithm-major, then trial), BLOCK_TRIALS = 3 at
-    a time, so a block may hold rows of two or three algorithms: each row
-    and each row's extras (the hierarchical rows' converged_greedy_rate
+    """Rows in run order (algorithm-major, then trial), 3 at a time, so a
+    block may hold rows of two or three algorithms and split an algorithm:
+    each row and each row's extras (the hierarchical rows' converged_greedy_rate
     only) are the per-trial reference loop's, bitwise."""
     config = load_config(doc)
     model = GameSpec("stackelberg", config.geometry, config.radio).rate_model
     r_max = max_single_user_rate(model)
     runs = [(ai, ti) for ai in range(len(config.algorithms))
             for ti in range(config.trials)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runner, "BLOCK_TRIALS", 3)
-        for first in range(0, len(runs), runner.BLOCK_TRIALS):
-            block = runs[first:first + runner.BLOCK_TRIALS]
-            per_slot, extras = simulate_trial(
-                config, [config.algorithms[ai] for ai, _ in block],
-                [trial_generator(config.seed, ai, ti) for ai, ti in block],
-                model, r_max)
-            want = [reference_trials(config, ai, [ti], model, r_max)
-                    for ai, ti in block]
-            assert_same_rows(per_slot, extras, [w[0][0] for w in want],
-                             [w[1][0] for w in want])
+    for first in range(0, len(runs), 3):
+        block = runs[first:first + 3]
+        per_slot, extras = simulate_trial(
+            config, [config.algorithms[ai] for ai, _ in block],
+            [trial_generator(config.seed, ai, ti) for ai, ti in block],
+            model, r_max)
+        want = [reference_trials(config, ai, [ti], model, r_max)
+                for ai, ti in block]
+        assert_same_rows(per_slot, extras, [w[0][0] for w in want],
+                         [w[1][0] for w in want])
+
+
+def test_blocks_are_cut_between_algorithms_where_they_fit(monkeypatch):
+    """Rows in run order, at most BLOCK_TRIALS a block; an algorithm that
+    does not fit in the current block starts the next, and only one of more
+    than BLOCK_TRIALS trials is split."""
+    def shapes(algorithms, trials):
+        return [[(ai, sum(1 for a, _ in block if a == ai))
+                 for ai in dict.fromkeys(a for a, _ in block)]
+                for block in runner._blocks(algorithms, trials)]
+    for algorithms, trials in ((3, 1), (4, 2), (2, 50), (4, 20), (1, 70)):
+        rows = [row for block in runner._blocks(algorithms, trials) for row in block]
+        assert rows == [(ai, ti) for ai in range(algorithms) for ti in range(trials)]
+    assert shapes(4, 2) == [[(0, 2), (1, 2), (2, 2), (3, 2)]]
+    assert shapes(4, 20) == [[(0, 20)], [(1, 20)], [(2, 20)], [(3, 20)]]
+    assert shapes(2, 50) == [[(0, 32)], [(0, 18)], [(1, 32)], [(1, 18)]]
+    assert shapes(3, 10) == [[(0, 10), (1, 10), (2, 10)]]
+    assert shapes(3, 11) == [[(0, 11), (1, 11)], [(2, 11)]]
+    monkeypatch.setattr(runner, "BLOCK_TRIALS", 3)
+    assert shapes(3, 1) == [[(0, 1), (1, 1), (2, 1)]]
+    assert shapes(2, 4) == [[(0, 3)], [(0, 1)], [(1, 3)], [(1, 1)]]
 
 
 @settings(max_examples=8)
-@given(mixed_runs())
+@given(mixed_runs(trials=(1, 2)))
 def test_runs_whose_blocks_straddle_algorithms_write_the_reference_rows(
         tmp_path_factory, doc):
-    """run_scenario with BLOCK_TRIALS = 3 writes per_slot.csv in
-    algorithm-major order, the reference rows' bytes."""
+    """run_scenario with BLOCK_TRIALS = 3 puts up to three algorithms of
+    one trial in a block, and writes per_slot.csv in algorithm-major order,
+    the reference rows' bytes."""
     config = load_config(doc)
     out = tmp_path_factory.mktemp("run")
     with pytest.MonkeyPatch.context() as mp:
