@@ -8,7 +8,8 @@ run is byte-deterministic.
 Every (algorithm, trial) row of a run goes through the one slot loop in
 simulate_trial, which advances a block of up to BLOCK_TRIALS rows together
 along a leading row axis. The rows are taken in run order, algorithm-major
-and then trial, so a block may hold rows of several algorithms. A
+and then trial, so a block may hold rows of several algorithms; an
+algorithm that does not fit in the current block starts the next (_blocks). A
 HierarchicalController pairs the jammer side of every row (WindowLeader in
 stackelberg, ScriptedJammers' per-run schedule otherwise) with one users'
 rule per rule class in the block, each stepping all the rows it serves.
