@@ -261,10 +261,14 @@ class AutomataUsers:
         return self.strategy.sample(u)
 
     def learn(self, choices, active, rates, jammed) -> None:
-        reward = np.empty(choices.shape)
-        for rows, rule in self._ranges:
-            reward[rows] = rule(choices[rows], active[rows],
-                                None if rates is None else rates[rows], jammed[rows])
+        if len(self._ranges) == 1:  # one rule rewards every row
+            reward = self._ranges[0][1](choices, active, rates, jammed)
+        else:
+            reward = np.empty(choices.shape)
+            for rows, rule in self._ranges:
+                reward[rows] = rule(choices[rows], active[rows],
+                                    None if rates is None else rates[rows],
+                                    jammed[rows])
         sla_update(self.strategy, choices, np.where(active, reward, 0.0),
                    self.step_size)
 
@@ -333,6 +337,9 @@ class BaselineUsers:
         self.reads_rates = False
 
     def select(self, u) -> np.ndarray:
+        if len(self._kinds) == 1:  # one kind picks for every row
+            return baseline_action(self._kinds[0][0], self.state,
+                                   self.num_channels, u)
         choices = np.empty(u.shape, dtype=np.int64)
         for kind, rows in self._kinds:
             choices[rows] = baseline_action(kind, self.state[rows],
@@ -368,14 +375,16 @@ class WindowLeader:
         self._window_rate_sum = np.zeros(num_trials)
 
     def act(self, t: int, u) -> np.ndarray:
-        """This slot's one-hot (R, M) jam mask. Every slot reads a coin and a
-        channel per row; only a window start uses them."""
+        """This slot's one-hot (R, M) jam mask, read-only and held for the
+        window. Every slot reads a coin and a channel per row; only a window
+        start uses them."""
         if self._slot_in_window == 0:
             pick = epsilon_greedy(self.values[:, None], self.epsilon, u)
             self.channel = pick[:, 0]
-        mask = np.zeros(self.values.shape, dtype=bool)
-        mask[self._trials, self.channel] = True
-        return mask
+            self._mask = np.zeros(self.values.shape, dtype=bool)
+            self._mask[self._trials, self.channel] = True
+            self._mask.flags.writeable = False
+        return self._mask
 
     def rates_due(self, t: int) -> bool:
         """Whether it learns from the rates after slot t: at the last slot of
