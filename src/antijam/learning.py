@@ -302,6 +302,8 @@ class QUsers:
 
     def select(self, u) -> np.ndarray:
         values = self.q[self._every_row, :, self.state]
+        if len(self._picks) == 1:  # one pick serves every row
+            return self._picks[0][1](values, self.epsilon, u)
         choices = np.empty(values.shape[:-1], dtype=np.int64)
         for rows, pick in self._picks:
             choices[rows] = pick(values[rows], self.epsilon, u[rows])
@@ -457,9 +459,13 @@ class HierarchicalController:
         self._jammed = self.leader.act(t, u[:, :k])
         picks = [(rows, rule.select(u[rows, k:k + rule.draws]))
                  for rows, rule in self.followers]
-        self._choices = np.empty((len(u), picks[0][1].shape[-1]), dtype=np.int64)
-        for rows, pick in picks:
-            self._choices[rows] = pick
+        if len(picks) == 1:  # one rule serves every row
+            self._choices = picks[0][1]
+        else:
+            self._choices = np.empty((len(u), picks[0][1].shape[-1]),
+                                     dtype=np.int64)
+            for rows, pick in picks:
+                self._choices[rows] = pick
         return self._jammed, self._choices
 
     def end_slot(self, rates, active) -> None:
