@@ -261,14 +261,11 @@ class AutomataUsers:
         return self.strategy.sample(u)
 
     def learn(self, choices, active, rates, jammed) -> None:
-        if len(self._ranges) == 1:  # one rule rewards every row
-            reward = self._ranges[0][1](choices, active, rates, jammed)
-        else:
-            reward = np.empty(choices.shape)
-            for rows, rule in self._ranges:
-                reward[rows] = rule(choices[rows], active[rows],
-                                    None if rates is None else rates[rows],
-                                    jammed[rows])
+        reward = np.empty(choices.shape)
+        for rows, rule in self._ranges:
+            reward[rows] = rule(choices[rows], active[rows],
+                                None if rates is None else rates[rows],
+                                jammed[rows])
         sla_update(self.strategy, choices, np.where(active, reward, 0.0),
                    self.step_size)
 
@@ -302,8 +299,6 @@ class QUsers:
 
     def select(self, u) -> np.ndarray:
         values = self.q[self._every_row, :, self.state]
-        if len(self._picks) == 1:  # one pick serves every row
-            return self._picks[0][1](values, self.epsilon, u)
         choices = np.empty(values.shape[:-1], dtype=np.int64)
         for rows, pick in self._picks:
             choices[rows] = pick(values[rows], self.epsilon, u[rows])
@@ -339,9 +334,6 @@ class BaselineUsers:
         self.reads_rates = False
 
     def select(self, u) -> np.ndarray:
-        if len(self._kinds) == 1:  # one kind picks for every row
-            return baseline_action(self._kinds[0][0], self.state,
-                                   self.num_channels, u)
         choices = np.empty(u.shape, dtype=np.int64)
         for kind, rows in self._kinds:
             choices[rows] = baseline_action(kind, self.state[rows],
@@ -429,8 +421,9 @@ class HierarchicalController:
     mask holds, each row served by one rule. A rule offers select(u) ->
     channels and learn(choices, active, rates, jammed) over its rows, where
     jammed is their part of the mask. The leader reads the first `draws` of
-    each row's uniforms and a row's rule the rule's `draws` after them; the
-    controller's draws is the widest row's.
+    each row's uniforms and a row's rule the rule's `draws` after them;
+    row_draws holds each row's count, and the controller's draws is the
+    widest row's.
 
     A rule's reads_rates says whether it learns from every slot's rates
     (users rewarded by rate_reward) or from none (baseline users, automata
@@ -442,7 +435,10 @@ class HierarchicalController:
     def __init__(self, leader, followers):
         self.leader = leader
         self.followers = [(_rows(mask), rule) for mask, rule in followers]
-        self.draws = leader.draws + max(rule.draws for _, rule in self.followers)
+        self.row_draws = np.empty(len(followers[0][0]), dtype=np.int64)
+        for rows, rule in self.followers:
+            self.row_draws[rows] = leader.draws + rule.draws
+        self.draws = int(self.row_draws.max())
         self._reads_rates = any(rule.reads_rates for _, rule in self.followers)
         self._jammed = None
         self._choices = None
@@ -459,13 +455,9 @@ class HierarchicalController:
         self._jammed = self.leader.act(t, u[:, :k])
         picks = [(rows, rule.select(u[rows, k:k + rule.draws]))
                  for rows, rule in self.followers]
-        if len(picks) == 1:  # one rule serves every row
-            self._choices = picks[0][1]
-        else:
-            self._choices = np.empty((len(u), picks[0][1].shape[-1]),
-                                     dtype=np.int64)
-            for rows, pick in picks:
-                self._choices[rows] = pick
+        self._choices = np.empty((len(u), picks[0][1].shape[-1]), dtype=np.int64)
+        for rows, pick in picks:
+            self._choices[rows] = pick
         return self._jammed, self._choices
 
     def end_slot(self, rates, active) -> None:

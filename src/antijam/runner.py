@@ -159,16 +159,13 @@ def simulate_trial(config: ScenarioConfig, algos, rngs, model: RateModel,
     metrics array, one dict of extras per row)."""
     n, m, rows = config.num_users, config.num_channels, len(rngs)
     ctl = _controller(config, algos, r_max)
-    draws = np.empty(rows, dtype=np.int64)  # each row's uniforms per slot
-    for served, rule in ctl.followers:
-        draws[served] = ctl.leader.draws + rule.draws
     per_slot = np.empty((rows, config.slots, len(METRICS)))
     for first in range(0, config.slots, BLOCK_SLOTS):
         size = min(BLOCK_SLOTS, config.slots - first)
         # (slot, row) uniforms and activity, and what each slot of the block gave
         u = np.empty((size, rows, ctl.draws))
         active = np.empty((size, rows, n), dtype=bool)
-        for r, (rng, k) in enumerate(zip(rngs, draws.tolist())):
+        for r, (rng, k) in enumerate(zip(rngs, ctl.row_draws.tolist())):
             row = rng.random((size, k + n))
             u[:, r, :k] = row[:, :k]
             active[:, r] = row[:, k:] < config.active_probability
