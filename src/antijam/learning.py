@@ -418,7 +418,7 @@ class HierarchicalController:
     observes. A leader offers act(t, u) -> (R, M) bool mask of the jammed
     channels and observe(choices, active, rates) over every row; followers
     is a list of (mask, rule) pairs, the rule serving the rows where its
-    mask holds, each row served by one rule. A rule offers select(u) ->
+    mask holds, each row served by exactly one rule. A rule offers select(u) ->
     channels and learn(choices, active, rates, jammed) over its rows, where
     jammed is their part of the mask. The leader reads the first `draws` of
     each row's uniforms and a row's rule the rule's `draws` after them;
@@ -434,6 +434,11 @@ class HierarchicalController:
 
     def __init__(self, leader, followers):
         self.leader = leader
+        served = np.sum([np.asarray(mask, dtype=bool) for mask, _ in followers],
+                        axis=0)
+        if not (served == 1).all():
+            raise ConfigError("HierarchicalController: each row needs exactly "
+                              "one rule")
         self.followers = [(_rows(mask), rule) for mask, rule in followers]
         self.row_draws = np.empty(len(followers[0][0]), dtype=np.int64)
         for rows, rule in self.followers:

@@ -10,7 +10,8 @@ import pytest
 
 from antijam.config import LearningParams
 from antijam.errors import ConfigError
-from antijam.learning import (AutomataUsers, HierarchicalController,
+from antijam.learning import (AutomataUsers, BaselineUsers,
+                              HierarchicalController,
                               MixedStrategy, QUsers, WindowLeader,
                               baseline_action, collaborative_joint_selection,
                               epsilon_greedy, observe_jamming, q_update,
@@ -373,6 +374,15 @@ def test_hierarchical_leader_learns_to_hurt():
     for t in range(600):
         hierarchical_step(ctl, rate_fn, rng, t)
     assert ctl.leader.greedy()[0] == 0
+
+
+@pytest.mark.parametrize("masks", [[[True, False]], [[True, True], [False, True]]])
+def test_controller_refuses_rows_served_by_no_rule_or_two(masks):
+    params = LearningParams()
+    with pytest.raises(ConfigError):
+        HierarchicalController(WindowLeader(2, 3, params),
+                               [(mask, BaselineUsers(["random"] * sum(mask), 2, 3))
+                                for mask in masks])
 
 
 def test_greedy_profile_reflects_strategies():
