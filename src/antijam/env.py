@@ -145,7 +145,7 @@ def _at_own_channel(values, choices) -> np.ndarray:
     return rows[np.arange(len(rows)), choices.reshape(-1)].reshape(choices.shape)
 
 
-def uniform_channels(u, num_channels: int):
+def uniform_channels(u, num_channels):
     """The channel each uniform u in [0, 1) picks: min(int(u*M), M-1)."""
     return np.minimum((np.asarray(u) * num_channels).astype(np.int64), num_channels - 1)
 

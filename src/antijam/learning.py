@@ -169,9 +169,9 @@ def baseline_action(kind: str, s, num_channels: int, u) -> np.ndarray:
     if kind == "random" or num_channels == 1:
         return uniform_channels(u, num_channels)
     s = np.asarray(s)[..., None]
-    pick = uniform_channels(u, num_channels - 1)
-    return np.where(s == num_channels, uniform_channels(u, num_channels),
-                    pick + (pick >= s))
+    pick = uniform_channels(u, np.where(s == num_channels, num_channels,
+                                        num_channels - 1))
+    return pick + (pick >= s)
 
 
 # ---------------------------------------------------------------------------

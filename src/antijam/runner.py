@@ -6,10 +6,9 @@ trial_index)), so single trials can be reproduced in isolation and the whole
 run is byte-deterministic.
 
 Every (algorithm, trial) row of a run goes through the one slot loop in
-simulate_trial, which advances a block of up to BLOCK_TRIALS rows together
-along a leading row axis. The rows are taken in run order, algorithm-major
-and then trial, so a block may hold rows of several algorithms; an
-algorithm that does not fit in the current block starts the next (_blocks). A
+simulate_trial, which advances a block of rows together along a leading row
+axis. The rows are taken in run order, algorithm-major and then trial, and a
+run is one block unless their arrays pass BLOCK_BYTES (_blocks). A
 HierarchicalController pairs the jammer side of every row (WindowLeader in
 stackelberg, ScriptedJammers' per-run schedule otherwise) with one users'
 rule per rule class in the block, each stepping all the rows it serves.
@@ -55,9 +54,8 @@ METRICS = ("rate_sum", "rate_mean_active", "normalized_capacity", "any_user_jamm
 
 NE_BOUND_TRIALS = 200
 
-# (algorithm, trial) rows one slot loop advances together; it bounds a
-# block's arrays to this many rows' worth, however many a run has.
-BLOCK_TRIALS = 32
+# Bytes of arrays one slot loop's block of rows may hold (_row_bytes each).
+BLOCK_BYTES = 1 << 26
 
 # Slots of uniforms each row draws at a time.
 BLOCK_SLOTS = 256
@@ -210,22 +208,23 @@ def simulate_trial(config: ScenarioConfig, algos, rngs, model: RateModel,
 # ---------------------------------------------------------------------------
 # full runs
 
-def _blocks(num_algorithms: int, trials: int) -> list:
+def _row_bytes(config: ScenarioConfig) -> int:
+    """An upper bound on the bytes one (algorithm, trial) row adds to a block:
+    its (slots, METRICS) metrics; per slot of a slot block, its uniforms (at
+    most 2N users' and J + 2 jammer side's), choices, rates, the temporaries
+    of its metrics, activity and jam mask; its state, at most a Q table's."""
+    n, m, j = config.num_users, config.num_channels, len(config.jammers)
+    slot = 8 * ((2 * n + j + 2) + 2 * n + 2 * (len(METRICS) + n)) + n + m
+    return 8 * (config.slots * len(METRICS) + n * (m + 1) * m) \
+        + min(config.slots, BLOCK_SLOTS) * slot
+
+
+def _blocks(num_algorithms: int, trials: int, row_bytes: int) -> list:
     """The run's (algorithm, trial) rows in run order, algorithm-major, cut
-    into blocks of at most BLOCK_TRIALS rows. An algorithm whose rows do not
-    fit in the current block starts a new one, so only an algorithm of more
-    than BLOCK_TRIALS trials is split: a split algorithm pays its rule's
-    per-slot calls in each of its blocks, which costs more than sharing a
-    block saves."""
-    blocks = [[]]
-    for ai in range(num_algorithms):
-        if len(blocks[-1]) + trials > BLOCK_TRIALS:
-            blocks.append([])
-        for ti in range(trials):
-            if len(blocks[-1]) == BLOCK_TRIALS:
-                blocks.append([])
-            blocks[-1].append((ai, ti))
-    return [block for block in blocks if block]
+    into consecutive blocks of as many rows as BLOCK_BYTES holds, at least one."""
+    size, rows = max(1, BLOCK_BYTES // row_bytes), num_algorithms * trials
+    return [[divmod(r, trials) for r in range(first, min(first + size, rows))]
+            for first in range(0, rows, size)]
 
 
 def _oracle_values(config: ScenarioConfig, game: GameSpec) -> dict:
@@ -277,7 +276,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
             slot_file.write("scenario,algorithm,trial,slot,metric,value\n")
         finals = np.empty((len(config.algorithms), config.trials, len(METRICS)))
         extras = [{} for _ in config.algorithms]
-        for block in _blocks(len(config.algorithms), config.trials):
+        for block in _blocks(len(config.algorithms), config.trials,
+                             _row_bytes(config)):
             per_slot, block_extras = simulate_trial(
                 config, [config.algorithms[ai] for ai, _ in block],
                 [trial_generator(config.seed, ai, ti) for ai, ti in block],

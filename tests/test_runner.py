@@ -625,15 +625,18 @@ def test_bench_presets_resolves_a_gain_from_canned_samples(tmp_path, monkeypatch
                                                            capsys, change, resolved):
     """With --parent, each preset's `resolved_gain` holds when the change ran
     faster in at least 9 of 10 alternating pairs and its median is below the
-    parent's by more than the parent's interquartile range."""
+    parent's by more than the parent's interquartile range; each side reports
+    its runs' peak RSS and their median beside their µs per unit."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
                         "bench_presets.py")
     spec = importlib.util.spec_from_file_location("bench_presets", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     (tmp_path / "src" / "antijam").mkdir(parents=True)
-    samples = {"parent": iter(PARENT), "change": iter(change)}
-    monkeypatch.setattr(tool, "_us_per_unit", lambda checkout, preset, override: next(
+    rss = {"parent": [60.0 + i for i in range(10)], "change": [70.0] * 10}
+    samples = {side: iter(zip(runs, rss[side]))
+               for side, runs in (("parent", PARENT), ("change", change))}
+    monkeypatch.setattr(tool, "_measure", lambda checkout, preset, override: next(
         samples["change" if checkout == tool.ROOT else "parent"]))
     assert tool.main(["--parent", str(tmp_path), "--runs", "10",
                       "--preset", "fig5-hypergraph"]) == 0
@@ -641,6 +644,9 @@ def test_bench_presets_resolves_a_gain_from_canned_samples(tmp_path, monkeypatch
     assert report["parent"]["us_per_unit"] == PARENT
     assert report["change"]["us_per_unit"] == [round(c, 3) for c in change]
     assert report["resolved_gain"] is resolved
+    assert report["parent"]["peak_rss_mb"] == rss["parent"]
+    assert report["parent"]["peak_rss_mb_median"] == 64.5
+    assert report["change"]["peak_rss_mb_median"] == 70.0
     assert tool.resolved_gain(PARENT[:1], change[:1]) is False
 
 

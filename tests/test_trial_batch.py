@@ -6,11 +6,17 @@ before the trial axis. Every per-slot row of every trial, and every
 per-trial extra, must be bitwise the same, for every algorithm, every jammer
 list, partial activity and up to 9 users (numpy adds 9 or more terms in
 another order than 8 or fewer). Blocks that straddle algorithms, in any
-order of them, must give each row the reference's; a run whose rows span
-several blocks must write the per_slot.csv the reference rows give, and a
-block must equal its trials run alone. Leader games are also run long
-enough for their windows to straddle slot blocks.
+order of them, must give each row the reference's; a run whose rows pass
+the block byte budget must write the per_slot.csv the reference rows give,
+and a block must equal its trials run alone. Leader games are also run long
+enough for their windows to straddle slot blocks. A block's traced memory
+stays within its rows' estimate, and every preset and benchmark run is one
+block.
 """
+
+import importlib.util
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loop
-from antijam import load_config, runner
+from antijam import get_preset, load_config, runner
 from antijam.config import ALGORITHMS
 from antijam.env import max_single_user_rate
 from antijam.games import GameSpec
-from antijam.runner import (BLOCK_TRIALS, METRICS, run_scenario, simulate_trial,
-                            trial_generator)
+from antijam.presets import preset_names
+from antijam.runner import METRICS, run_scenario, simulate_trial, trial_generator
 
 JAMMER_LISTS = ([{"kind": "fixed", "fixed_channel": 1}], [{"kind": "random"}],
                 [{"kind": "sweep", "dwell": 2}],
@@ -143,11 +149,15 @@ def reference_csv(config):
 @settings(max_examples=6)
 @given(documents(scenarios=("markov", "hypergraph")))
 def test_runs_past_the_block_cap_write_the_reference_rows(tmp_path_factory, doc):
-    doc = dict(doc, trials=BLOCK_TRIALS + 2, slots=min(doc["slots"], 12),
+    """A byte budget of 32 rows cuts 2 algorithms of 34 trials into blocks
+    of 32, 32 and 4 rows, splitting both algorithms."""
+    doc = dict(doc, trials=34, slots=min(doc["slots"], 12),
                algorithms=list(ALGORITHMS[doc["scenario"]][:2]))
     config = load_config(doc)
     out = tmp_path_factory.mktemp("run")
-    run_scenario(config, out_dir=str(out))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "BLOCK_BYTES", 32 * runner._row_bytes(config))
+        run_scenario(config, out_dir=str(out))
     assert (out / "per_slot.csv").read_bytes() == reference_csv(config)
 
 
@@ -185,37 +195,86 @@ def test_blocks_that_straddle_algorithms_equal_the_reference(doc):
                          [w[1][0] for w in want])
 
 
-def test_blocks_are_cut_between_algorithms_where_they_fit(monkeypatch):
-    """Rows in run order, at most BLOCK_TRIALS a block; an algorithm that
-    does not fit in the current block starts the next, and only one of more
-    than BLOCK_TRIALS trials is split."""
-    def shapes(algorithms, trials):
+def test_blocks_are_cut_in_run_order_by_the_byte_budget(monkeypatch):
+    """Rows in run order, algorithm-major, cut every BLOCK_BYTES // row_bytes
+    rows (at least one) wherever that falls, within an algorithm or between
+    two; a run within the budget is one block."""
+    def shapes(algorithms, trials, row_bytes):
         return [[(ai, sum(1 for a, _ in block if a == ai))
                  for ai in dict.fromkeys(a for a, _ in block)]
-                for block in runner._blocks(algorithms, trials)]
+                for block in runner._blocks(algorithms, trials, row_bytes)]
+    monkeypatch.setattr(runner, "BLOCK_BYTES", 1000)
     for algorithms, trials in ((3, 1), (4, 2), (2, 50), (4, 20), (1, 70)):
-        rows = [row for block in runner._blocks(algorithms, trials) for row in block]
-        assert rows == [(ai, ti) for ai in range(algorithms) for ti in range(trials)]
-    assert shapes(4, 2) == [[(0, 2), (1, 2), (2, 2), (3, 2)]]
-    assert shapes(4, 20) == [[(0, 20)], [(1, 20)], [(2, 20)], [(3, 20)]]
-    assert shapes(2, 50) == [[(0, 32)], [(0, 18)], [(1, 32)], [(1, 18)]]
-    assert shapes(3, 10) == [[(0, 10), (1, 10), (2, 10)]]
-    assert shapes(3, 11) == [[(0, 11), (1, 11)], [(2, 11)]]
-    monkeypatch.setattr(runner, "BLOCK_TRIALS", 3)
-    assert shapes(3, 1) == [[(0, 1), (1, 1), (2, 1)]]
-    assert shapes(2, 4) == [[(0, 3)], [(0, 1)], [(1, 3)], [(1, 1)]]
+        for row_bytes in (1, 10, 32, 333, 999, 5000):
+            blocks = runner._blocks(algorithms, trials, row_bytes)
+            size = max(1, 1000 // row_bytes)
+            assert [row for block in blocks for row in block] == [
+                (ai, ti) for ai in range(algorithms) for ti in range(trials)]
+            assert all(len(block) == size for block in blocks[:-1])
+            assert 1 <= len(blocks[-1]) <= size
+    assert shapes(4, 2, 10) == [[(0, 2), (1, 2), (2, 2), (3, 2)]]
+    assert shapes(4, 20, 10) == [[(0, 20), (1, 20), (2, 20), (3, 20)]]
+    assert shapes(4, 20, 40) == [[(0, 20), (1, 5)], [(1, 15), (2, 10)],
+                                 [(2, 10), (3, 15)], [(3, 5)]]
+    assert shapes(2, 50, 10) == [[(0, 50), (1, 50)]]
+    assert shapes(2, 50, 32) == [[(0, 31)], [(0, 19), (1, 12)], [(1, 31)], [(1, 7)]]
+    assert shapes(3, 10, 10) == [[(0, 10), (1, 10), (2, 10)]]
+    assert shapes(3, 11, 100) == [[(0, 10)], [(0, 1), (1, 9)], [(1, 2), (2, 8)],
+                                  [(2, 3)]]
+    assert shapes(3, 1, 333) == [[(0, 1), (1, 1), (2, 1)]]
+    assert shapes(2, 4, 333) == [[(0, 3)], [(0, 1), (1, 2)], [(1, 2)]]
+    assert shapes(2, 2, 5000) == [[(0, 1)], [(0, 1)], [(1, 1)], [(1, 1)]]
 
 
 @settings(max_examples=8)
 @given(mixed_runs(trials=(1, 2)))
 def test_runs_whose_blocks_straddle_algorithms_write_the_reference_rows(
         tmp_path_factory, doc):
-    """run_scenario with BLOCK_TRIALS = 3 puts up to three algorithms of
-    one trial in a block, and writes per_slot.csv in algorithm-major order,
-    the reference rows' bytes."""
+    """run_scenario with a byte budget of 3 rows puts up to three algorithms
+    of one trial in a block, and writes per_slot.csv in algorithm-major
+    order, the reference rows' bytes."""
     config = load_config(doc)
     out = tmp_path_factory.mktemp("run")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runner, "BLOCK_TRIALS", 3)
+        mp.setattr(runner, "BLOCK_BYTES", 3 * runner._row_bytes(config))
         run_scenario(config, out_dir=str(out))
     assert (out / "per_slot.csv").read_bytes() == reference_csv(config)
+
+
+@pytest.mark.parametrize("preset", ["fig4-sweep", "fig5-hypergraph"])
+def test_a_blocks_traced_peak_stays_within_its_row_estimate(preset):
+    """_row_bytes bounds what a row adds to a block: 12 trials of every
+    algorithm of a markov run (Q tables) or a hypergraph run, 300 slots, run
+    as one block, peak below rows x row_bytes plus 1 MB that does not grow
+    with the rows."""
+    config = load_config(dict(get_preset(preset), slots=300, trials=12))
+    model = GameSpec("stackelberg", config.geometry, config.radio).rate_model
+    r_max = max_single_user_rate(model)
+    rows = [(ai, ti) for ai in range(len(config.algorithms)) for ti in range(12)]
+    algos = [config.algorithms[ai] for ai, _ in rows]
+    rngs = [trial_generator(config.seed, ai, ti) for ai, ti in rows]
+    tracemalloc.start()
+    try:
+        simulate_trial(config, algos, rngs, model, r_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(rows) * runner._row_bytes(config) + (1 << 20)
+
+
+def test_every_preset_and_benchmark_run_is_one_block():
+    """BLOCK_BYTES holds every bundled preset and every benchmark workload
+    document, at both scales, in one block."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    docs = [get_preset(name) for name in preset_names()] + [
+        workload.document(seed, scale) for workload in workloads.WORKLOADS.values()
+        for seed in (1, 11) for scale in ("full", "tiny")]
+    for doc in docs:
+        config = load_config(doc)
+        blocks = runner._blocks(len(config.algorithms), config.trials,
+                                runner._row_bytes(config))
+        assert len(blocks) == 1, config.name

@@ -9,12 +9,14 @@ interpreter per run; optionally against a parent checkout, in alternation.
 Run from anywhere. Each run is a subprocess that imports the package from a
 checkout's ./src, loads one preset at its own size and times one
 run_scenario of it; the result is its wall time per algorithm x trial x slot
-(the oracle of a stackelberg preset included). With --parent, the runs of a
+(the oracle of a stackelberg preset included) and the child's peak resident
+set size (ru_maxrss, imports included). With --parent, the runs of a
 preset alternate between the parent's sources and this checkout's, the parent
 first in odd pairs and second in even ones, so that both sides see the same
 spells of host load. Prints one JSON object: the host context, then per
 preset and side the µs per unit of every run with their minimum, quartiles
-and median (as perfbench reports its timed runs) and, with --parent, how many
+and median (as perfbench reports its timed runs), the peak RSS in MB of every
+run with their median and, with --parent, how many
 pairs this checkout ran faster and whether that resolves a gain
 (`resolved_gain`): faster in at least 9 of 10 pairs, ties counting for
 neither, and a median gap larger than the parent runs' interquartile range.
@@ -38,7 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = """
-import json, sys, time
+import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import antijam
 from antijam.runner import run_scenario
@@ -47,7 +49,8 @@ config = antijam.load_config(dict(antijam.get_preset(sys.argv[2]),
 start = time.perf_counter()
 run_scenario(config)
 elapsed = time.perf_counter() - start
-print(elapsed * 1e6 / (len(config.algorithms) * config.trials * config.slots))
+print(elapsed * 1e6 / (len(config.algorithms) * config.trials * config.slots),
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
@@ -77,20 +80,25 @@ def _parse_args(argv):
     return args
 
 
-def _us_per_unit(checkout: Path, preset: str, override: dict) -> float:
+def _measure(checkout: Path, preset: str, override: dict) -> tuple:
+    """One child run's (µs per unit, peak RSS in MB)."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(checkout / "src"), preset,
          json.dumps(override)],
         capture_output=True, text=True, check=True)
-    return float(proc.stdout.strip().splitlines()[-1])
+    us, rss_mb = proc.stdout.strip().splitlines()[-1].split()
+    return float(us), float(rss_mb)
 
 
-def _summary(values) -> dict:
+def _summary(runs) -> dict:
+    values, rss = [us for us, _ in runs], [mb for _, mb in runs]
     out = {"us_per_unit": [round(v, 3) for v in values], "n": len(values),
            "min": round(min(values), 3), "median": round(statistics.median(values), 3)}
     if len(values) >= 2:
         q1, _, q3 = statistics.quantiles(values, n=4)
         out.update(q1=round(q1, 3), q3=round(q3, 3))
+    out.update(peak_rss_mb=[round(mb, 1) for mb in rss],
+               peak_rss_mb_median=round(statistics.median(rss), 1))
     return out
 
 
@@ -129,19 +137,20 @@ def main(argv=None) -> int:
             order = list(sides) if i % 2 == 0 else list(reversed(sides))
             for side in order:
                 try:
-                    samples[side].append(_us_per_unit(sides[side], name,
-                                                      args.override))
+                    samples[side].append(_measure(sides[side], name,
+                                                  args.override))
                 except subprocess.CalledProcessError as exc:
                     print(f"bench_presets: the {side} run of {name} failed "
                           f"(exit {exc.returncode}); its stderr:\n{exc.stderr}",
                           file=sys.stderr)
                     return 1
-        presets[name] = {side: _summary(values) for side, values in samples.items()}
+        presets[name] = {side: _summary(runs) for side, runs in samples.items()}
         if args.parent is not None:
+            parent, change = ([us for us, _ in samples[side]]
+                              for side in ("parent", "change"))
             presets[name]["change_faster_pairs"] = sum(
-                c < p for p, c in zip(samples["parent"], samples["change"]))
-            presets[name]["resolved_gain"] = resolved_gain(samples["parent"],
-                                                           samples["change"])
+                c < p for p, c in zip(parent, change))
+            presets[name]["resolved_gain"] = resolved_gain(parent, change)
     host["loadavg_after"] = list(os.getloadavg())
     print(json.dumps({"host": host, "presets": presets}, indent=2))
     return 0
