@@ -310,12 +310,19 @@ def trial_rewards(box, i):
     return lambda u, *_: float(box["rewards"][i][u])
 
 
+def canned(reward, reads_rates=True):
+    """A reward rule that hands back canned rewards, saying whether it reads
+    the slot's rates as the library's rules do."""
+    reward.reads_rates = reads_rates
+    return reward
+
+
 @given(schedules())
 def test_automata_users_match_the_scalar_reference(s):
     box = {}
     new = AutomataUsers(s["n"], s["m"], s["params"].step_size,
-                        [lambda choices, active, rates, jammed: box["rewards"]]
-                        * s["trials"])
+                        [canned(lambda choices, active, rates, jammed:
+                                box["rewards"])] * s["trials"])
     refs = [RefAutomataUsers(s["n"], s["m"], s["params"].step_size,
                              trial_rewards(box, i)) for i in range(s["trials"])]
 
@@ -330,7 +337,7 @@ def test_automata_users_match_the_scalar_reference(s):
 def test_q_users_match_the_scalar_reference(s, collaborative):
     box = {}
     new = QUsers(s["n"], s["m"], s["params"],
-                 lambda choices, active, rates, jammed: box["rewards"],
+                 canned(lambda choices, active, rates, jammed: box["rewards"]),
                  [collaborative] * s["trials"])
     refs = [RefQUsers(s["n"], s["m"], s["params"], trial_rewards(box, i),
                       collaborative) for i in range(s["trials"])]
@@ -487,10 +494,10 @@ def test_q_users_with_mixed_rows_equal_each_rows_rule_alone(s, collaborative):
     QUsers built for that row's algorithm alone, bitwise."""
     s = dict(s, trials=len(collaborative))
     box = {}
-    new = QUsers(s["n"], s["m"], s["params"], lambda *_: box["rewards"],
+    new = QUsers(s["n"], s["m"], s["params"], canned(lambda *_: box["rewards"]),
                  collaborative)
     alone = [QUsers(s["n"], s["m"], s["params"],
-                    lambda *_, i=i: box["rewards"][i:i + 1], [claims])
+                    canned(lambda *_, i=i: box["rewards"][i:i + 1]), [claims])
              for i, claims in enumerate(collaborative)]
 
     def inputs(env):
@@ -604,7 +611,7 @@ def test_automata_step_every_row_as_the_gathered_step(case):
     that is the reference step of the active rows alone, bit for bit."""
     probs, choices, active, rewards, step_size = case
     t, n, m = probs.shape
-    users = AutomataUsers(n, m, step_size, [lambda *_: rewards] * t)
+    users = AutomataUsers(n, m, step_size, [canned(lambda *_: rewards, False)] * t)
     users.strategy = MixedStrategy(probs)
     gathered = probs.reshape(-1, m).copy()
     users.learn(choices, active, None, np.zeros((t, m), dtype=bool))

@@ -120,9 +120,10 @@ def test_a_block_equals_its_trials_run_alone(doc, num_trials):
 @pytest.mark.parametrize("window", [1, 7, 50, 256, 300])
 @pytest.mark.parametrize("algo", ["random", "hierarchical"])
 def test_leader_windows_across_slot_blocks_equal_the_reference(algo, window, p):
-    """The window leader is priced once per window unless its users read
-    rates, and a window may straddle the BLOCK_SLOTS boundary: 600 slots
-    cross two of them, and every trial must still give the reference's rows."""
+    """The window leader sums every slot's rates into its window's mean,
+    whether its users read rates or not, and a window may straddle the
+    BLOCK_SLOTS boundary: 600 slots cross two of them, and every trial must
+    still give the reference's rows."""
     config = load_config({
         "scenario": "stackelberg", "num_users": 4, "num_channels": 3,
         "slots": 600, "seed": 23, "active_probability": p,

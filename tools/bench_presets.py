@@ -1,25 +1,26 @@
 """Time bundled presets through run_scenario, with no output files, one fresh
-interpreter per run; optionally against a parent checkout, in alternation.
+interpreter per sample; optionally against a parent checkout, in alternation.
 
     python3 tools/bench_presets.py [--runs 5] [--preset fig3-stackelberg ...]
     python3 tools/bench_presets.py --parent ../parent-checkout --runs 5
     python3 tools/bench_presets.py --preset fig5-hypergraph \
         --override '{"active_probability": 0.6}'
 
-Run from anywhere. Each run is a subprocess that imports the package from a
-checkout's ./src, loads one preset at its own size and times one
-run_scenario of it; the result is its wall time per algorithm x trial x slot
-(the oracle of a stackelberg preset included) and the child's peak resident
-set size (ru_maxrss, imports included). With --parent, the runs of a
-preset alternate between the parent's sources and this checkout's, the parent
-first in odd pairs and second in even ones, so that both sides see the same
-spells of host load. Prints one JSON object: the host context, then per
-preset and side the µs per unit of every run with their minimum, quartiles
+Run from anywhere. Each sample is a subprocess that imports the package from a
+checkout's ./src, loads one preset at its own size and times CHILD_RUNS
+run_scenario calls of it; the result is the fastest one's wall time per
+algorithm x trial x slot (the oracle of a stackelberg preset included), as
+perfbench's run_s is the fastest of its timed runs, and the child's peak
+resident set size (ru_maxrss, imports included). With --parent, the samples
+of a preset alternate between the parent's sources and this checkout's, the
+parent first in odd pairs and second in even ones, so that both sides see the
+same spells of host load. Prints one JSON object: the host context, then per
+preset and side the µs per unit of every sample with their minimum, quartiles
 and median (as perfbench reports its timed runs), the peak RSS in MB of every
-run with their median and, with --parent, how many
+sample with their median and, with --parent, how many
 pairs this checkout ran faster and whether that resolves a gain
 (`resolved_gain`): faster in at least 9 of 10 pairs, ties counting for
-neither, and a median gap larger than the parent runs' interquartile range.
+neither, and a median gap larger than the parent samples' interquartile range.
 --override merges a JSON object into every
 timed preset's document, its keys replacing the preset's. Unknown preset
 names exit 2 with the known ones before anything runs; a run that fails
@@ -39,6 +40,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# run_scenario calls each child times, of which it reports the fastest.
+CHILD_RUNS = 3
+
 CHILD = """
 import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -46,10 +50,12 @@ import antijam
 from antijam.runner import run_scenario
 config = antijam.load_config(dict(antijam.get_preset(sys.argv[2]),
                                   **json.loads(sys.argv[3])))
-start = time.perf_counter()
-run_scenario(config)
-elapsed = time.perf_counter() - start
-print(elapsed * 1e6 / (len(config.algorithms) * config.trials * config.slots),
+walls = []
+for _ in range(int(sys.argv[4])):
+    start = time.perf_counter()
+    run_scenario(config)
+    walls.append(time.perf_counter() - start)
+print(min(walls) * 1e6 / (len(config.algorithms) * config.trials * config.slots),
       resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
@@ -59,7 +65,7 @@ def _parse_args(argv):
     parser.add_argument("--parent", type=Path,
                         help="a source checkout to time against, in alternation")
     parser.add_argument("--runs", type=int, default=5,
-                        help="runs per preset and side (default 5)")
+                        help="samples per preset and side (default 5)")
     parser.add_argument("--preset", action="append", dest="presets",
                         help="a preset to time (default: every preset)")
     parser.add_argument("--override", type=json.loads, default={},
@@ -81,10 +87,10 @@ def _parse_args(argv):
 
 
 def _measure(checkout: Path, preset: str, override: dict) -> tuple:
-    """One child run's (µs per unit, peak RSS in MB)."""
+    """One child's (µs per unit of its fastest run, peak RSS in MB)."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(checkout / "src"), preset,
-         json.dumps(override)],
+         json.dumps(override), str(CHILD_RUNS)],
         capture_output=True, text=True, check=True)
     us, rss_mb = proc.stdout.strip().splitlines()[-1].split()
     return float(us), float(rss_mb)
@@ -127,7 +133,7 @@ def main(argv=None) -> int:
         sides = {"parent": args.parent.resolve(), "change": ROOT}
     host = {"nproc": os.cpu_count(), "loadavg_before": list(os.getloadavg()),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "machine": platform.machine(),
+            "machine": platform.machine(), "child_runs": CHILD_RUNS,
             "checkouts": {side: str(path) for side, path in sides.items()},
             "override": args.override}
     presets = {}
