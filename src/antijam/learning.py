@@ -178,7 +178,7 @@ def baseline_action(kind: str, s, num_channels: int, u) -> np.ndarray:
 # reward rules: reward(choices, active, rates, jammed) -> one value in [0, 1]
 # per user and row (only the active users' values are read); jammed is the
 # jam mask. A rule's reads_rates says whether it reads the slot's rates; one
-# that does not is handed None.
+# that does not may be handed None.
 
 def rate_reward(r_max: float):
     """Each user's rate as a fraction of r_max, clipped to [0, 1]."""
@@ -362,7 +362,6 @@ class WindowLeader:
         self.epsilon = params.epsilon_start
         self.channel = np.zeros(num_trials, dtype=np.int64)
         self.draws = 2
-        self.reads_rates = True
         self._trials = np.arange(num_trials)
         self._slot_in_window = 0
         self._window_rate_sum = np.zeros(num_trials)
@@ -379,10 +378,19 @@ class WindowLeader:
             self._mask.flags.writeable = False
         return self._mask
 
+    def rates_due(self, t: int) -> bool:
+        """Whether it learns from the rates after slot t: at the last slot of
+        each window, the windows being slots [0, W), [W, 2W), ..."""
+        return (t + 1) % self.params.window_slots == 0
+
     def observe(self, choices, active, rates) -> None:
-        """Add each row's total of the slot's (R, N) rates to its window's
-        sum, count the slot, and learn at the window's end."""
-        self._window_rate_sum += rates.sum(axis=-1)
+        """Count the slot and learn at the window's end. rates is the slot's
+        (R, N) rates, the (K, R, N) rates of the K slots through this one
+        that it was not handed yet, or None; each row's total rate of every
+        slot is added in slot order, as one slot at a time would be."""
+        if rates is not None:
+            for total in np.reshape(rates.sum(axis=-1), (-1, len(self._trials))):
+                self._window_rate_sum += total
         self._slot_in_window += 1
         p = self.params
         if self._slot_in_window >= p.window_slots:
@@ -415,11 +423,11 @@ class HierarchicalController:
     row_draws holds each row's count, and the controller's draws is the
     widest row's.
 
-    The leader and every rule say in reads_rates whether their feedback
-    reads the slot's rates: the window leader and users rewarded by
-    rate_reward do; the scripted jammers, baseline users and automata
-    rewarded by interference_reward do not. The controller's reads_rates is
-    the leader's or any rule's, and says whether end_slot needs the rates.
+    A rule's reads_rates says whether it learns from every slot's rates
+    (users rewarded by rate_reward) or from none (baseline users, automata
+    rewarded by interference_reward). The leader's rates_due(t) says
+    whether it learns from the rates after slot t: the window leader at each
+    window's last slot, the scripted jammers never.
     """
 
     def __init__(self, leader, followers):
@@ -434,10 +442,14 @@ class HierarchicalController:
         for rows, rule in self.followers:
             self.row_draws[rows] = leader.draws + rule.draws
         self.draws = int(self.row_draws.max())
-        self.reads_rates = leader.reads_rates or any(
-            rule.reads_rates for _, rule in self.followers)
+        self._reads_rates = any(rule.reads_rates for _, rule in self.followers)
         self._jammed = None
         self._choices = None
+
+    def rates_due(self, t: int) -> bool:
+        """Whether the feedback after slot t reads rates: every slot when a
+        rule reads them, else the slots the leader names."""
+        return self._reads_rates or self.leader.rates_due(t)
 
     def begin_slot(self, t: int, u):
         """This slot's jam mask and every user's channel, read from the
@@ -453,9 +465,11 @@ class HierarchicalController:
 
     def end_slot(self, rates, active) -> None:
         """Feed the slot back: the followers learn, then the leader. rates
-        is the slot's (R, N) rates when reads_rates holds, else None."""
+        is None, or the (K, R, N) rates of the K slots through this one
+        that were not handed on yet; it must be given after every slot that
+        rates_due names, and K is 1 whenever a rule reads rates."""
         for rows, rule in self.followers:
             rule.learn(self._choices[rows], active[rows],
-                       rates[rows] if rule.reads_rates else None,
+                       rates[-1][rows] if rule.reads_rates else None,
                        self._jammed[rows])
         self.leader.observe(self._choices, active, rates)

@@ -19,16 +19,18 @@ BLOCK_SLOTS slots at a time, which yields the same numbers as one row per
 slot, so neither block size nor a block's mix of algorithms changes a
 result; the block's per-slot metrics are taken once it has run.
 
-The rates are priced by one of two rules, chosen once per block by the
-controller's reads_rates. A block whose feedback reads them (the window
-leader of stackelberg, users rewarded by learning.rate_reward) prices every
-slot for all its rows in one call and hands those rates back. Any other
-block (scripted jammers over baseline users or automata rewarded by
-learning.interference_reward) hands back None and prices each row's slot
-block in one call once the block has run, for its metrics. A call of many
-rows or slots gives each row the bits of its own one-slot call. The
-controller is built per block, so the interference reward's reuse of a
-repeated slot (learning.interference_reward) never crosses blocks.
+The rates are priced only where feedback reads them, and at the end of each
+slot block, for its metrics: every slot when some rows' users are rewarded
+by learning.rate_reward, the last slot of each window when the jammer side
+is the window leader. Each pricing covers the slots since the last, for
+every row, in calls of at most BLOCK_SLOTS (slot, row) rows. So a block
+with rate-learning rows prices slot by slot, a window leader over other
+users one window at a time, and scripted jammers over users that read no
+rates (baseline users, automata rewarded by learning.interference_reward)
+one row's slot block at a time; a call of many rows gives each row the bits
+of its own one-row call. The controller is built per block, so the
+interference reward's reuse of a repeated slot
+(learning.interference_reward) never crosses blocks.
 """
 
 from __future__ import annotations
@@ -168,17 +170,22 @@ def simulate_trial(config: ScenarioConfig, algos, rngs, model: RateModel,
         choices = np.empty((size, rows, n), dtype=np.int64)
         jammed = np.empty((size, rows, m), dtype=bool)
         rates = np.empty((size, rows, n))
-        # a slot's call holds (rows, N, M) intermediates, which BLOCK_BYTES
-        # bounds since _row_bytes counts N * (M + 1) * M floats per row; a
-        # row's call holds at most BLOCK_SLOTS slots of them
+        priced = 0  # the block's slots priced so far
         for k in range(size):
             jammed[k], choices[k] = ctl.begin_slot(first + k, u[k])
-            if ctl.reads_rates:
-                rates[k] = model.rates(choices[k], jammed[k], active[k])
-            ctl.end_slot(rates[k] if ctl.reads_rates else None, active[k])
-        if not ctl.reads_rates:
-            for r in range(rows):
-                rates[:, r] = model.rates(choices[:, r], jammed[:, r], active[:, r])
+            if not (ctl.rates_due(first + k) or k == size - 1):
+                ctl.end_slot(None, active[k])
+                continue
+            # price the slots since the last priced, in calls of at most
+            # BLOCK_SLOTS (slot, row) rows, so that the (rows, N, M)
+            # intermediates stay bounded
+            span = slice(priced, k + 1)
+            step = max(1, BLOCK_SLOTS // (k + 1 - priced))
+            for ri in range(0, rows, step):
+                cut = (span, slice(ri, ri + step))
+                rates[cut] = model.rates(choices[cut], jammed[cut], active[cut])
+            ctl.end_slot(rates[span], active[k])
+            priced = k + 1
         per_slot[:, first:first + size] = _slot_metrics(
             choices, jammed, active, rates, r_max).swapaxes(0, 1)
     extras = [{} for _ in range(rows)]

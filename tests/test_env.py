@@ -38,8 +38,9 @@ def tiny_markov(**overrides):
 def record_slots(doc):
     """Run one trial of doc's first algorithm and return what the runner
     handed the rate model for each slot: (choices, jam mask, active mask,
-    rates). Every call holds (K, N) rows, the one trial's row of each of K
-    slots: one slot when the feedback reads rates, else a slot block."""
+    rates). Every call holds (K, 1, N) rows, the one trial's row of each of
+    K slots: one slot when the feedback reads rates, else the slots since
+    the last call through a window's or a slot block's end."""
     config = load_config(doc)
     model = RateModel(config.geometry, config.radio)
     rates_fn = model.rates
@@ -48,10 +49,10 @@ def record_slots(doc):
     def recording(choices, jammed, active):
         rates = rates_fn(choices, jammed, active)
         assert choices.shape == active.shape == rates.shape
-        assert choices.shape[1:] == (config.num_users,)
-        assert jammed.shape == (len(choices), config.num_channels)
-        seen.extend(zip(np.array(choices), np.array(jammed), np.array(active),
-                        rates))
+        assert choices.shape[1:] == (1, config.num_users)
+        assert jammed.shape == (len(choices), 1, config.num_channels)
+        seen.extend(zip(np.array(choices[:, 0]), np.array(jammed[:, 0]),
+                        np.array(active[:, 0]), rates[:, 0]))
         return rates
 
     model.rates = recording

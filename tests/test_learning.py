@@ -331,7 +331,7 @@ def hierarchical(num_users, num_channels, params, r_max):
 def hierarchical_step(controller, rate_fn, rng, t=0):
     """One slot of the two-timescale loop of one trial, every user active."""
     jammed, choices = controller.begin_slot(t, rng.random((1, controller.draws)))
-    rates = rate_fn(choices[0], jammed[0])[None]  # (trials, N)
+    rates = rate_fn(choices[0], jammed[0])[None, None]  # (slots, trials, N)
     controller.end_slot(rates, np.ones(choices.shape, dtype=bool))
     (channel,) = np.flatnonzero(jammed[0])
     return int(channel)

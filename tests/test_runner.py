@@ -346,33 +346,41 @@ def count_rate_calls(monkeypatch):
 
 
 def test_controllers_say_whether_their_feedback_reads_rates():
-    """Users rewarded by rates learn from every slot's, and so does the
-    window leader, through its window's mean; the scripted jammers learn
-    from none. A controller's feedback reads rates where its leader's or a
-    rule's does: in every stackelberg block, elsewhere by the rule."""
+    """Users rewarded by rates learn from every slot's; the window leader
+    learns from the rates after the last slot of each of its windows, the
+    scripted jammers from none."""
     reads = {"hierarchical": True, "collaborative": True, "independent_q": True,
              "hypergraph_sla": False, "graph_sla": False, "random": False,
              "sensing": False}
     for scenario, algos in ALGORITHMS.items():
-        config = load_config(tiny_markov(scenario=scenario, algorithms=list(algos)))
+        config = load_config(tiny_markov(scenario=scenario, algorithms=list(algos),
+                                         learning={"window_slots": 7}))
         for algo in algos:
             ctl = runner._controller(config, [algo] * 2, 1.0)
             assert [rule.reads_rates for _, rule in ctl.followers] == [reads[algo]]
-            assert ctl.leader.reads_rates is (scenario == "stackelberg")
-            assert ctl.reads_rates is (scenario == "stackelberg" or reads[algo]), algo
+            due = [t for t in range(30) if ctl.rates_due(t)]
+            if reads[algo]:
+                assert due == list(range(30)), algo
+            elif scenario == "stackelberg":
+                assert due == [6, 13, 20, 27], algo
+            else:
+                assert due == [], algo
 
 
 def test_rates_are_priced_per_slot_only_where_feedback_reads_them(monkeypatch):
-    """A block whose feedback reads rates prices every slot in one (R, N)
-    call over its R rows, a row being an (algorithm, trial) pair; any other
-    block prices each row's K slots of a slot block in one (K, N) call once
-    the slot block has run: rate-rewarded users and the window leader slot
-    by slot, scripted jammers over users that read no rates row by row."""
+    """Rates are priced after each slot whose feedback reads them and at the
+    end of each slot block, covering the slots since the last pricing, in
+    calls of at most BLOCK_SLOTS (slot, row) rows, a row being an
+    (algorithm, trial) pair: a (1, R, N) call per slot for a block with
+    rate-rewarded users, one (K, R, N) call per window for the window
+    leader's other users, one (K, 1, N) call per row and slot block for
+    scripted jammers over users that read no rates."""
     calls = count_rate_calls(monkeypatch)
     fig5 = load_config(dict(get_preset("fig5-hypergraph"), trials=1, slots=300))
     run_scenario(fig5)
     n = fig5.num_users
-    assert calls == [(256, n)] * 3 + [(44, n)] * 3
+    # the 44-slot block's three rows are 132 (slot, row) rows: one call
+    assert calls == [(256, 1, n)] * 3 + [(44, 3, n)]
 
     def priced(config, algo, trials):
         calls.clear()
@@ -387,36 +395,36 @@ def test_rates_are_priced_per_slot_only_where_feedback_reads_them(monkeypatch):
     # the Q rows read rates, so the block of all 8 rows is priced per slot
     calls.clear()
     run_scenario(fig4)
-    assert calls == [(8, n)] * 300
+    assert calls == [(1, 8, n)] * 300
     for algo in fig4.algorithms:
         if algo in ("collaborative", "independent_q"):
-            assert priced(fig4, algo, 2) == [(2, n)] * 300, algo
+            assert priced(fig4, algo, 2) == [(1, 2, n)] * 300, algo
         else:
-            assert priced(fig4, algo, 2) == [(256, n)] * 2 + [(44, n)] * 2, algo
+            # the 44-slot block's two trials are 88 rows: one call
+            assert priced(fig4, algo, 2) == [(256, 1, n)] * 2 + [(44, 2, n)], algo
 
-    # the hierarchical users and the window leader read every slot's rates,
-    # so the block of both algorithms' rows is priced per slot; the greedy
-    # snapshot of the hierarchical rows and the oracle's 6 calls follow:
-    # ne_bounds prices each distinct equilibrium once, and the leader solve
-    # prices none
+    # the hierarchical users read every slot's rates, so the block of both
+    # algorithms' rows is priced per slot; the greedy snapshot of the
+    # hierarchical rows and the oracle's 6 calls follow: ne_bounds prices
+    # each distinct equilibrium once, and the leader solve prices none
     calls.clear()
     stackelberg = load_config(small_stackelberg())
     run_scenario(stackelberg)
     n = stackelberg.num_users
-    assert calls == [(4, n)] * 60 + [(2, n)] + [(n,)] * 6
-    # random users under the window leader are priced per slot too, every
-    # row in one call
-    assert priced(stackelberg, "random", 2) == [(2, n)] * 60
-    assert priced(stackelberg, "random", 12) == [(12, n)] * 60
+    assert calls == [(1, 4, n)] * 60 + [(2, n)] + [(n,)] * 6
+    # random users under the 50-slot window: a window, then the block's rest
+    assert priced(stackelberg, "random", 2) == [(50, 2, n), (10, 2, n)]
 
-    # 7-slot windows straddle 16-slot blocks, and are still priced per slot
+    # 12 trials of a window are 600 rows: 5 trials a call
+    assert priced(stackelberg, "random", 12) == \
+        [(50, 5, n), (50, 5, n), (50, 2, n), (10, 12, n)]
+    # 7-slot windows straddle 16-slot blocks
     monkeypatch.setattr(runner, "BLOCK_SLOTS", 16)
     windows = load_config(small_stackelberg(learning={"window_slots": 7}))
-    assert priced(windows, "random", 2) == [(2, n)] * 60
-    assert priced(windows, "hierarchical", 2) == [(2, n)] * 60 + [(2, n)]
-    # while rows that read no rates are priced per row and 16-slot block
-    n = fig4.num_users
-    assert priced(fig4, "random", 2) == [(16, n)] * 2 * 18 + [(12, n)] * 2
+    assert priced(windows, "random", 2) == [(k, 2, n) for k in (
+        7, 7, 2, 5, 7, 4, 3, 7, 6, 1, 7, 4)]
+    # while rate-rewarded users still price each slot
+    assert priced(windows, "hierarchical", 2) == [(1, 2, n)] * 60 + [(2, n)]
 
 
 def test_a_repeated_slot_reuses_its_interference_reward(monkeypatch):

@@ -120,10 +120,9 @@ def test_a_block_equals_its_trials_run_alone(doc, num_trials):
 @pytest.mark.parametrize("window", [1, 7, 50, 256, 300])
 @pytest.mark.parametrize("algo", ["random", "hierarchical"])
 def test_leader_windows_across_slot_blocks_equal_the_reference(algo, window, p):
-    """The window leader sums every slot's rates into its window's mean,
-    whether its users read rates or not, and a window may straddle the
-    BLOCK_SLOTS boundary: 600 slots cross two of them, and every trial must
-    still give the reference's rows."""
+    """The window leader is priced once per window unless its users read
+    rates, and a window may straddle the BLOCK_SLOTS boundary: 600 slots
+    cross two of them, and every trial must still give the reference's rows."""
     config = load_config({
         "scenario": "stackelberg", "num_users": 4, "num_channels": 3,
         "slots": 600, "seed": 23, "active_probability": p,
@@ -242,16 +241,29 @@ def test_runs_whose_blocks_straddle_algorithms_write_the_reference_rows(
     assert (out / "per_slot.csv").read_bytes() == reference_csv(config)
 
 
-@pytest.mark.parametrize("preset", ["fig4-sweep", "fig5-hypergraph"])
-def test_a_blocks_traced_peak_stays_within_its_row_estimate(preset):
-    """_row_bytes bounds what a row adds to a block: 12 trials of every
-    algorithm of a markov run (Q tables) or a hypergraph run, 300 slots, run
-    as one block, peak below rows x row_bytes plus 1 MB that does not grow
-    with the rows."""
-    config = load_config(dict(get_preset(preset), slots=300, trials=12))
+@pytest.mark.parametrize("preset, trials, algorithms", [
+    pytest.param("fig4-sweep", 12, None, id="fig4-sweep"),
+    pytest.param("fig5-hypergraph", 12, None, id="fig5-hypergraph"),
+    pytest.param("fig3-stackelberg", 12, None, id="fig3-stackelberg"),
+    pytest.param("fig4-sweep", 80, None, id="fig4-sweep-320-rows"),
+    pytest.param("fig3-stackelberg", 150, None, id="fig3-stackelberg-300-rows"),
+    pytest.param("fig3-stackelberg", 300, ["random"], id="fig3-random-300-rows")])
+def test_a_blocks_traced_peak_stays_within_its_row_estimate(preset, trials,
+                                                            algorithms):
+    """_row_bytes bounds what a row adds to a block: every algorithm of a
+    markov run (Q tables, priced per slot), a hypergraph run or a stackelberg
+    run, and random users alone under the window leader (priced per window),
+    300 slots, run as one block, peak below rows x row_bytes plus 1 MB that
+    does not grow with the rows. The 300- and 320-row blocks pass BLOCK_SLOTS
+    (slot, row) rows a slot, so their pricing is cut into several calls."""
+    doc = dict(get_preset(preset), slots=300, trials=trials)
+    if algorithms is not None:
+        doc["algorithms"] = algorithms
+    config = load_config(doc)
     model = GameSpec("stackelberg", config.geometry, config.radio).rate_model
     r_max = max_single_user_rate(model)
-    rows = [(ai, ti) for ai in range(len(config.algorithms)) for ti in range(12)]
+    rows = [(ai, ti) for ai in range(len(config.algorithms))
+            for ti in range(trials)]
     algos = [config.algorithms[ai] for ai, _ in rows]
     rngs = [trial_generator(config.seed, ai, ti) for ai, ti in rows]
     tracemalloc.start()
