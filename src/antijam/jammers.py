@@ -91,6 +91,7 @@ class ScriptedJammers:
         self._drawing = [p.kind for p in patterns if p.kind in _DRAWING_KINDS]
         self.draws = len(self._drawing)
         self.heard = np.zeros((num_trials, num_channels), dtype=np.int64)
+        self.rows = num_trials
         self._trials = np.arange(num_trials)
 
     def act(self, t: int, u) -> np.ndarray:

@@ -4,10 +4,10 @@ controller that drives one slot of a block of runs.
 A block's rows are (algorithm, trial) pairs, possibly of several
 algorithms. A HierarchicalController drives them all: the leader is the
 jammer side of every row (WindowLeader, or jammers.ScriptedJammers), and
-each users' rule class in the block (AutomataUsers, QUsers, BaselineUsers)
-is one follower that steps every row it serves. Both act at the start of a
-slot and learn strictly after its rates are known. The leader hands the
-slot's jammed channels on as one (R, M) bool mask, which the rate model, the
+each follower, a users' rule (AutomataUsers, QUsers, BaselineUsers), steps
+a run of rows, a slice of the block. Both act at the start of a slot and
+learn strictly after its rates are known. The leader hands the slot's
+jammed channels on as one (R, M) bool mask, which the rate model, the
 reward rules and the users read. What a user remembers of the jammer is the
 channel it last sensed as jammed, or M when it sensed none.
 
@@ -16,8 +16,9 @@ strategies are one (R, N, M) array, the Q values one (R, N, M+1, M) array
 with one sensed state per row, and the window leader's values one (R, M)
 array. Where the algorithms a rule serves differ, the difference is per-row
 data (which Q rows claim channels together, which baseline rows sense, each
-automata row's reward rule), never a branch on the algorithm. Every rule
-steps all its rows and all the users that learn at once, in place.
+automata row's reward rule), each run of one datum served by one call
+(_runs), never a branch on the algorithm. Every rule steps all its rows
+and all the users that learn at once, in place.
 Exploration decays alike in every row and for everyone, so it is one
 epsilon per rule. Nothing here draws: stream layout v2 gives every slot of
 every row a fixed row of uniforms, a rule reads its `draws` columns of it
@@ -218,18 +219,18 @@ def interference_reward(hypergraph):
 
 
 # ---------------------------------------------------------------------------
-# followers: select(u) -> (R, N) channels from the (R, draws) uniforms u,
-# learn(choices, active, rates, jammed); rates is None unless reads_rates
+# followers: `rows` rows each; select(u) -> (rows, N) channels from the
+# (rows, draws) uniforms u, learn(choices, active, rates, jammed); rates is
+# None unless reads_rates
 
-def _rows(mask):
-    """The rows where mask holds: a slice when they are contiguous, else
-    their indices; None when there are none."""
-    rows = np.flatnonzero(mask)
-    if not len(rows):
-        return None
-    if rows[-1] - rows[0] + 1 == len(rows):
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows
+def _runs(labels) -> list:
+    """The runs of equal consecutive labels, in order, as (slice, label)."""
+    runs, first = [], 0
+    for label, run in itertools.groupby(labels):
+        count = len(list(run))
+        runs.append((slice(first, first + count), label))
+        first += count
+    return runs
 
 
 class AutomataUsers:
@@ -243,16 +244,12 @@ class AutomataUsers:
 
     def __init__(self, num_users: int, num_channels: int, step_size: float,
                  rewards):
-        self._ranges = []
-        first = 0
-        for reward, run in itertools.groupby(rewards):
-            count = len(list(run))
-            self._ranges.append((slice(first, first + count), reward))
-            first += count
+        self._runs = _runs(rewards)
+        self.rows = len(rewards)
         self.strategy = MixedStrategy(
-            np.full((first, num_users, num_channels), 1.0 / num_channels))
+            np.full((self.rows, num_users, num_channels), 1.0 / num_channels))
         self.step_size = step_size
-        self.reads_rates = any(reward.reads_rates for _, reward in self._ranges)
+        self.reads_rates = any(reward.reads_rates for _, reward in self._runs)
         self.draws = num_users
 
     def select(self, u) -> np.ndarray:
@@ -260,7 +257,7 @@ class AutomataUsers:
 
     def learn(self, choices, active, rates, jammed) -> None:
         reward = np.empty(choices.shape)
-        for rows, rule in self._ranges:
+        for rows, rule in self._runs:
             reward[rows] = rule(choices[rows], active[rows],
                                 None if rates is None else rates[rows],
                                 jammed[rows])
@@ -281,19 +278,17 @@ class QUsers:
 
     def __init__(self, num_users: int, num_channels: int, params, reward,
                  collaborative):
-        collaborative = np.asarray(collaborative, dtype=bool)
-        rows = len(collaborative)
-        self.q = np.zeros((rows, num_users, num_channels + 1, num_channels))
+        self.rows = len(collaborative)
+        self.q = np.zeros((self.rows, num_users, num_channels + 1, num_channels))
         self.epsilon = params.epsilon_start
         self.params = params
         self.reward = reward
         self.reads_rates = reward.reads_rates
-        self.state = np.full(rows, num_channels)
+        self.state = np.full(self.rows, num_channels)
         self.draws = 2 * num_users
-        self._every_row = np.arange(rows)
-        self._picks = [(served, pick) for served, pick in (
-            (_rows(collaborative), collaborative_joint_selection),
-            (_rows(~collaborative), epsilon_greedy)) if served is not None]
+        self._every_row = np.arange(self.rows)
+        self._picks = [(rows, collaborative_joint_selection if claims else epsilon_greedy)
+                       for rows, claims in _runs(collaborative)]
 
     def select(self, u) -> np.ndarray:
         values = self.q[self._every_row, :, self.state]
@@ -317,23 +312,22 @@ class QUsers:
 
 class BaselineUsers:
     """Non-learning users, each row's "random" or "sensing" as kinds says:
-    one baseline_action call per kind over its rows, every row remembering
-    its last sensed jammed channel."""
+    one baseline_action call per run of rows of one kind, every row
+    remembering its last sensed jammed channel."""
 
     def __init__(self, kinds, num_users: int, num_channels: int):
-        kinds = np.asarray(kinds)
-        self._kinds = [(kind, rows) for kind in ("random", "sensing")
-                       if (rows := _rows(kinds == kind)) is not None]
-        if not np.isin(kinds, ("random", "sensing")).all():
-            raise ConfigError(f"BaselineUsers: unknown kinds in {kinds.tolist()}")
+        if not set(kinds) <= {"random", "sensing"}:
+            raise ConfigError(f"BaselineUsers: unknown kinds in {list(kinds)}")
+        self._runs = _runs(kinds)
+        self.rows = len(kinds)
         self.num_channels = num_channels
-        self.state = np.full(len(kinds), num_channels)
+        self.state = np.full(self.rows, num_channels)
         self.draws = num_users
         self.reads_rates = False
 
     def select(self, u) -> np.ndarray:
         choices = np.empty(u.shape, dtype=np.int64)
-        for kind, rows in self._kinds:
+        for rows, kind in self._runs:
             choices[rows] = baseline_action(kind, self.state[rows],
                                             self.num_channels, u[rows])
         return choices
@@ -362,6 +356,7 @@ class WindowLeader:
         self.epsilon = params.epsilon_start
         self.channel = np.zeros(num_trials, dtype=np.int64)
         self.draws = 2
+        self.rows = num_trials
         self._trials = np.arange(num_trials)
         self._slot_in_window = 0
         self._window_rate_sum = np.zeros(num_trials)
@@ -414,14 +409,14 @@ class HierarchicalController:
     The leader (the jammer side) moves first, then the followers pick their
     channels; at the end of the slot the followers learn and the leader
     observes. A leader offers act(t, u) -> (R, M) bool mask of the jammed
-    channels and observe(choices, active, rates) over every row; followers
-    is a list of (mask, rule) pairs, the rule serving the rows where its
-    mask holds, each row served by exactly one rule. A rule offers select(u) ->
-    channels and learn(choices, active, rates, jammed) over its rows, where
-    jammed is their part of the mask. The leader reads the first `draws` of
-    each row's uniforms and a row's rule the rule's `draws` after them;
-    row_draws holds each row's count, and the controller's draws is the
-    widest row's.
+    channels and observe(choices, active, rates) over its `rows` rows. The
+    rules serve them in order, each the next slice of its `rows` rows, at
+    least one; followers holds each rule with its slice. A rule offers
+    select(u) -> channels and learn(choices, active, rates, jammed) over its
+    slice, where jammed is the slice of the mask. The leader reads the first
+    `draws` of each row's uniforms and a row's rule the rule's `draws` after
+    them; row_draws holds each row's count, and the controller's draws is
+    the widest row's.
 
     A rule's reads_rates says whether it learns from every slot's rates
     (users rewarded by rate_reward) or from none (baseline users, automata
@@ -430,19 +425,17 @@ class HierarchicalController:
     window's last slot, the scripted jammers never.
     """
 
-    def __init__(self, leader, followers):
+    def __init__(self, leader, rules):
         self.leader = leader
-        served = np.sum([np.asarray(mask, dtype=bool) for mask, _ in followers],
-                        axis=0)
-        if not (served == 1).all():
-            raise ConfigError("HierarchicalController: each row needs exactly "
-                              "one rule")
-        self.followers = [(_rows(mask), rule) for mask, rule in followers]
-        self.row_draws = np.empty(len(followers[0][0]), dtype=np.int64)
-        for rows, rule in self.followers:
-            self.row_draws[rows] = leader.draws + rule.draws
+        rows = [rule.rows for rule in rules]
+        if min(rows, default=0) < 1 or sum(rows) != leader.rows:
+            raise ConfigError(f"HierarchicalController: rules of {rows} rows do "
+                              f"not cut the leader's {leader.rows} into slices")
+        self.followers = [(slice(stop - count, stop), rule) for count, stop, rule
+                          in zip(rows, itertools.accumulate(rows), rules)]
+        self.row_draws = np.repeat([leader.draws + rule.draws for rule in rules], rows)
         self.draws = int(self.row_draws.max())
-        self._reads_rates = any(rule.reads_rates for _, rule in self.followers)
+        self._reads_rates = any(rule.reads_rates for rule in rules)
         self._jammed = None
         self._choices = None
 

@@ -11,7 +11,9 @@ axis. The rows are taken in run order, algorithm-major and then trial, and a
 run is one block unless their arrays pass BLOCK_BYTES (_blocks). A
 HierarchicalController pairs the jammer side of every row (WindowLeader in
 stackelberg, ScriptedJammers' per-run schedule otherwise) with one users'
-rule per rule class in the block, each stepping all the rows it serves.
+rule per run of rows of one rule class. run_scenario sorts a block's rows
+by rule class, so that each class is one run, and reads them back in run
+order.
 Stream layout v2: each slot of each row reads a fixed row of uniforms
 whatever the state (the jammer side's, its users', then N for activity), so
 extending `slots` keeps earlier slots. Each row draws from its own generator
@@ -47,7 +49,7 @@ from .env import RateModel, max_single_user_rate
 from .games import GameSpec, stackelberg_solve
 from .jammers import ScriptedJammers
 from .learning import (AutomataUsers, BaselineUsers, HierarchicalController,
-                       QUsers, WindowLeader, interference_reward, rate_reward)
+                       QUsers, WindowLeader, _runs, interference_reward, rate_reward)
 from .metrics import mean_ci, ne_bounds, network_rate, normalized_capacity
 
 METRICS = ("rate_sum", "rate_mean_active", "normalized_capacity", "any_user_jammed")
@@ -123,7 +125,7 @@ _RULES = {"hierarchical": AutomataUsers, "hypergraph_sla": AutomataUsers,
 
 def _controller(config: ScenarioConfig, algos, r_max: float) -> HierarchicalController:
     """The controller of a block whose row r runs algos[r]: one leader over
-    every row, one follower per rule class in the block."""
+    every row, one follower per run of rows of one rule class."""
     n, m, lp, hg = config.num_users, config.num_channels, config.learning, \
         config.hypergraph
     if config.scenario == "stackelberg":
@@ -142,12 +144,8 @@ def _controller(config: ScenarioConfig, algos, r_max: float) -> HierarchicalCont
             n, m, lp, rate_reward(r_max), [algo == "collaborative" for algo in served]),
         BaselineUsers: lambda served: BaselineUsers(served, n, m),
     }
-    followers = []
-    for rule, make in build.items():
-        mask = [_RULES[algo] is rule for algo in algos]
-        if any(mask):
-            followers.append((mask, make([a for a, on in zip(algos, mask) if on])))
-    return HierarchicalController(leader, followers)
+    return HierarchicalController(leader, [
+        build[rule](algos[rows]) for rows, rule in _runs([_RULES[a] for a in algos])])
 
 
 def simulate_trial(config: ScenarioConfig, algos, rngs, model: RateModel,
@@ -278,12 +276,14 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
         extras = [{} for _ in config.algorithms]
         for block in _blocks(len(config.algorithms), config.trials,
                              _row_bytes(config)):
+            # one run per rule class (a stable sort); read back in (ai, ti) order
+            block.sort(key=lambda row: _RULES[config.algorithms[row[0]]].__name__)
             per_slot, block_extras = simulate_trial(
                 config, [config.algorithms[ai] for ai, _ in block],
                 [trial_generator(config.seed, ai, ti) for ai, ti in block],
                 model, r_max)
-            for (ai, ti), trial_slots, row_extras in zip(block, per_slot,
-                                                         block_extras):
+            for (ai, ti), trial_slots, row_extras in sorted(
+                    zip(block, per_slot, block_extras), key=lambda row: row[0]):
                 finals[ai, ti] = [column[-tail:].mean() for column in trial_slots.T]
                 for key, value in row_extras.items():
                     extras[ai].setdefault(key, []).append(value)

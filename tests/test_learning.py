@@ -324,8 +324,8 @@ def hierarchical(num_users, num_channels, params, r_max):
     automata users."""
     return HierarchicalController(
         WindowLeader(1, num_channels, params),
-        [([True], AutomataUsers(num_users, num_channels, params.step_size,
-                                [rate_reward(r_max)]))])
+        [AutomataUsers(num_users, num_channels, params.step_size,
+                       [rate_reward(r_max)])])
 
 
 def hierarchical_step(controller, rate_fn, rng, t=0):
@@ -376,13 +376,22 @@ def test_hierarchical_leader_learns_to_hurt():
     assert ctl.leader.greedy()[0] == 0
 
 
-@pytest.mark.parametrize("masks", [[[True, False]], [[True, True], [False, True]]])
-def test_controller_refuses_rows_served_by_no_rule_or_two(masks):
+@pytest.mark.parametrize("rows", [
+    pytest.param([2, 0], id="a-rule-with-no-rows"),
+    pytest.param([1], id="too-few-rows"),
+    pytest.param([2, 1], id="too-many-rows")])
+def test_controller_refuses_rules_that_do_not_tile_the_leaders_rows(rows):
+    """The rules serve consecutive slices of the leader's two rows: a rule
+    with no rows is refused, even where the others add up, and so are rules
+    whose rows add up to fewer or more than the leader's."""
     params = LearningParams()
     with pytest.raises(ConfigError):
         HierarchicalController(WindowLeader(2, 3, params),
-                               [(mask, BaselineUsers(["random"] * sum(mask), 2, 3))
-                                for mask in masks])
+                               [BaselineUsers(["random"] * count, 2, 3)
+                                for count in rows])
+    ctl = HierarchicalController(WindowLeader(2, 3, params),
+                                 [BaselineUsers(["random"], 2, 3)] * 2)
+    assert [rows for rows, _ in ctl.followers] == [slice(0, 1), slice(1, 2)]
 
 
 def test_greedy_profile_reflects_strategies():

@@ -367,6 +367,42 @@ def test_controllers_say_whether_their_feedback_reads_rates():
                 assert due == [], algo
 
 
+def test_controller_serves_each_run_of_one_rule_class_with_one_rule():
+    """_controller gives each run of rows of one users' rule class one rule
+    over the run's slice, the slices consecutive from row 0, so that
+    interleaved classes give one rule per run."""
+    algos = ["collaborative", "sensing", "independent_q", "random"]
+    config = load_config(tiny_markov(algorithms=algos))
+    ctl = runner._controller(config, [a for a in algos for _ in range(2)], 1.0)
+    assert [(rows, type(rule)) for rows, rule in ctl.followers] == [
+        (slice(0, 2), learning.QUsers), (slice(2, 4), learning.BaselineUsers),
+        (slice(4, 6), learning.QUsers), (slice(6, 8), learning.BaselineUsers)]
+    for scenario, algos in ALGORITHMS.items():
+        config = load_config(tiny_markov(scenario=scenario, algorithms=list(algos)))
+        ctl = runner._controller(config, list(algos) * 2, 1.0)
+        assert all(isinstance(rows, slice) for rows, _ in ctl.followers)
+        assert [rows.stop for rows, _ in ctl.followers][-1] == 2 * len(algos)
+
+
+def test_run_scenario_hands_each_rule_classs_rows_over_together(monkeypatch):
+    """run_scenario sorts a block's rows by rule class, keeping run order
+    within a class, so that each class is one rule even where the
+    algorithms interleave classes; the summary stays in run order."""
+    algos = ["collaborative", "sensing", "independent_q", "random"]
+    blocks = []
+    simulate = runner.simulate_trial
+    monkeypatch.setattr(runner, "simulate_trial", lambda config, block, *rest: (
+        blocks.append(list(block)), simulate(config, block, *rest))[1])
+    result = run_scenario(load_config(tiny_markov(algorithms=algos)))
+    (block,) = blocks
+    classes = [runner._RULES[a] for a in block]
+    assert len(learning._runs(classes)) == len(set(classes)) == 2
+    for rule in set(classes):
+        assert [a for a in block if runner._RULES[a] is rule] == [
+            a for a in algos for _ in range(2) if runner._RULES[a] is rule]
+    assert list(dict.fromkeys(row[1] for row in result.summary_rows)) == algos
+
+
 def test_rates_are_priced_per_slot_only_where_feedback_reads_them(monkeypatch):
     """Rates are priced after each slot whose feedback reads them and at the
     end of each slot block, covering the slots since the last pricing, in
@@ -651,8 +687,10 @@ def test_bench_presets_resolves_a_gain_from_canned_samples(tmp_path, monkeypatch
                                                            capsys, change, resolved):
     """With --parent, each preset's `resolved_gain` holds when the change ran
     faster in at least 9 of 10 alternating pairs and its median is below the
-    parent's by more than the parent's interquartile range; each side reports
-    its runs' peak RSS and their median beside their µs per unit."""
+    parent's by more than the parent's interquartile range, and its
+    `resolved_loss` in the mirror case, each sample as much slower than its
+    pair's parent as the change's is faster; each side reports its runs'
+    peak RSS and their median beside their µs per unit."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
                         "bench_presets.py")
     spec = importlib.util.spec_from_file_location("bench_presets", path)
@@ -660,20 +698,50 @@ def test_bench_presets_resolves_a_gain_from_canned_samples(tmp_path, monkeypatch
     spec.loader.exec_module(tool)
     (tmp_path / "src" / "antijam").mkdir(parents=True)
     rss = {"parent": [60.0 + i for i in range(10)], "change": [70.0] * 10}
-    samples = {side: iter(zip(runs, rss[side]))
-               for side, runs in (("parent", PARENT), ("change", change))}
-    monkeypatch.setattr(tool, "_measure", lambda checkout, preset, override: next(
-        samples["change" if checkout == tool.ROOT else "parent"]))
-    assert tool.main(["--parent", str(tmp_path), "--runs", "10",
-                      "--preset", "fig5-hypergraph"]) == 0
-    report = json.loads(capsys.readouterr().out)["presets"]["fig5-hypergraph"]
-    assert report["parent"]["us_per_unit"] == PARENT
-    assert report["change"]["us_per_unit"] == [round(c, 3) for c in change]
-    assert report["resolved_gain"] is resolved
-    assert report["parent"]["peak_rss_mb"] == rss["parent"]
-    assert report["parent"]["peak_rss_mb_median"] == 64.5
-    assert report["change"]["peak_rss_mb_median"] == 70.0
+    mirror = [2 * p - c for p, c in zip(PARENT, change)]
+    for runs, key in ((change, "resolved_gain"), (mirror, "resolved_loss")):
+        samples = {side: iter(zip(side_runs, rss[side]))
+                   for side, side_runs in (("parent", PARENT), ("change", runs))}
+        monkeypatch.setattr(tool, "_measure", lambda checkout, preset, override: next(
+            samples["change" if checkout == tool.ROOT else "parent"]))
+        assert tool.main(["--parent", str(tmp_path), "--runs", "10",
+                          "--preset", "fig5-hypergraph"]) == 0
+        report = json.loads(capsys.readouterr().out)["presets"]["fig5-hypergraph"]
+        assert report["parent"]["us_per_unit"] == PARENT
+        assert report["change"]["us_per_unit"] == [round(c, 3) for c in runs]
+        assert report[key] is resolved
+        assert report["parent"]["peak_rss_mb"] == rss["parent"]
+        assert report["parent"]["peak_rss_mb_median"] == 64.5
+        assert report["change"]["peak_rss_mb_median"] == 70.0
     assert tool.resolved_gain(PARENT[:1], change[:1]) is False
+    assert tool.resolved_loss(PARENT[:1], mirror[:1]) is False
+
+
+def test_size_counts_code_lines_without_docstrings_comments_or_blanks():
+    """tools/size.py's code lines leave out blank lines, comment-only lines
+    and every line of a docstring, and count each line of a statement that
+    spans several, a multi-line string that is not a docstring included."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "size.py")
+    spec = importlib.util.spec_from_file_location("size", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = "\n".join([
+        '"""A module docstring',
+        "",
+        'over three lines."""',
+        "",
+        "# a comment",
+        "import os  # a comment after code",
+        "",
+        "def f(x,",
+        "      y):",
+        '    """One line."""',
+        "    # inside",
+        '    text = """two',
+        '    lines"""',
+        "    return x + y", ""])
+    assert tool.code_lines(source) == 6
+    assert tool.public_names(source) == ["f"]
 
 
 def test_package_exports_only_the_readme_api():

@@ -164,7 +164,7 @@ def test_runs_past_the_block_cap_write_the_reference_rows(tmp_path_factory, doc)
 @st.composite
 def mixed_runs(draw, trials=(1, 3)):
     """A short run of every algorithm of a scenario, in any order, so that
-    a users' rule class may serve rows that are not contiguous."""
+    a block may interleave users' rule classes, one rule per run of rows."""
     doc = draw(documents())
     algos = draw(st.permutations(ALGORITHMS[doc["scenario"]]))
     return dict(doc, algorithms=list(algos), slots=min(doc["slots"], 16),

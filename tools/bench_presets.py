@@ -20,7 +20,9 @@ and median (as perfbench reports its timed runs), the peak RSS in MB of every
 sample with their median and, with --parent, how many
 pairs this checkout ran faster and whether that resolves a gain
 (`resolved_gain`): faster in at least 9 of 10 pairs, ties counting for
-neither, and a median gap larger than the parent samples' interquartile range.
+neither, and a median gap larger than the parent samples' interquartile range;
+`resolved_loss` is its mirror, slower in at least 9 of 10 pairs and a median
+above the parent's by more than that range.
 --override merges a JSON object into every
 timed preset's document, its keys replacing the preset's. Unknown preset
 names exit 2 with the known ones before anything runs; a run that fails
@@ -121,6 +123,13 @@ def resolved_gain(parent, change) -> bool:
             and statistics.median(parent) - statistics.median(change) > q3 - q1)
 
 
+def resolved_loss(parent, change) -> bool:
+    """Whether the change's samples (lower is better) resolve a loss, the
+    mirror of resolved_gain: slower in at least 9 of 10 pairs, and the
+    change's median above the parent's by more than the parent's IQR."""
+    return resolved_gain([-p for p in parent], [-c for c in change])
+
+
 def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     args = _parse_args(argv)
@@ -157,6 +166,7 @@ def main(argv=None) -> int:
             presets[name]["change_faster_pairs"] = sum(
                 c < p for p, c in zip(parent, change))
             presets[name]["resolved_gain"] = resolved_gain(parent, change)
+            presets[name]["resolved_loss"] = resolved_loss(parent, change)
     host["loadavg_after"] = list(os.getloadavg())
     print(json.dumps({"host": host, "presets": presets}, indent=2))
     return 0

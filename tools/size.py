@@ -1,18 +1,40 @@
-"""Print the size of the antijam package: per module, its line count and its
-public names, then the totals.
+"""Print the size of the antijam package: per module, its line count, its
+code lines and its public names, then the totals.
 
     python3 tools/size.py
 
-A public name is a module-level `def`, `class` or assignment target, read
-from the AST, whose name does not start with `_`. Imports are not counted,
-so a name re-exported by another module counts once, where it is defined.
+Code lines leave out blank lines, comment-only lines and docstrings (every
+statement that is a string alone), so that deleting comments does not shrink
+the code. A public name is a module-level `def`, `class` or assignment
+target, read from the AST, whose name does not start with `_`. Imports are
+not counted, so a name re-exported by another module counts once, where it
+is defined.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import sys
+import tokenize
 from pathlib import Path
+
+# tokens that hold no code
+_LAYOUT = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER)
+
+
+def code_lines(source: str) -> int:
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
+                and isinstance(node.value.value, str):
+            docstrings.update(range(node.lineno, node.end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _LAYOUT:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
 
 
 def public_names(source: str) -> list:
@@ -28,15 +50,18 @@ def public_names(source: str) -> list:
 
 def main() -> int:
     package = Path(__file__).resolve().parent.parent / "src" / "antijam"
-    lines, total = 0, 0
+    lines, code, total = 0, 0, 0
     for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         names = public_names(source)
-        count = len(source.splitlines())
+        count, counted = len(source.splitlines()), code_lines(source)
         lines += count
+        code += counted
         total += len(names)
-        print(f"{path.name:<16s} {count:4d} lines {len(names):3d}  {' '.join(names)}")
+        print(f"{path.name:<16s} {count:4d} lines {counted:4d} code "
+              f"{len(names):3d}  {' '.join(names)}")
     print(f"lines {lines}")
+    print(f"code lines {code}")
     print(f"public names {total}")
     return 0
 
