@@ -391,7 +391,7 @@ def test_controller_refuses_rules_that_do_not_tile_the_leaders_rows(rows):
                                 for count in rows])
     ctl = HierarchicalController(WindowLeader(2, 3, params),
                                  [BaselineUsers(["random"], 2, 3)] * 2)
-    assert [rows for rows, _ in ctl.followers] == [slice(0, 1), slice(1, 2)]
+    assert [served for served, _ in ctl.followers] == [slice(0, 1), slice(1, 2)]
 
 
 def test_greedy_profile_reflects_strategies():
