@@ -221,7 +221,7 @@ def interference_reward(hypergraph):
 # ---------------------------------------------------------------------------
 # followers: `rows` rows each; select(u) -> (rows, N) channels from the
 # (rows, draws) uniforms u, learn(choices, active, rates, jammed); rates is
-# None unless reads_rates
+# the slot's (rows, N) rates or None, always given if reads_rates
 
 def _runs(labels) -> list:
     """The runs of equal consecutive labels, in order, as (slice, label)."""
@@ -418,6 +418,12 @@ class HierarchicalController:
     them; row_draws holds each row's count, and the controller's draws is
     the widest row's.
 
+    The controller keeps no slot of its own: begin_slot writes every rule's
+    picks into the (R, N) choices row it is handed and returns the mask, and
+    end_slot reads the slot back from the choices and mask it is handed. So
+    a caller that hands its block's rows holds each slot's picks and mask
+    once, and the feedback and its metrics read the same arrays.
+
     A rule's reads_rates says whether it learns from every slot's rates
     (users rewarded by rate_reward) or from none (baseline users, automata
     rewarded by interference_reward). The leader's rates_due(t) says
@@ -436,33 +442,29 @@ class HierarchicalController:
         self.row_draws = np.repeat([leader.draws + rule.draws for rule in rules], rows)
         self.draws = int(self.row_draws.max())
         self._reads_rates = any(rule.reads_rates for rule in rules)
-        self._jammed = None
-        self._choices = None
 
     def rates_due(self, t: int) -> bool:
         """Whether the feedback after slot t reads rates: every slot when a
         rule reads them, else the slots the leader names."""
         return self._reads_rates or self.leader.rates_due(t)
 
-    def begin_slot(self, t: int, u):
-        """This slot's jam mask and every user's channel, read from the
-        slot's (R, draws) uniforms."""
+    def begin_slot(self, t: int, u, choices):
+        """This slot's jam mask, read from the slot's (R, draws) uniforms;
+        every user's channel is written into choices, (R, N)."""
         k = self.leader.draws
-        self._jammed = self.leader.act(t, u[:, :k])
-        picks = [(rows, rule.select(u[rows, k:k + rule.draws]))
-                 for rows, rule in self.followers]
-        self._choices = np.empty((len(u), picks[0][1].shape[-1]), dtype=np.int64)
-        for rows, pick in picks:
-            self._choices[rows] = pick
-        return self._jammed, self._choices
-
-    def end_slot(self, rates, active) -> None:
-        """Feed the slot back: the followers learn, then the leader. rates
-        is None, or the (K, R, N) rates of the K slots through this one
-        that were not handed on yet; it must be given after every slot that
-        rates_due names, and K is 1 whenever a rule reads rates."""
+        jammed = self.leader.act(t, u[:, :k])
         for rows, rule in self.followers:
-            rule.learn(self._choices[rows], active[rows],
-                       rates[-1][rows] if rule.reads_rates else None,
-                       self._jammed[rows])
-        self.leader.observe(self._choices, active, rates)
+            choices[rows] = rule.select(u[rows, k:k + rule.draws])
+        return jammed
+
+    def end_slot(self, choices, jammed, rates, active) -> None:
+        """Feed the slot of these (R, N) choices and (R, M) jam mask back:
+        the followers learn, then the leader. rates is None, or the
+        (K, R, N) rates of the K slots through this one that were not handed
+        on yet; it must be given after every slot that rates_due names, and
+        K is 1 whenever a rule reads rates, so each rule is handed the last
+        slot's rates of its rows."""
+        for rows, rule in self.followers:
+            rule.learn(choices[rows], active[rows],
+                       None if rates is None else rates[-1][rows], jammed[rows])
+        self.leader.observe(choices, active, rates)

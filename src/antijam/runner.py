@@ -13,7 +13,9 @@ HierarchicalController pairs the jammer side of every row (WindowLeader in
 stackelberg, ScriptedJammers' per-run schedule otherwise) with one users'
 rule per run of rows of one rule class. run_scenario sorts a block's rows
 by rule class, so that each class is one run, and reads them back in run
-order.
+order. The controller keeps no slot of its own: each slot's picks and jam
+mask are written once, into the block's (slot, row) arrays, and the
+feedback and the block's metrics read them there.
 Stream layout v2: each slot of each row reads a fixed row of uniforms
 whatever the state (the jammer side's, its users', then N for activity), so
 extending `slots` keeps earlier slots. Each row draws from its own generator
@@ -170,20 +172,20 @@ def simulate_trial(config: ScenarioConfig, algos, rngs, model: RateModel,
         rates = np.empty((size, rows, n))
         priced = 0  # the block's slots priced so far
         for k in range(size):
-            jammed[k], choices[k] = ctl.begin_slot(first + k, u[k])
-            if not (ctl.rates_due(first + k) or k == size - 1):
-                ctl.end_slot(None, active[k])
-                continue
-            # price the slots since the last priced, in calls of at most
-            # BLOCK_SLOTS (slot, row) rows, so that the (rows, N, M)
-            # intermediates stay bounded
-            span = slice(priced, k + 1)
-            step = max(1, BLOCK_SLOTS // (k + 1 - priced))
-            for ri in range(0, rows, step):
-                cut = (span, slice(ri, ri + step))
-                rates[cut] = model.rates(choices[cut], jammed[cut], active[cut])
-            ctl.end_slot(rates[span], active[k])
-            priced = k + 1
+            jammed[k] = ctl.begin_slot(first + k, u[k], choices[k])
+            fed = None  # the rates handed on after this slot
+            if ctl.rates_due(first + k) or k == size - 1:
+                # price the slots since the last priced, in calls of at most
+                # BLOCK_SLOTS (slot, row) rows, so that the (rows, N, M)
+                # intermediates stay bounded
+                span = slice(priced, k + 1)
+                step = max(1, BLOCK_SLOTS // (k + 1 - priced))
+                for ri in range(0, rows, step):
+                    cut = (span, slice(ri, ri + step))
+                    rates[cut] = model.rates(choices[cut], jammed[cut], active[cut])
+                fed = rates[span]
+                priced = k + 1
+            ctl.end_slot(choices[k], jammed[k], fed, active[k])
         per_slot[:, first:first + size] = _slot_metrics(
             choices, jammed, active, rates, r_max).swapaxes(0, 1)
     extras = [{} for _ in range(rows)]

@@ -330,9 +330,11 @@ def hierarchical(num_users, num_channels, params, r_max):
 
 def hierarchical_step(controller, rate_fn, rng, t=0):
     """One slot of the two-timescale loop of one trial, every user active."""
-    jammed, choices = controller.begin_slot(t, rng.random((1, controller.draws)))
+    _, users = controller.followers[0]
+    choices = np.empty(users.strategy.probs.shape[:2], dtype=np.int64)
+    jammed = controller.begin_slot(t, rng.random((1, controller.draws)), choices)
     rates = rate_fn(choices[0], jammed[0])[None, None]  # (slots, trials, N)
-    controller.end_slot(rates, np.ones(choices.shape, dtype=bool))
+    controller.end_slot(choices, jammed, rates, np.ones(choices.shape, dtype=bool))
     (channel,) = np.flatnonzero(jammed[0])
     return int(channel)
 
@@ -374,6 +376,46 @@ def test_hierarchical_leader_learns_to_hurt():
     for t in range(600):
         hierarchical_step(ctl, rate_fn, rng, t)
     assert ctl.leader.greedy()[0] == 0
+
+
+def test_controller_keeps_no_slot_state():
+    """begin_slot writes every rule's picks into the choices row it is
+    handed and returns the leader's mask; end_slot steps the rules on the
+    choices and mask it is handed, not on what begin_slot wrote; and no
+    array of the controller, its leader or its rules shares memory with an
+    array handed to either."""
+    params = LearningParams(window_slots=1, learning_rate=0.5, step_size=0.5)
+    automata = AutomataUsers(2, 3, params.step_size, [rate_reward(1.0)] * 2)
+    sensing = BaselineUsers(["sensing"], 2, 3)
+    ctl = HierarchicalController(WindowLeader(3, 3, params), [automata, sensing])
+    held = dict(vars(ctl))
+    u = np.random.default_rng(4).random((3, ctl.draws))
+    choices = np.full((3, 2), -1)
+    jammed = ctl.begin_slot(0, u, choices)
+    assert np.array_equal(choices[:2], automata.select(u[:2, 2:]))
+    assert np.array_equal(choices[2:], sensing.select(u[2:, 2:]))
+    assert np.array_equal(jammed, np.arange(3) == ctl.leader.channel[:, None])
+
+    handed = (choices + 1) % 3
+    unjammed = ~jammed
+    rates, active = np.ones((1, 3, 2)), np.ones((3, 2), dtype=bool)
+    ctl.end_slot(handed, unjammed, rates, active)
+    # each automaton stepped towards its handed channel on reward 1
+    stepped = automata.strategy.probs[[[0], [1]], [0, 1], handed[:2]]
+    assert stepped == pytest.approx(np.full((2, 2), 1 / 3 + 0.5 * 2 / 3))
+    # the sensing row remembers the lowest channel of the handed mask
+    assert sensing.state.tolist() == observe_jamming(unjammed[2:]).tolist()
+    assert observe_jamming(unjammed[2:]) != observe_jamming(jammed[2:])
+    # the leader learned each row's total rate on its channel
+    assert ctl.leader.values[np.arange(3), ctl.leader.channel] == pytest.approx(-1.0)
+
+    assert vars(ctl).keys() == held.keys()
+    assert all(vars(ctl)[key] is value for key, value in held.items())
+    for owner in (ctl, ctl.leader, automata, sensing):
+        for name, value in vars(owner).items():
+            for given in (u, choices, handed, unjammed, rates, active):
+                assert not (isinstance(value, np.ndarray)
+                            and np.shares_memory(value, given)), name
 
 
 @pytest.mark.parametrize("rows", [

@@ -648,8 +648,10 @@ def test_bench_presets_reports_why_a_child_run_failed(tmp_path):
 
 def test_bench_presets_child_reports_the_fastest_of_its_runs(tmp_path):
     """A child times CHILD_RUNS run_scenario calls of its preset and reports
-    the fastest one's µs per unit: here a stub package whose three runs
-    sleep 0.2, 0.05 and 0.2 s over 1000 units, and which fails a fourth."""
+    the fastest one's µs per unit and the sha256 of the last one's summary
+    rows and trial values, as perfbench digests them: here a stub package
+    whose three runs sleep 0.2, 0.05 and 0.2 s over 1000 units, and which
+    fails a fourth."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
                         "bench_presets.py")
     spec = importlib.util.spec_from_file_location("bench_presets", path)
@@ -664,12 +666,21 @@ def test_bench_presets_child_reports_the_fastest_of_its_runs(tmp_path):
         "    return SimpleNamespace(algorithms=['a'], trials=1, slots=1000)\n")
     (package / "runner.py").write_text(
         "import time\n"
+        "from types import SimpleNamespace\n"
         "NAPS = iter([0.2, 0.05, 0.2])\n"
-        "def run_scenario(config): time.sleep(next(NAPS))\n")
+        "def run_scenario(config):\n"
+        "    time.sleep(next(NAPS))\n"
+        "    return SimpleNamespace(summary_rows=[('s', 'a', 'm', 0.5, 0.0, 1)],\n"
+        "                           trial_values={'b': {'y': [2.0]},\n"
+        "                                         'a': {'x': [1.0], 'w': [0.0]}})\n")
     assert tool.CHILD_RUNS == 3
-    us, rss_mb = tool._measure(tmp_path, "any", {})
+    us, rss_mb, digest = tool._measure(tmp_path, "any", {})
     assert 50.0 <= us < 200.0
     assert rss_mb > 0.0
+    expected = hashlib.sha256(repr(("s", "a", "m", 0.5, 0.0, 1)).encode("utf-8"))
+    for value in (0.0, 1.0, 2.0):  # a/w, a/x, b/y
+        expected.update(np.float64(value).tobytes())
+    assert digest == expected.hexdigest()
 
 
 PARENT = [10.0, 10.4, 9.8, 10.2, 10.1, 9.9, 10.3, 10.0, 10.2, 9.7]
@@ -690,7 +701,8 @@ def test_bench_presets_resolves_a_gain_from_canned_samples(tmp_path, monkeypatch
     parent's by more than the parent's interquartile range, and its
     `resolved_loss` in the mirror case, each sample as much slower than its
     pair's parent as the change's is faster; each side reports its runs'
-    peak RSS and their median beside their µs per unit."""
+    peak RSS and their median and their distinct output digests beside their
+    µs per unit, and `outputs_equal` holds when all samples gave one digest."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
                         "bench_presets.py")
     spec = importlib.util.spec_from_file_location("bench_presets", path)
@@ -700,7 +712,7 @@ def test_bench_presets_resolves_a_gain_from_canned_samples(tmp_path, monkeypatch
     rss = {"parent": [60.0 + i for i in range(10)], "change": [70.0] * 10}
     mirror = [2 * p - c for p, c in zip(PARENT, change)]
     for runs, key in ((change, "resolved_gain"), (mirror, "resolved_loss")):
-        samples = {side: iter(zip(side_runs, rss[side]))
+        samples = {side: iter(zip(side_runs, rss[side], "d" * 10))
                    for side, side_runs in (("parent", PARENT), ("change", runs))}
         monkeypatch.setattr(tool, "_measure", lambda checkout, preset, override: next(
             samples["change" if checkout == tool.ROOT else "parent"]))
@@ -713,8 +725,32 @@ def test_bench_presets_resolves_a_gain_from_canned_samples(tmp_path, monkeypatch
         assert report["parent"]["peak_rss_mb"] == rss["parent"]
         assert report["parent"]["peak_rss_mb_median"] == 64.5
         assert report["change"]["peak_rss_mb_median"] == 70.0
+        assert report["parent"]["digests"] == report["change"]["digests"] == ["d"]
+        assert report["outputs_equal"] is True
     assert tool.resolved_gain(PARENT[:1], change[:1]) is False
     assert tool.resolved_loss(PARENT[:1], mirror[:1]) is False
+
+
+def test_bench_presets_reports_unequal_outputs(tmp_path, monkeypatch, capsys):
+    """One sample whose output digest differs from the rest, here the
+    change's third, makes the preset's `outputs_equal` false, and its side
+    lists both digests."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "bench_presets.py")
+    spec = importlib.util.spec_from_file_location("bench_presets", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    (tmp_path / "src" / "antijam").mkdir(parents=True)
+    samples = {"parent": iter(zip(PARENT, [60.0] * 4, "dddd")),
+               "change": iter(zip(PARENT, [60.0] * 4, "dded"))}
+    monkeypatch.setattr(tool, "_measure", lambda checkout, preset, override: next(
+        samples["change" if checkout == tool.ROOT else "parent"]))
+    assert tool.main(["--parent", str(tmp_path), "--runs", "4",
+                      "--preset", "fig5-hypergraph"]) == 0
+    report = json.loads(capsys.readouterr().out)["presets"]["fig5-hypergraph"]
+    assert report["outputs_equal"] is False
+    assert report["parent"]["digests"] == ["d"]
+    assert report["change"]["digests"] == ["d", "e"]
 
 
 def test_size_counts_code_lines_without_docstrings_comments_or_blanks():

@@ -11,13 +11,16 @@ checkout's ./src, loads one preset at its own size and times CHILD_RUNS
 run_scenario calls of it; the result is the fastest one's wall time per
 algorithm x trial x slot (the oracle of a stackelberg preset included), as
 perfbench's run_s is the fastest of its timed runs, and the child's peak
-resident set size (ru_maxrss, imports included). With --parent, the samples
+resident set size (ru_maxrss, imports included) and a sha256 of the last
+run's outputs: its summary rows, then its trial values' bytes in sorted
+order, as perfbench's digest takes them. With --parent, the samples
 of a preset alternate between the parent's sources and this checkout's, the
 parent first in odd pairs and second in even ones, so that both sides see the
 same spells of host load. Prints one JSON object: the host context, then per
 preset and side the µs per unit of every sample with their minimum, quartiles
 and median (as perfbench reports its timed runs), the peak RSS in MB of every
-sample with their median and, with --parent, how many
+sample with their median, the distinct output digests and, with --parent,
+whether every sample of both sides gave one digest (`outputs_equal`), how many
 pairs this checkout ran faster and whether that resolves a gain
 (`resolved_gain`): faster in at least 9 of 10 pairs, ties counting for
 neither, and a median gap larger than the parent samples' interquartile range;
@@ -46,7 +49,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CHILD_RUNS = 3
 
 CHILD = """
-import json, resource, sys, time
+import hashlib, json, resource, sys, time
+import numpy as np
 sys.path.insert(0, sys.argv[1])
 import antijam
 from antijam.runner import run_scenario
@@ -55,10 +59,17 @@ config = antijam.load_config(dict(antijam.get_preset(sys.argv[2]),
 walls = []
 for _ in range(int(sys.argv[4])):
     start = time.perf_counter()
-    run_scenario(config)
+    result = run_scenario(config)
     walls.append(time.perf_counter() - start)
+digest = hashlib.sha256()
+for row in result.summary_rows:
+    digest.update(repr(row).encode("utf-8"))
+for algo in sorted(result.trial_values):
+    for key in sorted(result.trial_values[algo]):
+        digest.update(np.asarray(result.trial_values[algo][key],
+                                 dtype=np.float64).tobytes())
 print(min(walls) * 1e6 / (len(config.algorithms) * config.trials * config.slots),
-      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, digest.hexdigest())
 """
 
 
@@ -89,24 +100,26 @@ def _parse_args(argv):
 
 
 def _measure(checkout: Path, preset: str, override: dict) -> tuple:
-    """One child's (µs per unit of its fastest run, peak RSS in MB)."""
+    """One child's (µs per unit of its fastest run, peak RSS in MB, output
+    digest)."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(checkout / "src"), preset,
          json.dumps(override), str(CHILD_RUNS)],
         capture_output=True, text=True, check=True)
-    us, rss_mb = proc.stdout.strip().splitlines()[-1].split()
-    return float(us), float(rss_mb)
+    us, rss_mb, digest = proc.stdout.strip().splitlines()[-1].split()
+    return float(us), float(rss_mb), digest
 
 
 def _summary(runs) -> dict:
-    values, rss = [us for us, _ in runs], [mb for _, mb in runs]
+    values, rss = [us for us, _, _ in runs], [mb for _, mb, _ in runs]
     out = {"us_per_unit": [round(v, 3) for v in values], "n": len(values),
            "min": round(min(values), 3), "median": round(statistics.median(values), 3)}
     if len(values) >= 2:
         q1, _, q3 = statistics.quantiles(values, n=4)
         out.update(q1=round(q1, 3), q3=round(q3, 3))
     out.update(peak_rss_mb=[round(mb, 1) for mb in rss],
-               peak_rss_mb_median=round(statistics.median(rss), 1))
+               peak_rss_mb_median=round(statistics.median(rss), 1),
+               digests=sorted({digest for _, _, digest in runs}))
     return out
 
 
@@ -161,8 +174,10 @@ def main(argv=None) -> int:
                     return 1
         presets[name] = {side: _summary(runs) for side, runs in samples.items()}
         if args.parent is not None:
-            parent, change = ([us for us, _ in samples[side]]
+            parent, change = ([us for us, _, _ in samples[side]]
                               for side in ("parent", "change"))
+            presets[name]["outputs_equal"] = len(
+                {digest for runs in samples.values() for _, _, digest in runs}) == 1
             presets[name]["change_faster_pairs"] = sum(
                 c < p for p, c in zip(parent, change))
             presets[name]["resolved_gain"] = resolved_gain(parent, change)
