@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config, load_config_file, read_document
+from .config import load_config, read_document
 from .errors import ConfigError
 from .presets import get_preset, preset_description, preset_names
 from .runner import run_scenario
@@ -69,7 +69,7 @@ def _cmd_presets(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = load_config_file(args.config)
+    config = load_config(read_document(args.config))
     print(f"ok: {config.name} ({config.scenario}, {config.num_users} users, "
           f"{config.num_channels} channels, {config.trials} trials x "
           f"{config.slots} slots)")

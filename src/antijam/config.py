@@ -379,7 +379,3 @@ def read_document(path) -> dict:
     if not isinstance(document, dict):
         raise ConfigError("config: document must be a JSON object")
     return document
-
-
-def load_config_file(path) -> ScenarioConfig:
-    return load_config(read_document(path))

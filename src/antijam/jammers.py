@@ -6,7 +6,8 @@ trials: the fixed, comb and sweep patterns depend on the slot alone, so their
 union is one (period, M) bool table built once from jammer_action, their
 channel set in one slot, and read at t % period; the random and reactive
 patterns add one channel per trial each slot, from a uniform or from what
-the pattern heard. The slot's union is one (T, M) bool channel mask.
+the pattern heard. The slot's union is one (T, M) bool channel mask, written
+into the row of the block's jam masks that the slot loop hands act.
 """
 
 from __future__ import annotations
@@ -69,43 +70,37 @@ def jammer_action(pattern: JammerPattern, t: int) -> frozenset:
 class ScriptedJammers:
     """Scripted patterns as one slot-loop leader for num_trials trials.
 
-    act(t, u) masks the static patterns' table row t % period, the period
-    being the lcm of the sweeps' M x dwell (no rows past the run's slots),
-    plus one channel per trial for each random or reactive pattern, from
-    one uniform of u each, read or not. A reactive pattern jams the channel
-    most used by the active users its trial heard in the previous slot,
-    lowest index on ties, or the uniform's when it heard nobody.
+    act(t, u, out) writes the slot's (T, M) mask into out: the static
+    patterns' table row t % period in every trial, the period being the lcm
+    of the sweeps' M x dwell (no rows past the run's slots), plus one
+    channel per trial for each random or reactive pattern, from one uniform
+    of u each, read or not. A reactive pattern jams the channel most used
+    by the active users its trial heard in the previous slot, lowest index
+    on ties, or the uniform's when it heard nobody.
     """
 
     def __init__(self, patterns, num_trials: int, num_channels: int, slots: int):
         static = [p for p in patterns if p.kind not in _DRAWING_KINDS]
         self.period = math.lcm(*(p.num_channels * p.dwell for p in static
                                  if p.kind == "sweep"))
-        table = np.zeros((min(self.period, slots), num_channels), dtype=bool)
-        for t, row in enumerate(table):
+        self.table = np.zeros((min(self.period, slots), num_channels), dtype=bool)
+        for t, row in enumerate(self.table):
             for p in static:
                 row[list(jammer_action(p, t))] = True
-        # each row holds for every trial
-        self.table = np.broadcast_to(table[:, None], (len(table), num_trials,
-                                                      num_channels))
         self._drawing = [p.kind for p in patterns if p.kind in _DRAWING_KINDS]
         self.draws = len(self._drawing)
         self.heard = np.zeros((num_trials, num_channels), dtype=np.int64)
         self.rows = num_trials
         self._trials = np.arange(num_trials)
 
-    def act(self, t: int, u) -> np.ndarray:
-        mask = self.table[t % self.period]
-        if not self.draws:
-            return mask
-        mask = mask.copy()
-        heard_any = self.heard.any(axis=-1)
+    def act(self, t: int, u, out) -> None:
+        out[...] = self.table[t % self.period]
         for j, kind in enumerate(self._drawing):
-            pick = uniform_channels(u[:, j], mask.shape[-1])
+            pick = uniform_channels(u[:, j], out.shape[-1])
             if kind == "reactive":
-                pick = np.where(heard_any, self.heard.argmax(axis=-1), pick)
-            mask[self._trials, pick] = True
-        return mask
+                pick = np.where(self.heard.any(axis=-1), self.heard.argmax(axis=-1),
+                                pick)
+            out[self._trials, pick] = True
 
     def rates_due(self, t: int) -> bool:
         """Never: the reactive pick hears channels only."""

@@ -6,10 +6,12 @@ algorithms. A HierarchicalController drives them all: the leader is the
 jammer side of every row (WindowLeader, or jammers.ScriptedJammers), and
 each follower, a users' rule (AutomataUsers, QUsers, BaselineUsers), steps
 a run of rows, a slice of the block. Both act at the start of a slot and
-learn strictly after its rates are known. The leader hands the slot's
-jammed channels on as one (R, M) bool mask, which the rate model, the
-reward rules and the users read. What a user remembers of the jammer is the
-channel it last sensed as jammed, or M when it sensed none.
+learn strictly after its rates are known. Each writes its part of the slot
+straight into the row of the block's arrays it is handed: the leader the
+slot's jammed channels, one (R, M) bool mask, which the rate model, the
+reward rules and the users read; each rule its slice of the (R, N) picks.
+What a user remembers of the jammer is the channel it last sensed as
+jammed, or M when it sensed none.
 
 Each rule keeps its rows' state along a leading row axis: the automata's
 strategies are one (R, N, M) array, the Q values one (R, N, M+1, M) array
@@ -219,9 +221,10 @@ def interference_reward(hypergraph):
 
 
 # ---------------------------------------------------------------------------
-# followers: `rows` rows each; select(u) -> (rows, N) channels from the
-# (rows, draws) uniforms u, learn(choices, active, rates, jammed); rates is
-# the slot's (rows, N) rates or None, always given if reads_rates
+# followers: `rows` rows each; select(u, out) writes the (rows, N) channels
+# picked from the (rows, draws) uniforms u into out, learn(choices, active,
+# rates, jammed); rates is the slot's (rows, N) rates or None, always given
+# if reads_rates
 
 def _runs(labels) -> list:
     """The runs of equal consecutive labels, in order, as (slice, label)."""
@@ -252,8 +255,8 @@ class AutomataUsers:
         self.reads_rates = any(reward.reads_rates for _, reward in self._runs)
         self.draws = num_users
 
-    def select(self, u) -> np.ndarray:
-        return self.strategy.sample(u)
+    def select(self, u, out) -> None:
+        out[...] = self.strategy.sample(u)
 
     def learn(self, choices, active, rates, jammed) -> None:
         reward = np.empty(choices.shape)
@@ -290,12 +293,10 @@ class QUsers:
         self._picks = [(rows, collaborative_joint_selection if claims else epsilon_greedy)
                        for rows, claims in _runs(collaborative)]
 
-    def select(self, u) -> np.ndarray:
+    def select(self, u, out) -> None:
         values = self.q[self._every_row, :, self.state]
-        choices = np.empty(values.shape[:-1], dtype=np.int64)
         for rows, pick in self._picks:
-            choices[rows] = pick(values[rows], self.epsilon, u[rows])
-        return choices
+            out[rows] = pick(values[rows], self.epsilon, u[rows])
 
     def learn(self, choices, active, rates, jammed) -> None:
         s_next = observe_jamming(jammed)
@@ -325,12 +326,10 @@ class BaselineUsers:
         self.draws = num_users
         self.reads_rates = False
 
-    def select(self, u) -> np.ndarray:
-        choices = np.empty(u.shape, dtype=np.int64)
+    def select(self, u, out) -> None:
         for rows, kind in self._runs:
-            choices[rows] = baseline_action(kind, self.state[rows],
-                                            self.num_channels, u[rows])
-        return choices
+            out[rows] = baseline_action(kind, self.state[rows],
+                                        self.num_channels, u[rows])
 
     def learn(self, choices, active, rates, jammed) -> None:
         self.state = observe_jamming(jammed)
@@ -358,20 +357,19 @@ class WindowLeader:
         self.draws = 2
         self.rows = num_trials
         self._trials = np.arange(num_trials)
+        self._channels = np.arange(num_channels)
         self._slot_in_window = 0
         self._window_rate_sum = np.zeros(num_trials)
 
-    def act(self, t: int, u) -> np.ndarray:
-        """This slot's one-hot (R, M) jam mask, read-only and held for the
-        window. Every slot reads a coin and a channel per row; only a window
-        start uses them."""
+    def act(self, t: int, u, out) -> None:
+        """Write this slot's one-hot (R, M) jam mask into out. Every slot
+        reads a coin and a channel per row; only a window start uses them,
+        and builds the mask that each slot of the window copies."""
         if self._slot_in_window == 0:
             pick = epsilon_greedy(self.values[:, None], self.epsilon, u)
             self.channel = pick[:, 0]
-            self._mask = np.zeros(self.values.shape, dtype=bool)
-            self._mask[self._trials, self.channel] = True
-            self._mask.flags.writeable = False
-        return self._mask
+            self._mask = self._channels == self.channel[:, None]
+        out[...] = self._mask
 
     def rates_due(self, t: int) -> bool:
         """Whether it learns from the rates after slot t: at the last slot of
@@ -408,21 +406,24 @@ class HierarchicalController:
 
     The leader (the jammer side) moves first, then the followers pick their
     channels; at the end of the slot the followers learn and the leader
-    observes. A leader offers act(t, u) -> (R, M) bool mask of the jammed
-    channels and observe(choices, active, rates) over its `rows` rows. The
-    rules serve them in order, each the next slice of its `rows` rows, at
-    least one; followers holds each rule with its slice. A rule offers
-    select(u) -> channels and learn(choices, active, rates, jammed) over its
+    observes. A leader offers act(t, u, out), which writes the (R, M) bool
+    mask of the jammed channels into out, and observe(choices, active,
+    rates) over its `rows` rows. The rules serve them in order, each the
+    next slice of its `rows` rows, at least one; followers holds each rule
+    with its slice. A rule offers select(u, out), which writes its slice's
+    channels into out, and learn(choices, active, rates, jammed) over its
     slice, where jammed is the slice of the mask. The leader reads the first
     `draws` of each row's uniforms and a row's rule the rule's `draws` after
     them; row_draws holds each row's count, and the controller's draws is
     the widest row's.
 
-    The controller keeps no slot of its own: begin_slot writes every rule's
-    picks into the (R, N) choices row it is handed and returns the mask, and
-    end_slot reads the slot back from the choices and mask it is handed. So
-    a caller that hands its block's rows holds each slot's picks and mask
-    once, and the feedback and its metrics read the same arrays.
+    The controller keeps no slot of its own: begin_slot hands the leader the
+    (R, M) jammed row and each rule its slice of the (R, N) choices row, and
+    each writes its part there; end_slot reads the slot back from the
+    choices and mask it is handed. Neither the controller nor a leader or
+    rule keeps a reference to a handed array. So a caller that hands its
+    block's rows holds each slot's picks and mask once, and the feedback and
+    its metrics read the same arrays.
 
     A rule's reads_rates says whether it learns from every slot's rates
     (users rewarded by rate_reward) or from none (baseline users, automata
@@ -448,14 +449,14 @@ class HierarchicalController:
         rule reads them, else the slots the leader names."""
         return self._reads_rates or self.leader.rates_due(t)
 
-    def begin_slot(self, t: int, u, choices):
-        """This slot's jam mask, read from the slot's (R, draws) uniforms;
-        every user's channel is written into choices, (R, N)."""
+    def begin_slot(self, t: int, u, choices, jammed) -> None:
+        """Write this slot's jam mask into jammed, (R, M), and every user's
+        channel into choices, (R, N), read from the slot's (R, draws)
+        uniforms."""
         k = self.leader.draws
-        jammed = self.leader.act(t, u[:, :k])
+        self.leader.act(t, u[:, :k], jammed)
         for rows, rule in self.followers:
-            choices[rows] = rule.select(u[rows, k:k + rule.draws])
-        return jammed
+            rule.select(u[rows, k:k + rule.draws], choices[rows])
 
     def end_slot(self, choices, jammed, rates, active) -> None:
         """Feed the slot of these (R, N) choices and (R, M) jam mask back:

@@ -13,9 +13,11 @@ HierarchicalController pairs the jammer side of every row (WindowLeader in
 stackelberg, ScriptedJammers' per-run schedule otherwise) with one users'
 rule per run of rows of one rule class. run_scenario sorts a block's rows
 by rule class, so that each class is one run, and reads them back in run
-order. The controller keeps no slot of its own: each slot's picks and jam
-mask are written once, into the block's (slot, row) arrays, and the
-feedback and the block's metrics read them there.
+order. The controller keeps no slot of its own: begin_slot hands the jammer
+side the slot's row of the block's (slot, row) jam masks and each rule its
+slice of the slot's row of picks, so each slot's picks and jam mask are
+written once, by the leader and the rules themselves, and the feedback and
+the block's metrics read them there.
 Stream layout v2: each slot of each row reads a fixed row of uniforms
 whatever the state (the jammer side's, its users', then N for activity), so
 extending `slots` keeps earlier slots. Each row draws from its own generator
@@ -172,7 +174,7 @@ def simulate_trial(config: ScenarioConfig, algos, rngs, model: RateModel,
         rates = np.empty((size, rows, n))
         priced = 0  # the block's slots priced so far
         for k in range(size):
-            jammed[k] = ctl.begin_slot(first + k, u[k], choices[k])
+            ctl.begin_slot(first + k, u[k], choices[k], jammed[k])
             fed = None  # the rates handed on after this slot
             if ctl.rates_due(first + k) or k == size - 1:
                 # price the slots since the last priced, in calls of at most

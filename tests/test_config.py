@@ -13,7 +13,7 @@ import pytest
 from antijam import get_preset, load_config
 from antijam.cli import main
 from antijam.config import (ALGORITHMS, SCENARIOS, LearningParams,
-                            load_config_file)
+                            read_document)
 from antijam.env import RadioParams
 from antijam.errors import ConfigError
 from antijam.games import MAX_ORACLE_CELLS, oracle_cells
@@ -289,14 +289,14 @@ def test_learning_params_round_trip():
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(minimal_markov()))
-    cfg = load_config_file(path)
+    cfg = load_config(read_document(path))
     assert cfg.name == "unit"
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
-        load_config_file(bad)
+        load_config(read_document(bad))
     with pytest.raises(ConfigError):
-        load_config_file(tmp_path / "missing.json")
+        load_config(read_document(tmp_path / "missing.json"))
 
 
 def test_document_must_be_a_dict():

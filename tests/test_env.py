@@ -306,10 +306,10 @@ def test_reactive_jammer_hears_only_active_users(monkeypatch, scenario):
     heard, draws = [], []
     act = jammers.ScriptedJammers.act
 
-    def spy(self, t, u):
+    def spy(self, t, u, out):
         heard.append(self.heard[0].copy())
         draws.append(float(u[0, 0]))
-        return act(self, t, u)
+        act(self, t, u, out)
 
     monkeypatch.setattr(jammers.ScriptedJammers, "act", spy)
     doc = tiny_markov(scenario=scenario, num_users=3, slots=200,

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_loop
+from slot_rows import acted
 from antijam.errors import ConfigError, UnsupportedOperationError
 from antijam.jammers import KINDS, JammerPattern, ScriptedJammers, jammer_action
 
@@ -49,7 +50,8 @@ def test_sweep_dwell_one_cycles_every_slot():
 
 def picks(jam, t, u):
     """The one channel each trial's mask holds at slot t."""
-    mask = jam.act(t, np.asarray(u, dtype=float).reshape(len(u), -1))
+    mask = acted(jam, t, np.asarray(u, dtype=float).reshape(len(u), -1),
+                 jam.table.shape[-1])
     assert (mask.sum(axis=-1) == 1).all()
     return mask.argmax(axis=-1).tolist()
 
@@ -139,7 +141,7 @@ def test_every_kind_emits_a_subset_of_channels():
     for p in patterns:
         jam = ScriptedJammers([p], 2, 3, 30)
         for t in range(30):
-            mask = jam.act(t, rng.random((2, jam.draws)))
+            mask = acted(jam, t, rng.random((2, jam.draws)), 3)
             assert mask.any(axis=-1).all()
             jam.observe(rng.integers(0, 3, size=(2, 4)), rng.random((2, 4)) < 0.5,
                         None)
@@ -174,7 +176,7 @@ def test_schedule_jams_the_union_of_the_patterns_sets(case, trials, slots, seed)
     heard = [None] * trials
     for t in range(slots):
         u = rng.random((trials, jam.draws))
-        mask = jam.act(t, u)
+        mask = acted(jam, t, u, m)
         assert mask.dtype == bool and mask.shape == (trials, m)
         for i in range(trials):
             draws = iter(u[i])

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 import reference_loop
 import scalar_interference as scalar
+from slot_rows import acted, selected
 from antijam.config import LearningParams
 from antijam.hypergraph import InterferenceHypergraph, marginal_interference
 import pytest
@@ -291,7 +292,7 @@ def drive_users(new, refs, box, s, compare, slots=25):
     rngs_new, rngs_ref = generators(s)
     env = np.random.default_rng(s["seed"] + 1)
     for _ in range(slots):
-        choices = new.select(slot_row(rngs_new, new.draws))
+        choices = selected(new, slot_row(rngs_new, new.draws), s["n"])
         assert choices.shape == (s["trials"], s["n"])
         for ref, rng, got in zip(refs, rngs_ref, choices):
             assert np.array_equal(got, ref.select(rng))
@@ -359,7 +360,7 @@ def test_window_leader_matches_the_scalar_reference(s):
     env = np.random.default_rng(s["seed"] + 1)
     shape = (s["trials"], s["n"])
     for t in range(30):
-        jammed = new.act(t, slot_row(rngs_new, new.draws))
+        jammed = acted(new, t, slot_row(rngs_new, new.draws), s["m"])
         assert jammed.dtype == bool and jammed.shape == (s["trials"], s["m"])
         for ref, rng, mask in zip(refs, rngs_ref, jammed):
             assert channels(mask) == ref.act(t, rng)
@@ -476,9 +477,9 @@ def drive_rows(new, alone, s, inputs, compare, slots=25):
     env = np.random.default_rng(s["seed"] + 1)
     for _ in range(slots):
         u = slot_row(rngs, new.draws)
-        choices = new.select(u)
+        choices = selected(new, u, s["n"])
         for i, rule in enumerate(alone):
-            assert np.array_equal(choices[i:i + 1], rule.select(u[i:i + 1]))
+            assert np.array_equal(choices[i:i + 1], selected(rule, u[i:i + 1], s["n"]))
         active, rates, jammed = inputs(env)
         new.learn(choices, active, rates, jammed)
         for i, rule in enumerate(alone):
@@ -533,7 +534,7 @@ def test_baseline_users_with_mixed_kinds_equal_each_rows_rule_alone(s, kinds):
     # and after the drive, each row against its own kind's baseline_action
     u = np.random.default_rng(s["seed"] + 2).random((s["trials"], new.draws))
     for i, kind in enumerate(kinds):
-        assert np.array_equal(new.select(u)[i], baseline_action(
+        assert np.array_equal(selected(new, u, s["n"])[i], baseline_action(
             kind, alone[i].state[0], s["m"], u[i]))
 
 
@@ -562,9 +563,9 @@ def test_automata_reward_ranges_equal_their_rules_alone(hg, rows_a, rows_b, m,
                    lambda h, *args: (counted.append(h), count(h, *args))[1])
         for _ in range(20):
             u = env.random((rows, n))
-            choices = new.select(u)
+            choices = selected(new, u, n)
             for i, rule in enumerate(alone):
-                assert np.array_equal(choices[i:i + 1], rule.select(u[i:i + 1]))
+                assert np.array_equal(choices[i:i + 1], selected(rule, u[i:i + 1], n))
             # few channels, so that fresh inputs repeat too
             choices = env.integers(0, min(m, 2), size=(rows, n))
             active = env.random((rows, n)) < 0.7

@@ -16,6 +16,7 @@ from antijam.learning import (AutomataUsers, BaselineUsers,
                               baseline_action, collaborative_joint_selection,
                               epsilon_greedy, observe_jamming, q_update,
                               rate_reward, sla_update)
+from slot_rows import acted, selected
 
 # states on the 4 channels of these tests: the last channel sensed as
 # jammed, or M = 4 before any observation
@@ -331,8 +332,10 @@ def hierarchical(num_users, num_channels, params, r_max):
 def hierarchical_step(controller, rate_fn, rng, t=0):
     """One slot of the two-timescale loop of one trial, every user active."""
     _, users = controller.followers[0]
-    choices = np.empty(users.strategy.probs.shape[:2], dtype=np.int64)
-    jammed = controller.begin_slot(t, rng.random((1, controller.draws)), choices)
+    rows, n, m = users.strategy.probs.shape
+    choices = np.empty((rows, n), dtype=np.int64)
+    jammed = np.empty((rows, m), dtype=bool)
+    controller.begin_slot(t, rng.random((1, controller.draws)), choices, jammed)
     rates = rate_fn(choices[0], jammed[0])[None, None]  # (slots, trials, N)
     controller.end_slot(choices, jammed, rates, np.ones(choices.shape, dtype=bool))
     (channel,) = np.flatnonzero(jammed[0])
@@ -379,11 +382,12 @@ def test_hierarchical_leader_learns_to_hurt():
 
 
 def test_controller_keeps_no_slot_state():
-    """begin_slot writes every rule's picks into the choices row it is
-    handed and returns the leader's mask; end_slot steps the rules on the
-    choices and mask it is handed, not on what begin_slot wrote; and no
-    array of the controller, its leader or its rules shares memory with an
-    array handed to either."""
+    """begin_slot has the leader write its mask into the jammed row it is
+    handed, and every rule its picks into its slice of the choices row, over
+    whatever stale entries the rows held, and returns nothing; end_slot
+    steps the rules on the choices and mask it is handed, not on what
+    begin_slot wrote; and no array of the controller, its leader or its
+    rules shares memory with an array handed to either."""
     params = LearningParams(window_slots=1, learning_rate=0.5, step_size=0.5)
     automata = AutomataUsers(2, 3, params.step_size, [rate_reward(1.0)] * 2)
     sensing = BaselineUsers(["sensing"], 2, 3)
@@ -391,10 +395,19 @@ def test_controller_keeps_no_slot_state():
     held = dict(vars(ctl))
     u = np.random.default_rng(4).random((3, ctl.draws))
     choices = np.full((3, 2), -1)
-    jammed = ctl.begin_slot(0, u, choices)
-    assert np.array_equal(choices[:2], automata.select(u[:2, 2:]))
-    assert np.array_equal(choices[2:], sensing.select(u[2:, 2:]))
+    jammed = np.ones((3, 3), dtype=bool)
+    assert ctl.begin_slot(0, u, choices, jammed) is None
+    assert np.array_equal(choices[:2], selected(automata, u[:2, 2:], 2))
+    assert np.array_equal(choices[2:], selected(sensing, u[2:, 2:], 2))
     assert np.array_equal(jammed, np.arange(3) == ctl.leader.channel[:, None])
+
+    def holds_none_of(*given):
+        for owner in (ctl, ctl.leader, automata, sensing):
+            for name, value in vars(owner).items():
+                for array in given:
+                    assert not (isinstance(value, np.ndarray)
+                                and np.shares_memory(value, array)), name
+    holds_none_of(u, choices, jammed)
 
     handed = (choices + 1) % 3
     unjammed = ~jammed
@@ -411,11 +424,7 @@ def test_controller_keeps_no_slot_state():
 
     assert vars(ctl).keys() == held.keys()
     assert all(vars(ctl)[key] is value for key, value in held.items())
-    for owner in (ctl, ctl.leader, automata, sensing):
-        for name, value in vars(owner).items():
-            for given in (u, choices, handed, unjammed, rates, active):
-                assert not (isinstance(value, np.ndarray)
-                            and np.shares_memory(value, given)), name
+    holds_none_of(u, choices, jammed, handed, unjammed, rates, active)
 
 
 @pytest.mark.parametrize("rows", [
@@ -449,12 +458,12 @@ def test_window_leader_learns_once_per_window():
                             epsilon_floor=0.3, leader_epsilon_decay=0.5)
     leader = WindowLeader(num_trials=1, num_channels=2, params=params)
     rng = np.random.default_rng(5)
-    first = leader.act(0, rng.random((1, 2)))
+    first = acted(leader, 0, rng.random((1, 2)), 2)
     (channel,) = np.flatnonzero(first[0])
     user, on = np.zeros((1, 1), dtype=np.int64), np.ones((1, 1), dtype=bool)
     for t, total in ((1, 1.0), (2, 2.0)):
         leader.observe(user, on, np.array([[total]]))
-        assert np.array_equal(leader.act(t, rng.random((1, 2))), first)
+        assert np.array_equal(acted(leader, t, rng.random((1, 2)), 2), first)
     assert not leader.values.any()
     leader.observe(user, on, np.array([[3.0]]))
     # reward is minus the window's mean total rate, epsilon decays to its floor
