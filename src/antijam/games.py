@@ -14,13 +14,13 @@ channel 0, and reports that one leader row. They share one batched kernel,
 _deviation_utilities, which values every unilateral deviation of a block of
 profiles as a (K, N, M) tensor: enumeration walks the M^N profiles in
 lexicographic blocks, and best response sweeps many starts in lockstep.
-user_utility values one cell. Both read the one SINR formula,
-RateModel.deviation_rates, and hypergraph.py's one conflict count, so the
-kernel gives user_utility's values bit for bit. The scalar oracle they
-replaced is the tests' reference.
+user_utility reads one cell of that tensor. The kernel reads the one SINR
+formula, RateModel.deviation_rates, and hypergraph.py's one conflict count.
+The scalar oracle it replaced is the tests' reference.
 
 Every entry point takes the jammed channels as a channel set or an (M,) bool
-mask and checks them once, through env.jam_mask.
+mask and checks them once, through env.jam_mask; the kernel takes the
+checked mask.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .env import (NodeGeometry, RadioParams, RateModel, _as_choices, _as_mask,
                   jam_mask)
 from .errors import ConfigError, InstanceTooLargeError, UnsupportedOperationError
 from .hypergraph import (InterferenceHypergraph, deviation_interference,
-                         marginal_interference, total_generalized_interference)
+                         total_generalized_interference)
 
 KINDS = ("stackelberg", "hypergraph")
 
@@ -45,8 +45,6 @@ MAX_ORACLE_CELLS = 6 * 10 ** 8
 # (profile, user, channel) cells valued per block: enumeration and lockstep
 # best response hold a few arrays of this size at a time, whatever M^N is.
 _BLOCK_CELLS = 8192
-
-_NO_JAM = frozenset()
 
 
 class GameSpec:
@@ -69,7 +67,7 @@ class GameSpec:
         self.geometry = geometry
         self.params = params
         self.hypergraph = hypergraph
-        self._model = None
+        self.rate_model = RateModel(geometry, params)
 
     @property
     def num_users(self) -> int:
@@ -79,28 +77,21 @@ class GameSpec:
     def num_channels(self) -> int:
         return self.params.num_channels
 
-    @property
-    def rate_model(self) -> RateModel:
-        if self._model is None:
-            self._model = RateModel(self.geometry, self.params)
-        return self._model
 
-
-def user_utility(game: GameSpec, n: int, choices, jammed_channels=_NO_JAM,
+def user_utility(game: GameSpec, n: int, choices, jammed_channels=(),
                  active_mask=None) -> float:
     """Utility of user n at the joint assignment; 0 by convention if inactive."""
+    # a bool is no user index, as it is no channel
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+            or not 0 <= n < game.num_users:
+        raise ConfigError(f"user_utility: {n!r} is not a user in range({game.num_users})")
     choices = _as_choices(choices, game.num_users, game.num_channels)
     active = _as_mask(active_mask, game.num_users)
     jammed = jam_mask(jammed_channels, game.num_channels)
-    if not active[n]:
-        return 0.0
-    if game.kind == "hypergraph":
-        return -float(marginal_interference(game.hypergraph, choices, active,
-                                            jammed)[n])
-    return float(game.rate_model.rates(choices, jammed, active)[n])
+    return float(_deviation_utilities(game, choices[None], jammed, active)[0, n, choices[n]])
 
 
-def potential_value(game: GameSpec, choices, jammed_channels=_NO_JAM,
+def potential_value(game: GameSpec, choices, jammed_channels=(),
                     active_mask=None) -> float:
     """Phi = -I_total for the hypergraph game (the exact potential)."""
     if game.kind != "hypergraph":
@@ -133,19 +124,20 @@ def _block_rows(game: GameSpec) -> int:
     return max(1, _BLOCK_CELLS // (game.num_users * game.num_channels))
 
 
-def _deviation_utilities(game: GameSpec, profiles: np.ndarray, jammed_channels,
+def _deviation_utilities(game: GameSpec, profiles: np.ndarray, jammed: np.ndarray,
                          active: np.ndarray) -> np.ndarray:
     """(K, N, M) tensor: [k, n, c] is user n's utility if it alone moves to
-    channel c in profile k (0 for inactive users).
+    channel c in profile k (0 for inactive users), under the checked (M,)
+    bool jam mask jammed.
 
-    Each entry equals user_utility at the deviated profile exactly: both
-    read RateModel.deviation_rates or hypergraph.deviation_interference.
+    user_utility is the cell [0, n, choices[n]] of a one-profile block, so
+    every oracle value reads RateModel.deviation_rates or
+    hypergraph.deviation_interference, through this one kernel.
     """
-    jam = jam_mask(jammed_channels, game.num_channels)
     if game.kind == "hypergraph":
-        hits = deviation_interference(game.hypergraph, profiles, active, jam)
+        hits = deviation_interference(game.hypergraph, profiles, active, jammed)
         return np.where(active[:, None], -hits.astype(np.float64), 0.0)
-    return game.rate_model.deviation_rates(profiles, active, jam)
+    return game.rate_model.deviation_rates(profiles, active, jammed)
 
 
 def _improves(best, own):
@@ -181,17 +173,18 @@ def _nash_blocks(game: GameSpec, jammed, active):
         yield block[nash], own[nash]
 
 
-def is_pure_nash(game: GameSpec, choices, jammed_channels=_NO_JAM,
+def is_pure_nash(game: GameSpec, choices, jammed_channels=(),
                  active_mask=None) -> bool:
     """True iff no active user has a unilateral deviation that improves its
     utility by more than 1e-12."""
     choices = _as_choices(choices, game.num_users, game.num_channels)
     active = _as_mask(active_mask, game.num_users)
-    nash, _ = _nash_rows(game, choices[None], jammed_channels, active)
+    jammed = jam_mask(jammed_channels, game.num_channels)
+    nash, _ = _nash_rows(game, choices[None], jammed, active)
     return bool(nash[0])
 
 
-def enumerate_pure_nash(game: GameSpec, jammed_channels=_NO_JAM,
+def enumerate_pure_nash(game: GameSpec, jammed_channels=(),
                         active_mask=None) -> list:
     """Every pure NE assignment, lexicographically ordered (exhaustive)."""
     active = _as_mask(active_mask, game.num_users)
@@ -216,7 +209,7 @@ def _respond(game: GameSpec, profiles: np.ndarray, n: int, jammed, active) -> np
     return moved
 
 
-def best_response_lockstep(game: GameSpec, starts, jammed_channels=_NO_JAM,
+def best_response_lockstep(game: GameSpec, starts, jammed_channels=(),
                            active_mask=None, max_rounds: int = 500):
     """run_best_response from every row of starts (S, N) at once.
 
@@ -247,7 +240,7 @@ def best_response_lockstep(game: GameSpec, starts, jammed_channels=_NO_JAM,
     return finals, converged, rounds
 
 
-def run_best_response(game: GameSpec, start, jammed_channels=_NO_JAM,
+def run_best_response(game: GameSpec, start, jammed_channels=(),
                       active_mask=None, max_rounds: int = 500):
     """Round-robin best-response sweeps until a full sweep changes nothing.
 

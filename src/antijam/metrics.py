@@ -10,8 +10,6 @@ from .env import _as_mask, jam_mask
 from .errors import ConfigError
 from .games import GameSpec, best_response_lockstep, lexicographic_profiles
 
-_NO_JAM = frozenset()
-
 
 def network_rate(rates, active) -> np.ndarray:
     """Sum of the active users' rates, per trial for rates (..., N).
@@ -54,7 +52,7 @@ class NeBounds:
     num_failed: int
 
 
-def ne_bounds(game: GameSpec, jammed_channels=_NO_JAM, active_mask=None,
+def ne_bounds(game: GameSpec, jammed_channels=(), active_mask=None,
               num_trials: int = 200, rng=None, max_rounds: int = 500) -> NeBounds:
     """Run best-response dynamics from num_trials random starts, all in
     lockstep, and report the extreme converged network sum rates.

@@ -98,6 +98,22 @@ def test_inactive_user_utility_is_zero():
     assert user_utility(game, 0, choices, jammed, active) == 0.0
 
 
+@pytest.mark.parametrize("user", [-1, 3, True, 1.0],
+                         ids=["negative", "N", "bool", "float"])
+def test_user_utility_refuses_what_is_no_user(user):
+    """A negative index would wrap to the last users and a bool or a
+    float would read as one; each is a ConfigError."""
+    game = GameSpec("stackelberg", line_geometry(3), RadioParams(num_channels=2))
+    with pytest.raises(ConfigError, match="not a user"):
+        user_utility(game, user, [0, 1, 0])
+
+
+def test_user_utility_takes_a_numpy_user_index():
+    game = GameSpec("stackelberg", line_geometry(3), RadioParams(num_channels=2))
+    assert user_utility(game, np.int64(2), [0, 1, 0]) == \
+        user_utility(game, 2, [0, 1, 0]) > 0.0
+
+
 def brute_force_nash(game, jammed, active):
     """Independent NE filter: try every profile, every deviation."""
     n, m = game.num_users, game.num_channels
@@ -174,6 +190,22 @@ def test_best_response_converges_on_exactly_the_enumerated_equilibria():
     assert len(equilibria) == 10
     assert is_pure_nash(game, (1, 0, 1, 0, 0))
     assert run_best_response(game, (1, 0, 1, 0, 0))[1:] == (True, 1)
+
+
+def test_a_gain_between_1e12_and_1e9_is_a_move():
+    """The strict-gain threshold is 1e-12. Two users 10^6 m apart share
+    channel 0: each hears the other at a gain of 1e-12, which costs user 0
+    about 1.4e-10 of rate. That gain is no rounding, so the profile is no
+    equilibrium and best response moves user 0 to the free channel."""
+    far = 1e6
+    geometry = NodeGeometry(user_pairs=[[[0.0, 0.0], [1.0, 0.0]],
+                                        [[far, 0.0], [far + 1.0, 0.0]]])
+    game = GameSpec("stackelberg", geometry, RadioParams(num_channels=2))
+    gain = user_utility(game, 0, [1, 0]) - user_utility(game, 0, [0, 0])
+    assert 1e-12 < gain < 1e-9
+    assert not is_pure_nash(game, [0, 0])
+    final, converged, rounds = run_best_response(game, [0, 0])
+    assert (final.tolist(), converged, rounds) == ([1, 0], True, 2)
 
 
 def test_best_response_tie_rules():

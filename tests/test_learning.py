@@ -138,6 +138,21 @@ def test_sla_update_validation():
         sla_update(two, [0, 0], [0.5, 0.0], 0.1)
 
 
+def test_a_row_off_the_simplex_by_1e6_is_refused():
+    """The simplex tolerance is 1e-9 on a row's sum: a row off by 1e-6 is
+    refused when a strategy is made and after an update, where a reward of
+    0.0 leaves it unstepped too; a row off by 1e-12 is not."""
+    strategy([0.5, 0.5 + 1e-12])
+    for off in (1e-6, -1e-6):
+        with pytest.raises(ConfigError, match="sum to 1"):
+            strategy([0.5, 0.5 + off])
+        for row, rewards in ((0, [0.5, 0.5]), (1, [0.5, 0.0])):
+            two = strategy([0.5, 0.5], [0.5, 0.5])
+            two.probs[row, 1] += off
+            with pytest.raises(ConfigError, match="sum to 1"):
+                sla_update(two, [0, 0], rewards, 0.1)
+
+
 def test_simplex_preserved_over_many_updates():
     rng = np.random.default_rng(0)
     s = strategy([0.25] * 4)

@@ -21,11 +21,11 @@ import scalar_rates
 from scalar_oracle import (reference_best_response, reference_enumeration,
                            reference_leader_solve, reference_utility_row)
 from antijam import games
-from antijam.env import NodeGeometry, RadioParams, RateModel
+from antijam.env import NodeGeometry, RadioParams, RateModel, jam_mask
 from antijam.games import (GameSpec, best_response_lockstep,
                            enumerate_pure_nash, is_pure_nash,
                            lexicographic_profiles, run_best_response,
-                           stackelberg_solve)
+                           stackelberg_solve, user_utility)
 from antijam.hypergraph import InterferenceHypergraph
 
 # Block sizes in (profile, user, channel) cells: one profile per block for
@@ -79,7 +79,8 @@ profile_rows = st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5),
 def test_deviation_tensor_equals_scalar_utilities(case, rows):
     game, jammed, active = case
     profiles = profiles_of(game, [r[:game.num_users] for r in rows])
-    got = games._deviation_utilities(game, profiles, jammed, active)
+    got = games._deviation_utilities(game, profiles,
+                                     jam_mask(jammed, game.num_channels), active)
     assert got.shape == (len(profiles), game.num_users, game.num_channels)
     for k, profile in enumerate(profiles):
         for n in range(game.num_users):
@@ -88,6 +89,24 @@ def test_deviation_tensor_equals_scalar_utilities(case, rows):
                 assert got[k, n].tobytes() == want.tobytes()
             else:
                 assert np.array_equal(got[k, n], want)
+
+
+@given(small_games(), profile_rows)
+def test_user_utility_equals_the_scalar_reference(case, rows):
+    """user_utility reads one cell of the kernel, so this pins it to a
+    formula it does not share: rate games bit for bit, hypergraph games by
+    value and sign (a user with no conflicts is -0.0), inactive users and
+    jam sets of several channels included."""
+    game, jammed, active = case
+    for profile in profiles_of(game, [r[:game.num_users] for r in rows]):
+        for n in range(game.num_users):
+            got = user_utility(game, n, profile, jammed, active)
+            want = reference_utility_row(game, n, profile, jammed,
+                                         active)[profile[n]]
+            if game.kind == "stackelberg":
+                assert np.float64(got).tobytes() == want.tobytes()
+            else:
+                assert (got, np.signbit(got)) == (want, np.signbit(want))
 
 
 @given(small_games(), st.sampled_from(BLOCK_CELLS))
@@ -170,7 +189,7 @@ def test_rate_tensor_is_bitwise_beyond_five_users():
         mask = np.arange(m) == min(jammed)
         active = rng.random(n) < 0.9
         profiles = rng.integers(0, m, size=(4, n))
-        got = games._deviation_utilities(game, profiles, jammed, active)
+        got = games._deviation_utilities(game, profiles, mask, active)
         block = model.deviation_rates(profiles, active, mask)
         assert block.tobytes() == got.tobytes()
         assert block.tobytes() == np.stack(
