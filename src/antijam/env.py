@@ -189,7 +189,8 @@ class RateModel:
     def num_users(self) -> int:
         return self.geometry.num_users
 
-    def rates(self, choices, jammed_channels, active_mask) -> np.ndarray:
+    def rates(self, choices, jammed_channels, active_mask, *,
+              checked: bool = True) -> np.ndarray:
         """Per-user achievable rates for one slot of one or more trials.
 
         choices are (..., N) channels, with the same leading trial axes as
@@ -197,16 +198,30 @@ class RateModel:
         whatever the number of trials. Inactive users radiate nothing and
         receive a rate of 0. A user hears jamming power iff its own channel
         is jammed; jammed_channels is a channel set or a (..., M) bool mask
-        (see jam_mask). These are deviation_rates read at each user's own
+        (see jam_mask). Each user's heard power is summed at its own channel
+        only and goes through the SINR tail that deviation_rates ends in, so
+        the rates are bitwise deviation_rates read at each user's own
         channel.
+
+        checked=False skips the checks, for a caller that hands arrays it
+        built itself: int64 choices in range(M), an activity mask of bools
+        shaped like them and a (..., M) bool jam mask.
         """
-        m = self.params.num_channels
-        choices = _as_choices(choices, self.num_users, m, ndim=None)
-        trials = choices.shape[:-1]
-        active = _as_mask(active_mask, self.num_users, trials)
-        rates = self.deviation_rates(choices, active,
-                                     jam_mask(jammed_channels, m, trials))
-        return _at_own_channel(rates, choices)
+        if checked:
+            m = self.params.num_channels
+            choices = _as_choices(choices, self.num_users, m, ndim=None)
+            trials = choices.shape[:-1]
+            active_mask = _as_mask(active_mask, self.num_users, trials)
+            # a channel set is one (M,) mask for every trial
+            jammed_channels = np.broadcast_to(
+                jam_mask(jammed_channels, m, trials), (*trials, m))
+        # on[..., n, t]: user t is active on user n's channel
+        on = ((choices[..., None, :] == choices[..., None])
+              & active_mask[..., None, :]).astype(float)
+        heard = np.einsum("...nt,tn->...n", on, self._cross_gain)
+        hit = np.take_along_axis(jammed_channels, choices, axis=-1)
+        return self._shannon(heard[..., None], hit[..., None],
+                             active_mask)[..., 0]
 
     def deviation_rates(self, profiles, active, jammed) -> np.ndarray:
         """(..., N, M): [..., n, c] is user n's rate if it alone moves to
@@ -216,12 +231,19 @@ class RateModel:
         each. einsum adds the transmitters one at a time in order, as the
         tests' scalar rates do; a BLAS product may not, and would round
         differently."""
-        p = self.params
         on = ((profiles[..., None, :] == self._channels)
               & active[..., None, :]).astype(float)
         heard = np.einsum("...ct,tn->...nc", on, self._cross_gain)
+        return self._shannon(heard, jammed[..., None, :], active)
+
+    def _shannon(self, heard, hit, active) -> np.ndarray:
+        """The one SINR formula: (..., N, K) rates of users that hear the
+        power heard (..., N, K) from the other transmitters, plus the jam
+        power where the bool hit (broadcast to heard) holds, at K channels
+        each; 0 where a user is inactive in active, (N,) or (..., N)."""
+        p = self.params
         denom = (p.noise_floor + p.tx_power * heard
-                 + np.where(jammed[..., None, :], self.jam_at_rx[:, None], 0.0))
+                 + np.where(hit, self.jam_at_rx[:, None], 0.0))
         sinr = self._signal / denom
         return np.where(active[..., None], np.log2(1.0 + sinr), 0.0)
 

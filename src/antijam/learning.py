@@ -74,7 +74,7 @@ class MixedStrategy:
 
 
 def sla_update(strategy: MixedStrategy, chosen, rewards,
-               step_size: float) -> None:
+               step_size: float, *, checked: bool = True) -> None:
     """Linear reward-inaction step of every row of the strategy, in place.
 
     chosen and rewards hold one entry per row, in C order (trial-major in a
@@ -83,18 +83,26 @@ def sla_update(strategy: MixedStrategy, chosen, rewards,
     b*r_k*P_other; the sum is preserved exactly in exact arithmetic, so no
     renormalization happens here. A reward of 0.0 leaves a row's bits as
     they are, so a row that does not learn is stepped with 0.0.
+
+    The step size, the sizes, each reward's range and each channel's range
+    are checked before the step, and the whole strategy is checked to stay
+    on the simplex after it. checked=False skips all of these, for a caller
+    that checks its strategy itself and hands rewards in [0, 1] and
+    channels in range(M) that it built itself (AutomataUsers.learn, whose
+    strategies the slot loop checks once per slot block).
     """
-    if not 0.0 < step_size < 1.0:
+    if checked and not 0.0 < step_size < 1.0:
         raise ConfigError("sla_update: step_size must be in (0, 1)")
     p = strategy.probs.reshape(-1, strategy.probs.shape[-1])  # a view, or a copy
     r = np.asarray(rewards, dtype=np.float64).reshape(-1)
     c = np.asarray(chosen, dtype=np.int64).reshape(-1)
-    if r.size != len(p) or c.size != len(p):
-        raise ConfigError("sla_update: need one reward and channel per row")
-    if not (r.min() >= 0.0 and r.max() <= 1.0):
-        raise ConfigError("sla_update: reward must lie in [0, 1]")
-    if c.min() < 0 or c.max() >= p.shape[1]:
-        raise ConfigError("sla_update: chosen channel out of range")
+    if checked:
+        if r.size != len(p) or c.size != len(p):
+            raise ConfigError("sla_update: need one reward and channel per row")
+        if not (r.min() >= 0.0 and r.max() <= 1.0):
+            raise ConfigError("sla_update: reward must lie in [0, 1]")
+        if c.min() < 0 or c.max() >= p.shape[1]:
+            raise ConfigError("sla_update: chosen channel out of range")
     scale = step_size * r
     stepped = np.arange(len(p))
     own = p[stepped, c]
@@ -102,7 +110,8 @@ def sla_update(strategy: MixedStrategy, chosen, rewards,
     p[stepped, c] = own + scale * (1.0 - own)
     if not strategy.probs.flags.c_contiguous:  # p may be a copy: write it back
         strategy.probs[...] = p.reshape(strategy.probs.shape)
-    _check_simplex(strategy.probs)
+    if checked:
+        _check_simplex(strategy.probs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +252,15 @@ class AutomataUsers:
     is rewarded by one call of it, so a rule that reuses a repeated slot's
     reward (interference_reward) sees only its own rows. The step runs over
     every row in place, an inactive user's reward set to 0.0, which leaves
-    its row's bits as they are."""
+    its row's bits as they are. The step skips sla_update's checks: the
+    rewards come from its rules, in [0, 1], and the channels from its own
+    samples, so only the strategy's simplex is left to check, which the
+    slot loop (runner.simulate_trial) does once per slot block."""
 
     def __init__(self, num_users: int, num_channels: int, step_size: float,
                  rewards):
+        if not 0.0 < step_size < 1.0:
+            raise ConfigError("AutomataUsers: step_size must be in (0, 1)")
         self._runs = _runs(rewards)
         self.rows = len(rewards)
         self.strategy = MixedStrategy(
@@ -265,7 +279,7 @@ class AutomataUsers:
                                 None if rates is None else rates[rows],
                                 jammed[rows])
         sla_update(self.strategy, choices, np.where(active, reward, 0.0),
-                   self.step_size)
+                   self.step_size, checked=False)
 
     def greedy(self) -> np.ndarray:
         """Exploration-free choices: each user's most likely channel."""

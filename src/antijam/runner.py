@@ -37,6 +37,15 @@ one row's slot block at a time; a call of many rows gives each row the bits
 of its own one-row call. The controller is built per block, so the
 interference reward's reuse of a repeated slot
 (learning.interference_reward) never crosses blocks.
+
+The loop checks its invariants at the boundary, not in every slot. The
+config is checked when it is loaded; the pricing calls hand RateModel.rates
+the block's own arrays with checked=False, and the automata step with
+learning.sla_update(checked=False). What the skipped per-call check of
+sla_update guarded, that every strategy stays on the simplex, is checked
+at the end of each slot block, before the block's metrics and before
+run_scenario writes any of its rows: a drifted strategy fails the run at
+most BLOCK_SLOTS slots late, and leaves no output that looks complete.
 """
 
 from __future__ import annotations
@@ -53,7 +62,8 @@ from .env import RateModel, max_single_user_rate
 from .games import GameSpec, stackelberg_solve
 from .jammers import ScriptedJammers
 from .learning import (AutomataUsers, BaselineUsers, HierarchicalController,
-                       QUsers, WindowLeader, _runs, interference_reward, rate_reward)
+                       QUsers, WindowLeader, _check_simplex, _runs,
+                       interference_reward, rate_reward)
 from .metrics import mean_ci, ne_bounds, network_rate, normalized_capacity
 
 METRICS = ("rate_sum", "rate_mean_active", "normalized_capacity", "any_user_jammed")
@@ -184,10 +194,16 @@ def simulate_trial(config: ScenarioConfig, algos, rngs, model: RateModel,
                 step = max(1, BLOCK_SLOTS // (k + 1 - priced))
                 for ri in range(0, rows, step):
                     cut = (span, slice(ri, ri + step))
-                    rates[cut] = model.rates(choices[cut], jammed[cut], active[cut])
+                    rates[cut] = model.rates(choices[cut], jammed[cut],
+                                             active[cut], checked=False)
                 fed = rates[span]
                 priced = k + 1
             ctl.end_slot(choices[k], jammed[k], fed, active[k])
+        # the automata's steps skip sla_update's checks: a strategy gone off
+        # the simplex fails the run here, before the block's metrics
+        for _, rule in ctl.followers:
+            if isinstance(rule, AutomataUsers):
+                _check_simplex(rule.strategy.probs)
         per_slot[:, first:first + size] = _slot_metrics(
             choices, jammed, active, rates, r_max).swapaxes(0, 1)
     extras = [{} for _ in range(rows)]

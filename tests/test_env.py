@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_rates
 from antijam import jammers, load_config, ne_bounds
-from antijam.env import (NodeGeometry, RadioParams, RateModel, jam_mask,
-                         link_gain, max_single_user_rate, uniform_channels)
+from antijam.env import (NodeGeometry, RadioParams, RateModel, _at_own_channel,
+                         jam_mask, link_gain, max_single_user_rate,
+                         uniform_channels)
 from antijam.errors import ConfigError
 from antijam.games import GameSpec, is_pure_nash, user_utility
 from antijam.runner import simulate_trial, trial_generator
@@ -46,8 +48,8 @@ def record_slots(doc):
     rates_fn = model.rates
     seen = []
 
-    def recording(choices, jammed, active):
-        rates = rates_fn(choices, jammed, active)
+    def recording(choices, jammed, active, **kwargs):
+        rates = rates_fn(choices, jammed, active, **kwargs)
         assert choices.shape == active.shape == rates.shape
         assert choices.shape[1:] == (1, config.num_users)
         assert jammed.shape == (len(choices), 1, config.num_channels)
@@ -248,6 +250,40 @@ def test_a_block_of_slots_is_priced_as_its_slots_alone(n, m, k, t, data):
     rows = np.stack([model.rates(c, j, a) for c, j, a in zip(
         choices.reshape(-1, n), jammed.reshape(-1, m), active.reshape(-1, n))])
     assert block.tobytes() == rows.tobytes()
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.sampled_from([(8, 3), (2, 4)]),
+                 st.tuples(st.integers(1, 16), st.integers(1, 5))),
+       st.lists(st.integers(1, 3), max_size=2), st.sampled_from([0.5, 1.0]),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(0, 2 ** 32 - 1))
+def test_own_channel_rates_are_the_deviation_rates_at_each_users_channel(
+        size, trials, p, density, seed):
+    """rates sums each user's heard power at its own channel only, an einsum
+    of its own: with 0-2 leading trial axes, more users than channels
+    (fig5's 8 x 3) or fewer (fig4's 2 x 4), partial or full activity and
+    any jam density, it must equal the deviation table read at each user's
+    channel and the scalar reference of each profile, bit for bit, checked
+    or not."""
+    n, m = size
+    rng = np.random.default_rng(seed)
+    geo = NodeGeometry(user_pairs=rng.uniform(-10, 10, size=(n, 2, 2)),
+                       jammer_positions=rng.uniform(-10, 10, size=(2, 2)))
+    model = RateModel(geo, RadioParams(
+        num_channels=m, tx_power=float(rng.uniform(0.5, 2)),
+        jam_power=float(rng.uniform(0, 4)), noise_floor=1e-3))
+    choices = rng.integers(0, m, size=(*trials, n))
+    active = rng.random((*trials, n)) < p
+    jammed = rng.random((*trials, m)) < density
+    got = model.rates(choices, jammed, active)
+    assert got.shape == choices.shape
+    assert model.rates(choices, jammed, active, checked=False).tobytes() \
+        == got.tobytes()
+    assert _at_own_channel(model.deviation_rates(choices, active, jammed),
+                           choices).tobytes() == got.tobytes()
+    want = [scalar_rates.rates(model, c, j, a) for c, j, a in zip(
+        choices.reshape(-1, n), jammed.reshape(-1, m), active.reshape(-1, n))]
+    assert np.stack(want).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("jammed", [

@@ -23,13 +23,14 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference_loop
 import scalar_interference as scalar
 from slot_rows import acted, selected
 from antijam.config import LearningParams
+from antijam.env import NodeGeometry, RadioParams, RateModel, max_single_user_rate
 from antijam.hypergraph import InterferenceHypergraph, marginal_interference
 import pytest
 
@@ -424,6 +425,36 @@ def test_reward_rules_match_the_scalar_reference(hg, m, p_active, seed):
     for new, ref in rules:
         want = [[ref(u, *slot) for u in range(n)] for slot in slots]
         assert same_bits(new(*block), want)
+
+
+@example(InterferenceHypergraph(1), 1, 1, 1.0, 0.0, 0)   # a lone link: 1
+@example(InterferenceHypergraph(3, strong_edges=((0, 1), (0, 2), (1, 2))),
+         1, 1, 1.0, 1.0, 0)                                 # every conflict: 0
+@given(hypergraphs(), st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_reward_rules_stay_in_the_unit_interval(hg, m, rows, p_active, p_jam,
+                                                seed):
+    """The slot loop steps the automata on their rules' rewards without
+    checking their range: rate_reward and interference_reward must keep
+    every reward in [0, 1], on rows of random profiles, activity and jam
+    masks over random positions and hypergraphs, none to all users active
+    and none to all channels jammed. The examples reach both ends: a lone
+    unjammed link's rate is r_max itself, and users of a triangle on one
+    jammed channel each lose every edge and the jammer, the normalizer."""
+    env = np.random.default_rng(seed)
+    n = hg.num_users
+    geometry = NodeGeometry(user_pairs=env.uniform(-5, 5, size=(n, 2, 2)),
+                            jammer_positions=env.uniform(-5, 5, size=(1, 2)))
+    model = RateModel(geometry, RadioParams(num_channels=m, jam_power=2.0))
+    choices = env.integers(0, m, size=(rows, n))
+    active = env.random((rows, n)) < p_active
+    jammed = env.random((rows, m)) < p_jam
+    rates = model.rates(choices, jammed, active)
+    for rule in (rate_reward(max_single_user_rate(model)), interference_reward(hg)):
+        reward = rule(choices, active, rates, jammed)
+        assert reward.shape == (rows, n)
+        assert np.all((reward >= 0.0) & (reward <= 1.0)), reward
 
 
 @given(hypergraphs(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))

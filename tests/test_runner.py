@@ -24,6 +24,7 @@ import reference_loop
 from antijam import learning, load_config
 from antijam.cli import main
 from antijam.config import ALGORITHMS
+from antijam.errors import ConfigError
 from antijam.env import RateModel, max_single_user_rate
 from antijam.metrics import mean_ci
 from antijam.presets import get_preset
@@ -189,6 +190,39 @@ def test_a_failed_run_leaves_no_output_that_looks_complete(tmp_path, monkeypatch
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("slot", [128, 280], ids=["full-block", "last-block"])
+def test_a_strategy_drifted_in_the_loop_fails_the_run(tmp_path, monkeypatch,
+                                                      slot):
+    """The automata's steps in the slot loop skip sla_update's checks, and
+    the loop checks their strategies at the end of each slot block instead.
+    A row pushed 1e-6 off the simplex after the update of a slot in the
+    middle of the first, full 256-slot block of a 300-slot run, or in its
+    last, 44-slot block, must fail the run by that block's end with a
+    ConfigError, and leave no per_slot.csv, finished or partial. A step
+    shrinks a row's drift by a factor 1 - b*r, so a small step size b keeps
+    it past the 1e-9 tolerance until the check."""
+    out = tmp_path / "run"
+    doc = dict(get_preset("fig5-hypergraph"), trials=1, slots=300,
+               algorithms=["hypergraph_sla"], learning={"step_size": 0.001})
+    run_scenario(load_config(doc), out_dir=str(out))
+    assert sorted(os.listdir(out)) == ["metadata.json", "per_slot.csv",
+                                       "summary.csv"]
+    learn, learned = learning.AutomataUsers.learn, []
+
+    def drifting(self, *args):
+        learn(self, *args)
+        if len(learned) == slot:
+            self.strategy.probs[0, 3, 1] += 1e-6
+        learned.append(slot)
+
+    monkeypatch.setattr(learning.AutomataUsers, "learn", drifting)
+    with pytest.raises(ConfigError, match="sum to 1"):
+        run_scenario(load_config(doc), out_dir=str(out))
+    block_end = min(300, (slot // runner.BLOCK_SLOTS + 1) * runner.BLOCK_SLOTS)
+    assert slot < len(learned) <= block_end
+    assert os.listdir(out) == []
+
+
 # ---------------------------------------------------------------------------
 # in-memory results
 
@@ -340,8 +374,8 @@ def count_rate_calls(monkeypatch):
     """The leading shape of every RateModel.rates call's choices."""
     calls = []
     rates = RateModel.rates
-    monkeypatch.setattr(RateModel, "rates", lambda self, choices, *rest: (
-        calls.append(np.shape(choices)), rates(self, choices, *rest))[1])
+    monkeypatch.setattr(RateModel, "rates", lambda self, choices, *rest, **kwargs: (
+        calls.append(np.shape(choices)), rates(self, choices, *rest, **kwargs))[1])
     return calls
 
 
